@@ -56,7 +56,7 @@ from .errors import (
 from . import exact
 from .functional import MomentTable
 from .series import LaurentPoly, TruncatedPowerSeries
-from .systems import recurrence_data
+from .systems import recurrence_data, two_step
 
 __all__ = [
     "FiniteSystemSpec",
@@ -202,43 +202,18 @@ class AtomicMeasure:
 def build_Q(spec: FiniteSystemSpec) -> tuple[LaurentPoly, ...]:
     """Q_0..Q_{4n} from the finite recurrence.
 
-    The recurrence needs products and sums only, so it runs exactly on
-    the double g_k and f_k (see :mod:`olaurent.exact`); each coefficient
-    is rounded to a double once.  Each step must keep the new extreme
-    coefficient nonzero (top coefficient at even indices, bottom at odd
-    ones); a collapse there signals an invalid parameter choice.
+    The exact, once-rounded loop of :func:`~olaurent.systems.two_step`
+    builds each Q_k; this adds the guard.  Each step must keep the new
+    extreme coefficient nonzero (top coefficient at even indices, bottom
+    at odd ones); a collapse there signals an invalid parameter choice.
     """
-    # a polynomial is (lowest exponent, re, im, scale): coefficients
-    # (re[i] + i im[i]) / 2**scale at exponent lo + i
-    prev = (0, [], [], 0)        # Q_{-1} = 0
-    cur = (0, [1], [0], 0)       # Q_0 = 1
     out = [LaurentPoly.one()]
-    for k in range(1, 4 * spec.n_cap + 1):
-        gr, gi, gs = exact.split(spec.g[k - 1])
-        fr, fi, fs = exact.split(spec.f_rec[k - 1])
-        lo1, r1, i1, s1 = cur
-        lo0, r0, i0, s0 = prev
-        scale = max(gs + s1, fs + s0)
-        # odd k: (x^{-1} + g) Q_{k-1}; even k: (1 + g x) Q_{k-1}; both
-        # put the unit part one slot below the g part
-        lo = lo1 - 1 if k % 2 == 1 else lo1
-        re, im = [0] * (len(r1) + 1), [0] * (len(r1) + 1)
-        for i, (a, b) in enumerate(zip(r1, i1)):
-            re[i] += a << (scale - s1)
-            im[i] += b << (scale - s1)
-            re[i + 1] += (gr * a - gi * b) << (scale - gs - s1)
-            im[i + 1] += (gr * b + gi * a) << (scale - gs - s1)
-        for i, (a, b) in enumerate(zip(r0, i0), start=lo0 - lo):
-            re[i] += (fr * a - fi * b) << (scale - fs - s0)
-            im[i] += (fr * b + fi * a) << (scale - fs - s0)
-        step = LaurentPoly({lo + i: exact.to_complex(a, b, scale)
-                            for i, (a, b) in enumerate(zip(re, im))})
+    for k, step in enumerate(two_step(spec.g, spec.f_rec), start=1):
         extreme = -(k + 1) // 2 if k % 2 == 1 else k // 2
         top = max((abs(c) for _, c in step.items()), default=0.0)
         if top == 0.0 or abs(step.coeff(extreme)) < DEGENERACY_TOL * top:
             raise DegenerateLeadingCoefficient(
                 f"Q_{k} lost its coefficient at exponent {extreme}")
-        prev, cur = cur, (lo, re, im, scale)
         out.append(step)
     return tuple(out)
 

@@ -153,11 +153,6 @@ def apply_L(p: LaurentPoly, moments: MomentTable) -> complex:
     return complex(sum(c * moments.mu[e] for e, c in p.items()))
 
 
-def _contour_nodes(radius: float, nodes: int) -> np.ndarray:
-    k = np.arange(nodes)
-    return radius * np.exp(2j * np.pi * k / nodes)
-
-
 def contour_L(p: LaurentPoly, source: TruncatedPowerSeries,
               spec: ContourSpec) -> complex:
     """Trapezoid quadrature of the defining contour integral.
@@ -248,7 +243,7 @@ def specialized_L_exp_binomial(p: LaurentPoly, spec: FamilySpec,
         raise UnsupportedFamily(f"specialized route needs exp-binomial, got {spec.kind!r}")
     if nodes < 16:
         raise InvalidParams("contour needs at least 16 nodes")
-    y = _contour_nodes(1.0, nodes)
+    y = kernels.circle_nodes_extended(1.0, nodes).astype(np.complex128)
     w = y * y
     weight = np.exp(-spec.b * w)
     for aj, lj in zip(spec.a, spec.family_lambda):

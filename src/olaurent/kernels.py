@@ -1,38 +1,44 @@
-"""Numeric kernels: numba-compiled fast path with a pure-numpy fallback.
+"""Numeric kernels, one numpy implementation each.
 
-The numba path is the default whenever numba imports cleanly.  Setting the
-environment variable ``OLAURENT_NO_NUMBA`` to a non-empty value before
-import forces the numpy implementations.  ``backend()`` reports which path
-is active; ``warmup()`` triggers JIT compilation outside timed sections.
-
-Both paths implement identical semantics on contiguous complex128 arrays:
+On contiguous complex128 arrays:
 
 * ``eval_poly(coeffs, pts)``      -- Horner evaluation, ascending coeffs
 * ``cauchy_product(a, b, n)``     -- truncated convolution, n output terms
 * ``reciprocal_coeffs(a)``        -- coefficients of 1/sum(a_k z^k)
-"""
 
-import os
+and, for contour quadrature, ``circle_nodes_extended`` and
+``eval_poly_extended`` in the widest complex dtype available.
+"""
 
 import numpy as np
 
-ENV_FLAG = "OLAURENT_NO_NUMBA"
+# Kept for the benchmark's machine facts, which record the kernel backend;
+# numba is no longer used, so these are constants.
+HAS_NUMBA = False
 
 
-# -- pure numpy implementations ----------------------------------------------
+def backend() -> str:
+    """Name of the kernel backend, always ``"numpy"``."""
+    return "numpy"
 
-def eval_poly_numpy(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    acc = np.full(pts.shape, coeffs[-1], dtype=np.complex128)
+
+def eval_poly(coeffs: np.ndarray, pts):
+    """Horner evaluation at an ndarray of points or at one scalar point.
+
+    A scalar point runs in numpy scalar arithmetic, which rounds like
+    Python's complex arithmetic, and gives a numpy complex scalar.
+    """
+    acc = np.full(np.shape(pts), coeffs[-1], dtype=np.complex128)[()]
     for k in range(coeffs.shape[0] - 2, -1, -1):
         acc = acc * pts + coeffs[k]
     return acc
 
 
-def cauchy_product_numpy(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+def cauchy_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.convolve(a, b)[:n]
 
 
-def reciprocal_coeffs_numpy(a: np.ndarray) -> np.ndarray:
+def reciprocal_coeffs(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     e = np.zeros(n, dtype=np.complex128)
     e[0] = 1.0 / a[0]
@@ -41,80 +47,13 @@ def reciprocal_coeffs_numpy(a: np.ndarray) -> np.ndarray:
     return e
 
 
-_NUMPY_IMPLS = {
-    "eval_poly": eval_poly_numpy,
-    "cauchy_product": cauchy_product_numpy,
-    "reciprocal_coeffs": reciprocal_coeffs_numpy,
-}
-
-
-# -- numba implementations ---------------------------------------------------
-
-HAS_NUMBA = False
-if not os.environ.get(ENV_FLAG):
-    try:
-        # workqueue is always bundled; avoids probing optional TBB/OMP layers
-        os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-        from numba import njit, prange
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def eval_poly_numba(coeffs, pts):  # pragma: no cover - compiled
-        n = coeffs.shape[0]
-        out = np.empty(pts.shape[0], dtype=np.complex128)
-        for i in prange(pts.shape[0]):
-            x = pts[i]
-            acc = coeffs[n - 1]
-            for k in range(n - 2, -1, -1):
-                acc = acc * x + coeffs[k]
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def cauchy_product_numba(a, b, n):  # pragma: no cover - compiled
-        out = np.zeros(n, dtype=np.complex128)
-        for i in range(a.shape[0]):
-            if i >= n:
-                break
-            top = min(b.shape[0], n - i)
-            for j in range(top):
-                out[i + j] += a[i] * b[j]
-        return out
-
-    @njit(cache=True)
-    def reciprocal_coeffs_numba(a):  # pragma: no cover - compiled
-        n = a.shape[0]
-        e = np.zeros(n, dtype=np.complex128)
-        e[0] = 1.0 / a[0]
-        for k in range(1, n):
-            acc = 0.0 + 0.0j
-            for i in range(1, k + 1):
-                acc += a[i] * e[k - i]
-            e[k] = -acc / a[0]
-        return e
-
-    eval_poly = eval_poly_numba
-    cauchy_product = cauchy_product_numba
-    reciprocal_coeffs = reciprocal_coeffs_numba
-else:
-    eval_poly = eval_poly_numpy
-    cauchy_product = cauchy_product_numpy
-    reciprocal_coeffs = reciprocal_coeffs_numpy
-
-
 # -- extended-precision quadrature helpers -----------------------------------
 #
 # On a circle of radius c != 1 the Laurent values being averaged span
 # roughly c ** (lo - hi) orders of magnitude, so the 64-bit rounding of each
 # node value, not the quadrature rule, sets the error floor.  These helpers
 # run the identical Horner scheme in the widest complex dtype the platform
-# provides (80-bit extended on x86 Linux, plain double elsewhere).  They are
-# numpy-only: numba has no extended-precision complex support.
+# provides (80-bit extended on x86 Linux, plain double elsewhere).
 
 QUAD_DTYPE = np.complex256 if hasattr(np, "complex256") else np.complex128
 _REAL_QUAD = np.longdouble if hasattr(np, "complex256") else np.float64
@@ -135,31 +74,11 @@ def eval_poly_extended(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def backend() -> str:
-    """Name of the active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def warmup() -> None:
-    """Run each kernel once on tiny inputs so JIT cost lands here."""
-    c = np.array([1.0 + 0j, 0.5 + 0j])
-    p = np.array([0.25 + 0.25j, -0.5 + 0j])
-    eval_poly(c, p)
-    cauchy_product(c, c, 3)
-    reciprocal_coeffs(c)
-
-
 __all__ = [
-    "ENV_FLAG",
-    "HAS_NUMBA",
     "backend",
-    "warmup",
     "eval_poly",
     "cauchy_product",
     "reciprocal_coeffs",
-    "eval_poly_numpy",
-    "cauchy_product_numpy",
-    "reciprocal_coeffs_numpy",
     "QUAD_DTYPE",
     "circle_nodes_extended",
     "eval_poly_extended",

@@ -104,13 +104,8 @@ class TruncatedPowerSeries:
     def __call__(self, z):
         """Evaluate the truncated polynomial at a scalar or ndarray."""
         if isinstance(z, np.ndarray):
-            pts = np.ascontiguousarray(z, dtype=np.complex128)
-            return kernels.eval_poly(self.coeffs, pts)
-        acc = complex(self.coeffs[-1])
-        zz = complex(z)
-        for k in range(self.coeffs.shape[0] - 2, -1, -1):
-            acc = acc * zz + complex(self.coeffs[k])
-        return acc
+            return kernels.eval_poly(self.coeffs, np.ascontiguousarray(z, dtype=np.complex128))
+        return complex(kernels.eval_poly(self.coeffs, complex(z)))
 
     def tail_bound(self, s: float) -> float:
         """Estimated magnitude of the dropped tail at ``|z| = s``.
@@ -262,25 +257,17 @@ class LaurentPoly:
         Negative exponents are evaluated stably as a dense Horner pass
         times ``x**min_exponent``.
         """
-        if isinstance(x, np.ndarray):
-            pts = np.ascontiguousarray(x, dtype=np.complex128)
-            if not self._terms:
-                return np.zeros(pts.shape, dtype=np.complex128)
-            dense, lo = self._dense()
-            if lo < 0 and np.any(pts == 0):
-                raise EvalAtZero("negative exponents cannot be evaluated at 0")
-            vals = kernels.eval_poly(dense, pts)
-            return vals if lo == 0 else vals * pts ** lo
+        array = isinstance(x, np.ndarray)
+        pts = np.ascontiguousarray(x, dtype=np.complex128) if array else complex(x)
         if not self._terms:
-            return 0j
-        xx = complex(x)
+            return np.zeros(pts.shape, dtype=np.complex128) if array else 0j
         dense, lo = self._dense()
-        if lo < 0 and xx == 0:
+        if lo < 0 and np.any(pts == 0):
             raise EvalAtZero("negative exponents cannot be evaluated at 0")
-        acc = complex(dense[-1])
-        for k in range(dense.shape[0] - 2, -1, -1):
-            acc = acc * xx + complex(dense[k])
-        return acc * xx ** lo if lo != 0 else acc
+        vals = kernels.eval_poly(dense, pts)
+        if not array:
+            vals = complex(vals)
+        return vals if lo == 0 else vals * pts ** lo
 
     # -- comparisons ------------------------------------------------------------------
 

@@ -22,14 +22,27 @@ and recur_lambda_1 = 1, which make f^rec_1 = -d_1; the value multiplies
 Q_{-1} = 0, so any nonzero choice is equivalent, and this one continues
 the closed forms of the stock families (for d_k = 1/k! it keeps
 f^rec_k = -1/k at k = 1).
+
+The recurrence needs products and sums only, so :func:`build_by_recurrence`
+runs it exactly on the double g_k and f^rec_k (see :mod:`olaurent.exact`)
+and rounds each coefficient of each Q_n to a double once; the finite
+systems of :mod:`olaurent.finite` run the same loop.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import InsufficientOrder, InvalidParams, MissingCoefficients, ZeroCoefficient
+from . import exact
+from .errors import (
+    InsufficientOrder,
+    InvalidParams,
+    MissingCoefficients,
+    UnrepresentableValue,
+    ZeroCoefficient,
+)
 from .series import LaurentPoly, TruncatedPowerSeries
 
 __all__ = [
@@ -38,6 +51,7 @@ __all__ = [
     "NormalizationReport",
     "build_system",
     "recurrence_data",
+    "two_step",
     "build_by_recurrence",
     "check_normalization",
 ]
@@ -45,16 +59,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OLPSystem:
-    """Laurent system R_0..R_K plus the partial sums it came from."""
+    """Laurent system R_0..R_K and the source it came from."""
 
     source: TruncatedPowerSeries
     R: tuple[LaurentPoly, ...]
-    partials: tuple[LaurentPoly, ...]
     K: int
-
-    def monic_partial(self, n: int) -> LaurentPoly:
-        """f_n / d_n, the monic normalization of the n-th partial sum."""
-        return self.partials[n] * (1.0 / self.source.coeff(n))
 
 
 @dataclass(frozen=True)
@@ -100,17 +109,28 @@ def build_system(source: TruncatedPowerSeries, K: int) -> OLPSystem:
     if K < 0:
         raise InvalidParams("K must be >= 0")
     _validate_source(source, K)
-    partials: list[LaurentPoly] = []
+    R = []
     acc: dict[int, complex] = {}
     for n in range(K + 1):
         acc[n] = complex(source.coeffs[n])
-        partials.append(LaurentPoly(acc))
-    R = tuple(p.shift(-math.ceil(n / 2)) for n, p in enumerate(partials))
-    return OLPSystem(source=source, R=R, partials=tuple(partials), K=K)
+        R.append(LaurentPoly(acc).shift(-math.ceil(n / 2)))
+    return OLPSystem(source=source, R=tuple(R), K=K)
+
+
+def _refuse_unrepresentable(name: str, values: list[complex], start: int) -> None:
+    for k in range(start, len(values)):
+        if values[k] == 0 or not cmath.isfinite(values[k]):
+            raise UnrepresentableValue(
+                f"{name}_{k} = {values[k]} is out of the double range")
 
 
 def recurrence_data(source: TruncatedPowerSeries, K: int) -> RecurrenceData:
-    """Recurrence coefficients c, recur_lambda, xi, g, f_rec up to index K."""
+    """Recurrence coefficients c, recur_lambda, xi, g, f_rec up to index K.
+
+    Raises :class:`UnrepresentableValue` when one of them overflows or
+    underflows to zero in doubles (xi_k = k! for the exponential family
+    at k = 171); the recurrence needs every one finite and nonzero.
+    """
     if K < 0:
         raise InvalidParams("K must be >= 0")
     _validate_source(source, K)
@@ -118,45 +138,78 @@ def recurrence_data(source: TruncatedPowerSeries, K: int) -> RecurrenceData:
     c: list[complex] = [1.0 + 0j]
     for n in range(1, K + 1):
         c.append(-complex(d[n - 1]) / complex(d[n]))
+    _refuse_unrepresentable("c", c, 0)
     lam: list[complex] = [0j, 1.0 + 0j][:K + 1]
     for n in range(2, K + 1):
         lam.append(complex(d[n - 2]) / complex(d[n - 1]))
+    _refuse_unrepresentable("recur_lambda", lam, 1)
     xi: list[complex] = []
     prod = 1.0 + 0j
     for k in range(K + 1):
         prod *= c[k]
         xi.append((-1) ** k * prod)
+    _refuse_unrepresentable("xi", xi, 0)
     g: list[complex] = [0j]
     for k in range(1, K + 1):
         g.append(-1.0 / c[k])
+    _refuse_unrepresentable("g", g, 1)
     f_rec: list[complex] = [0j]
     for k in range(1, K + 1):
         xi_km2 = xi[k - 2] if k >= 2 else 1.0 + 0j  # xi_{-1} = 1
         f_rec.append(-lam[k] * xi_km2 / xi[k])
+    _refuse_unrepresentable("f_rec", f_rec, 1)
     return RecurrenceData(c=tuple(c), recur_lambda=tuple(lam), xi=tuple(xi),
                           g=tuple(g), f_rec=tuple(f_rec), K=K)
 
 
+def two_step(g, f_rec):
+    """Yield Q_1, Q_2, ... of the two-step recurrence; g[k-1], f_rec[k-1] hold g_k, f_k.
+
+    Runs exactly on the double inputs and rounds each coefficient once.
+    """
+    steps = [(exact.split(a), exact.split(b)) for a, b in zip(g, f_rec)]
+    real = not any(gp[1] or fp[1] for gp, fp in steps)
+    # a polynomial is (lowest exponent, re, im, scale): coefficients
+    # (re[i] + i im[i]) / 2**scale at exponent lo + i; im is None when
+    # every input is real
+    lo0, r0, i0, s0 = 0, [], None if real else [], 0       # Q_{-1} = 0
+    lo1, r1, i1, s1 = 0, [1], None if real else [0], 0     # Q_0 = 1
+    for k, ((gr, gi, sg), (fr, fi, sf)) in enumerate(steps, start=1):
+        scale = max(sg + s1, sf + s0)
+        u, v, w = scale - s1, scale - sg - s1, scale - sf - s0
+        # odd k: (x^{-1} + g) Q_{k-1}; even k: (1 + g x) Q_{k-1}; both
+        # put the unit part one slot below the g part
+        lo = lo1 - 1 if k % 2 == 1 else lo1
+        re = [a << u for a in r1] + [0]
+        for i, a in enumerate(r1, start=1):
+            re[i] += (gr * a) << v
+        for i, a in enumerate(r0, start=lo0 - lo):
+            re[i] += (fr * a) << w
+        im = None
+        if not real:
+            im = [b << u for b in i1] + [0]
+            for i, (a, b) in enumerate(zip(r1, i1), start=1):
+                re[i] -= (gi * b) << v
+                im[i] += (gr * b + gi * a) << v
+            for i, (a, b) in enumerate(zip(r0, i0), start=lo0 - lo):
+                re[i] -= (fi * b) << w
+                im[i] += (fr * b + fi * a) << w
+        yield LaurentPoly({lo + i: exact.to_complex(a, 0 if im is None else im[i], scale)
+                           for i, a in enumerate(re)})
+        lo0, r0, i0, s0 = lo1, r1, i1, s1
+        lo1, r1, i1, s1 = lo, re, im, scale
+
+
 def build_by_recurrence(rd: RecurrenceData, K: int) -> tuple[LaurentPoly, ...]:
-    """Q_0..Q_K from the two-step recurrence, Q_{-1} = 0 and Q_0 = 1."""
+    """Q_0..Q_K from the two-step recurrence, Q_{-1} = 0 and Q_0 = 1.
+
+    Exact on the double g_k and f^rec_k; each coefficient is rounded once.
+    """
     if K < 0:
         raise InvalidParams("K must be >= 0")
     if rd.K < K:
         raise MissingCoefficients(f"recurrence data stops at {rd.K}, need {K}")
-    q_prev = LaurentPoly.zero()   # Q_{-1}
-    q_cur = LaurentPoly.one()     # Q_0
-    out = [q_cur]
-    x_inv = LaurentPoly.monomial(-1)
-    x = LaurentPoly.monomial(1)
-    one = LaurentPoly.one()
-    for k in range(1, K + 1):
-        if k % 2 == 1:
-            step = (x_inv + rd.g[k] * one) * q_cur + rd.f_rec[k] * q_prev
-        else:
-            step = (one + rd.g[k] * x) * q_cur + rd.f_rec[k] * q_prev
-        q_prev, q_cur = q_cur, step
-        out.append(q_cur)
-    return tuple(out)
+    return (LaurentPoly.one(), *two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]))
 
 
 def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationReport:

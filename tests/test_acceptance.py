@@ -39,7 +39,6 @@ from olaurent import (
     solve_moments,
     specialized_L_exp_binomial,
 )
-from olaurent import kernels
 from olaurent.cli import main as cli_main
 
 EXP_BINOMIAL = dict(b=1.0, a=(0.5,), family_lambda=(1.0,))
@@ -66,7 +65,6 @@ def phase(rng) -> complex:
 
 
 def test_criterion_1_gram_orthogonality_three_families():
-    kernels.warmup()
     K = 20
     parts, ok = [], True
     for name, fam in families():

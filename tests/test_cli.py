@@ -190,3 +190,24 @@ def test_finite_refuses_non_finite_spec_values(tmp_path, capsys, bad):
     code, rep = run(tmp_path, "finite", "--family", family, "--ncap", "1")
     assert code == 2 and rep is None
     assert "finite coefficients" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "exponential", "--order", "172"],   # xi_171 = 171! overflows
+    ["build", "--family", '{"kind": "explicit", "coeffs": [1, 1e-320, 1], "radius": 1}',
+     "--order", "2"],                                          # c_1 = -1e320 overflows
+    ["build", "--family", '{"kind": "explicit", "coeffs": [1, 1e-200, 1e200], "radius": 1}',
+     "--order", "2"],                                          # c_2 underflows to -0
+    ["finite", "--family",
+     '{"kind": "explicit", "coeffs": [1, 1e-200, 1e200, 1, 1], "radius": 1}', "--ncap", "1"],
+], ids=["exponential-172", "overflowing-c1", "underflowing-c2", "finite-underflowing-c2"])
+def test_unrepresentable_recurrence_data_is_refused(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" or json.loads(out, parse_constant=_reject_constant)
+    assert "UnrepresentableValue" in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")

@@ -1,11 +1,6 @@
-"""Backend parity between the numba kernels and the numpy fallbacks."""
-
-import os
-import subprocess
-import sys
+"""Numeric kernels: Horner evaluation, truncated products, reciprocals, nodes."""
 
 import numpy as np
-import pytest
 
 from olaurent import kernels
 
@@ -18,50 +13,32 @@ def sample_inputs(seed=0):
     return np.ascontiguousarray(coeffs), np.ascontiguousarray(pts)
 
 
-def test_backend_reports_a_known_name():
-    assert kernels.backend() in ("numba", "numpy")
-    assert kernels.backend() == ("numba" if kernels.HAS_NUMBA else "numpy")
-
-
-def test_warmup_runs():
-    kernels.warmup()
-
-
-def test_eval_poly_numpy_is_horner():
+def test_eval_poly_is_horner():
     c = np.array([1.0 + 0j, -2.0, 3.0])
     pts = np.array([0.5 + 0j, 2.0 + 0j])
-    assert np.allclose(kernels.eval_poly_numpy(c, pts), [0.75, 9.0])
+    assert np.allclose(kernels.eval_poly(c, pts), [0.75, 9.0])
+
+
+def test_eval_poly_at_a_scalar_rounds_like_python_horner():
+    coeffs, pts = sample_inputs(3)
+    for z in pts[:10]:
+        z = complex(z)
+        acc = complex(coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc = acc * z + complex(c)
+        assert complex(kernels.eval_poly(coeffs, z)) == acc
 
 
 def test_cauchy_product_truncates():
     a = np.array([1.0 + 0j, 1.0, 1.0])
-    out = kernels.cauchy_product_numpy(a, a, 3)
+    out = kernels.cauchy_product(a, a, 3)
     assert np.array_equal(out, [1, 2, 3])
 
 
 def test_reciprocal_coeffs_geometric():
     ones = np.ones(6, dtype=np.complex128)
-    e = kernels.reciprocal_coeffs_numpy(ones)
+    e = kernels.reciprocal_coeffs(ones)
     assert np.array_equal(e, [1, -1, 0, 0, 0, 0])
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba backend not active")
-def test_backends_agree():
-    coeffs, pts = sample_inputs()
-    assert np.allclose(kernels.eval_poly_numba(coeffs, pts),
-                       kernels.eval_poly_numpy(coeffs, pts), rtol=1e-13)
-    assert np.allclose(kernels.cauchy_product_numba(coeffs, coeffs, 40),
-                       kernels.cauchy_product_numpy(coeffs, coeffs, 40), rtol=1e-13)
-    assert np.allclose(kernels.reciprocal_coeffs_numba(coeffs),
-                       kernels.reciprocal_coeffs_numpy(coeffs), rtol=1e-12, atol=1e-12)
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, **{kernels.ENV_FLAG: "1"})
-    out = subprocess.run(
-        [sys.executable, "-c", "from olaurent import kernels; print(kernels.backend())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
 
 
 def test_circle_nodes_extended_lie_on_the_circle():
@@ -77,5 +54,5 @@ def test_circle_nodes_extended_lie_on_the_circle():
 def test_eval_poly_extended_matches_double_precision_path():
     coeffs, pts = sample_inputs(5)
     ext = kernels.eval_poly_extended(coeffs, pts.astype(kernels.QUAD_DTYPE))
-    ref = kernels.eval_poly_numpy(coeffs, pts)
+    ref = kernels.eval_poly(coeffs, pts)
     assert float(np.max(np.abs(ext.astype(np.complex128) - ref))) <= 1e-13

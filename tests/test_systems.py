@@ -1,12 +1,14 @@
 """Laurent system construction and the two-step recurrence route."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from olaurent import (
     LaurentPoly,
+    RecurrenceData,
     TruncatedPowerSeries,
     build_by_recurrence,
     build_system,
@@ -161,3 +163,61 @@ def test_recurrence_substitution_leaves_zero_residual(exp_binomial):
         resid = q[k] - step * q[k - 1] - rd.f_rec[k] * prev2
         scale = max(abs(c) for _, c in q[k].items())
         assert all(abs(c) <= 1e-12 * scale for _, c in resid.items())
+
+
+def _data(g, f_rec):
+    """RecurrenceData carrying only g and f_rec; index 0 is the unused slot."""
+    K = len(g) - 1
+    ones = (1.0,) * (K + 1)
+    return RecurrenceData(c=ones, recur_lambda=ones, xi=ones, g=g, f_rec=f_rec, K=K)
+
+
+def _gaussian(z):
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_recurrence(g, f_rec):
+    """Q_0..Q_K over Gaussian rationals, as {exponent: (re, im)}."""
+    one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def add(p, e, c):
+        a = p.get(e, zero)
+        p[e] = (a[0] + c[0], a[1] + c[1])
+
+    prev, cur, out = {}, {0: one}, [{0: one}]
+    for k in range(1, len(g)):
+        gk, fk = _gaussian(complex(g[k])), _gaussian(complex(f_rec[k]))
+        step = {}
+        for e, c in cur.items():
+            add(step, e - 1 if k % 2 == 1 else e, c)
+            add(step, e if k % 2 == 1 else e + 1, mul(gk, c))
+        for e, c in prev.items():
+            add(step, e, mul(fk, c))
+        prev, cur = cur, step
+        out.append(step)
+    return out
+
+
+def test_recurrence_rounds_the_exact_sum_once():
+    # Q_2 = x^-1 + (g_1 + g_2 + f_2) + g_1 g_2 x; summed in doubles,
+    # 0.1 + 0.2 - 0.3 gives 5.55e-17, twice the exact 2.78e-17
+    q = build_by_recurrence(_data((0, 0.1, 0.2), (0, -1, -0.3)), 2)
+    assert q[2].coeff(0) == float(Fraction(0.1) + Fraction(0.2) - Fraction(0.3))
+    assert q[2].coeff(1) == float(Fraction(0.1) * Fraction(0.2))
+    assert q[2].coeff(-1) == 1
+
+
+def test_complex_recurrence_rounds_the_exact_values_once():
+    g = (0, 0.1 + 0.1j, 0.2 + 0.2j, 0.7 - 0.3j, -1.1 + 0.4j)
+    f_rec = (0, -1, -0.3 - 0.3j, 0.25 + 1.5j, -0.6 - 0.2j)
+    q = build_by_recurrence(_data(g, f_rec), 4)
+    want = _exact_recurrence(g, f_rec)
+    for qk, wk in zip(q, want):
+        assert qk == LaurentPoly({e: complex(float(re), float(im))
+                                  for e, (re, im) in wk.items()})
+    # the cancelling constant term of Q_2 is where the float loop is off
+    assert q[2].coeff(0) == complex(float(Fraction(0.1) + Fraction(0.2) - Fraction(0.3)),
+                                    float(Fraction(0.1) + Fraction(0.2) - Fraction(0.3)))
