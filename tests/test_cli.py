@@ -192,6 +192,10 @@ def test_finite_refuses_non_finite_spec_values(tmp_path, capsys, bad):
     assert "finite coefficients" in capsys.readouterr().err
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--family", "exponential", "--order", "172"],   # xi_171 = 171! overflows
     ["build", "--family", '{"kind": "explicit", "coeffs": [1, 1e-320, 1], "radius": 1}',
@@ -207,7 +211,3 @@ def test_unrepresentable_recurrence_data_is_refused(capsys, argv):
     assert code == 3
     assert out == "" or json.loads(out, parse_constant=_reject_constant)
     assert "UnrepresentableValue" in err
-
-
-def _reject_constant(token):
-    raise ValueError(f"non-strict JSON constant {token}")
