@@ -90,6 +90,14 @@ def _pick(flag, config: dict, key: str, default):
     return default
 
 
+def _options(args) -> tuple[dict, str, str | None]:
+    """The run configuration, the report format and the report path."""
+    config = _load_json_arg(args.config, "config") if args.config else {}
+    output = config.get("output", {})
+    fmt = _pick(args.format, output, "format", "json")
+    return config, fmt, _pick(args.out, output, "path", None)
+
+
 def _emit(report: dict, command: str, out: str | None, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -142,11 +150,9 @@ def _poly_coeffs_json(p: LaurentPoly) -> list[list]:
 
 
 def cmd_build(args) -> int:
-    config = _load_json_arg(args.config, "config") if args.config else {}
+    config, fmt, out = _options(args)
     family = _load_family(args.family, config)
     order = int(_pick(args.order, config, "K", 8))
-    fmt = _pick(args.format, config.get("output", {}), "format", "json")
-    out = _pick(args.out, config.get("output", {}), "path", None)
 
     source = realize(family, max(order, 1))
     system = build_system(source, order)
@@ -177,17 +183,17 @@ def cmd_build(args) -> int:
 
 
 def cmd_ortho(args) -> int:
-    config = _load_json_arg(args.config, "config") if args.config else {}
+    config, fmt, out = _options(args)
     family = _load_family(args.family, config)
     order = int(_pick(args.order, config, "K", 8))
     contour_cfg = config.get("contour") or {}
     radius = _pick(args.radius, contour_cfg, "radius", None)
     nodes = int(_pick(args.nodes, contour_cfg, "nodes", 512))
-    fmt = _pick(args.format, config.get("output", {}), "format", "json")
-    out = _pick(args.out, config.get("output", {}), "path", None)
 
+    spec = ContourSpec(radius=float(radius), nodes=nodes) if radius is not None else None
+    # the Gram matrix reads d_0..d_window; only the contour needs a long tail
     window = 2 * math.ceil(order / 2)
-    source = realize(family, max(window, EVAL_ORDER))
+    source = realize(family, window if spec is None else max(window, EVAL_ORDER))
     system = build_system(source, order)
     moments = exact_moments(source, window)
     gram = gram_matrix(system, moments)
@@ -204,8 +210,7 @@ def cmd_ortho(args) -> int:
         "max_offdiag": float(offdiag.max()) if order > 0 else 0.0,
         "min_abs_diag": float(np.min(np.abs(np.diag(gram)))),
     }
-    if radius is not None:
-        spec = ContourSpec(radius=float(radius), nodes=nodes)
+    if spec is not None:
         worst = 0.0
         for n in range(order + 1):
             for m in range(n, order + 1):
@@ -219,11 +224,9 @@ def cmd_ortho(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    config = _load_json_arg(args.config, "config") if args.config else {}
+    config, fmt, out = _options(args)
     family = _load_family(args.family, config)
     window = int(_pick(args.window, config, "window", 6))
-    fmt = _pick(args.format, config.get("output", {}), "format", "json")
-    out = _pick(args.out, config.get("output", {}), "path", None)
 
     source = realize(family, max(window, 1))
     table = exact_moments(source, window)
@@ -247,13 +250,11 @@ def _sample_x(rng: np.random.Generator, radius: float) -> complex:
 
 
 def cmd_genfun(args) -> int:
-    config = _load_json_arg(args.config, "config") if args.config else {}
+    config, fmt, out = _options(args)
     family = _load_family(args.family, config)
     samples = int(_pick(args.samples, config, "samples", 20))
     terms = int(_pick(args.terms, config, "terms", 80))
     seed = int(_pick(args.seed, config, "seed", 0))
-    fmt = _pick(args.format, config.get("output", {}), "format", "json")
-    out = _pick(args.out, config.get("output", {}), "path", None)
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
 
@@ -305,10 +306,8 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_finite(args) -> int:
-    config = _load_json_arg(args.config, "config") if args.config else {}
+    config, fmt, out = _options(args)
     ncap = int(_pick(args.ncap, config, "n_cap", 2))
-    fmt = _pick(args.format, config.get("output", {}), "format", "json")
-    out = _pick(args.out, config.get("output", {}), "path", None)
 
     if args.spec is not None:
         fspec = FiniteSystemSpec.from_json(_load_json_arg(args.spec, "finite spec"))
@@ -327,11 +326,8 @@ def cmd_finite(args) -> int:
 
     moment_res = max(abs(measure.moment(k) - solve.s[k])
                      for k in range(measure.moment_window + 1))
-    rep_res = 0.0
-    for k in range(min(2 * level, len(Q) - 1) + 1):
-        got = represent_functional(solve, measure, Q[k])
-        want = apply_L(Q[k], table)
-        rep_res = max(rep_res, abs(got - want))
+    rep_res = max(abs(represent_functional(solve, measure, Q[k]) - apply_L(Q[k], table))
+                  for k in range(min(2 * level, len(Q) - 1) + 1))
 
     report = {
         "command": "finite",

@@ -19,21 +19,23 @@ M = 2N+1 equal-angle atoms on a circle of radius r,
     z_j = r exp(2 pi i j / M),
     w_j = (1/M) (1 + 2 sum_k Re(s_k r^{-k} exp(-2 pi i j k / M))),
 
-has moments sum_j w_j z_j^k = s_k for k = 0..N by root-of-unity
+has moments M_k = sum_j w_j z_j^k = s_k for k = 0..N by root-of-unity
 orthogonality.  Doubling r from 1 until 2 sum_k |s_k| r^{-k} <= 1/2
 keeps every weight at or above 1/(2M).  The functional is then
 
-    L(Q) = sum_j w_j Q(z_j) a z_j^level
+    L(Q) = sum_j w_j Q(z_j) a z_j^level = a sum_e c_e M_{e+level}
 
-for Laurent polynomials supported in [-level, level].
+for Laurent polynomials Q = sum_e c_e x^e supported in [-level, level]:
+one dot product of the coefficients with the measure's moment table.
 
 The moment identity is exact algebra, but a weight held to precision
 eps can only pin moment k down to r^k * eps; the doubling search
 routinely lands at r = 16 or 32, where no hardware float is wide
-enough.  Weights are therefore carried as mpmath values with the
-working precision scaled to r^N, and only rounded to doubles at the
-reporting boundary (the ``atoms`` field).  Construction stays O(N^2)
-on a handful of atoms, so the cost is irrelevant.
+enough.  Weights and the moment table M_0..M_N are therefore computed
+once, as mpmath values with the working precision scaled to r^N, and
+only rounded to doubles at the reporting boundary (the ``atoms``
+field).  Construction stays O(N^2) on a handful of atoms, so the cost
+is irrelevant.
 """
 
 from __future__ import annotations
@@ -170,9 +172,10 @@ class AtomicMeasure:
 
     ``atoms`` holds display-precision copies; the authoritative weights
     live in ``wide_weights`` together with the decimal precision they
-    were built at.  ``moment`` and the representation evaluate against
-    those, using the exact periodicity of the atom phases, so residuals
-    stay far below any float tolerance even for large radii.
+    were built at, and ``wide_moments`` holds their moments M_0..M_N at
+    that precision.  ``moment`` and :func:`represent_functional` read
+    that table, so residuals stay far below any float tolerance even for
+    large radii.
     """
 
     atoms: tuple[tuple[complex, float], ...]
@@ -180,23 +183,17 @@ class AtomicMeasure:
     radius: float
     wide_weights: tuple = field(repr=False, default=())
     precision: int = field(repr=False, default=50)
-
-    @property
-    def locations(self) -> np.ndarray:
-        return np.array([z for z, _ in self.atoms], dtype=np.complex128)
+    wide_moments: tuple = field(repr=False, default=())
 
     @property
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms], dtype=np.float64)
 
     def moment(self, k: int) -> complex:
-        m = len(self.atoms)
-        with mpmath.workdps(self.precision):
-            roots = mpmath.unitroots(m)
-            acc = mpmath.mpc(0)
-            for j, w in enumerate(self.wide_weights):
-                acc += w * roots[(j * k) % m]
-            return complex(acc * mpmath.mpf(self.radius) ** k)
+        """M_k = sum_j w_j z_j^k for 0 <= k <= moment_window."""
+        if not 0 <= k <= self.moment_window:
+            raise WindowExceeded(f"moment {k} outside [0, {self.moment_window}]")
+        return complex(self.wide_moments[k])
 
 
 def build_Q(spec: FiniteSystemSpec) -> tuple[LaurentPoly, ...]:
@@ -210,7 +207,7 @@ def build_Q(spec: FiniteSystemSpec) -> tuple[LaurentPoly, ...]:
     out = [LaurentPoly.one()]
     for k, step in enumerate(two_step(spec.g, spec.f_rec), start=1):
         extreme = -(k + 1) // 2 if k % 2 == 1 else k // 2
-        top = max((abs(c) for _, c in step.items()), default=0.0)
+        top = float(np.max(np.abs(step.coeffs), initial=0.0))
         if top == 0.0 or abs(step.coeff(extreme)) < DEGENERACY_TOL * top:
             raise DegenerateLeadingCoefficient(
                 f"Q_{k} lost its coefficient at exponent {extreme}")
@@ -252,7 +249,7 @@ def solve_moments(Q: tuple[LaurentPoly, ...], window: int) -> MomentTable:
         new = -(k + 1) // 2 if k % 2 == 1 else k // 2
         poly = Q[k]
         pivot = poly.coeff(new)
-        top = max(abs(c) for _, c in poly.items())
+        top = float(np.max(np.abs(poly.coeffs), initial=0.0))
         if abs(pivot) < PIVOT_TOL * top:
             raise PivotVanished(f"pivot of Q_{k} at exponent {new} is {pivot}")
         others = [(e, c) for e, c in poly.items() if e != new]
@@ -315,36 +312,28 @@ def build_atomic_measure(s) -> AtomicMeasure:
                 acc += 2 * (scaled[k] * roots[(-j * k) % m]).real
             wide.append(acc / m)
         atoms = tuple((complex(rmp * roots[j]), float(wide[j])) for j in range(m))
-    return AtomicMeasure(atoms=atoms, moment_window=n, radius=r,
-                         wide_weights=tuple(wide), precision=dps)
+        moments = tuple(rmp ** k * mpmath.fdot(wide, [roots[(j * k) % m] for j in range(m)])
+                        for k in range(n + 1))
+    return AtomicMeasure(atoms=atoms, moment_window=n, radius=r, wide_weights=tuple(wide),
+                         precision=dps, wide_moments=moments)
 
 
 def represent_functional(solve: FunctionalSolve, measure: AtomicMeasure,
                          p: LaurentPoly) -> complex:
-    """L(p) = sum_j w_j p(z_j) a z_j^level for p supported in [-level, level]."""
+    """L(p) = a sum_e c_e M_{e+level} for p supported in [-level, level]."""
     if abs(solve.a) == 0:
         raise RepresentationCondFailed("a = 0; representation undefined")
     level = solve.level
-    lo, hi = p.min_exponent, p.max_exponent
-    if lo is None:
+    if not p:
         return 0j
+    lo, hi = p.min_exponent, p.max_exponent
     if lo < -level or hi > level:
         raise WindowExceeded(
             f"support [{lo}, {hi}] outside representation span [-{level}, {level}]")
     if measure.moment_window < 2 * level:
         raise InvalidParams(
             f"measure covers moments to {measure.moment_window}, need {2 * level}")
-    m = len(measure.atoms)
-    items = tuple(p.items())
     with mpmath.workdps(measure.precision):
-        roots = mpmath.unitroots(m)
-        rmp = mpmath.mpf(measure.radius)
-        a = mpmath.mpc(complex(solve.a))
-        coeffs = [(e, mpmath.mpc(complex(c)) * rmp ** e) for e, c in items]
-        total = mpmath.mpc(0)
-        for j, w in enumerate(measure.wide_weights):
-            val = mpmath.mpc(0)
-            for e, ce in coeffs:
-                val += ce * roots[(j * e) % m]
-            total += w * val * roots[(j * level) % m]
-        return complex(total * a * rmp ** level)
+        span = measure.wide_moments[lo + level:hi + level + 1]
+        total = mpmath.fdot(map(complex, p.coeffs), span)
+        return complex(total * mpmath.mpc(complex(solve.a)))

@@ -57,6 +57,7 @@ __all__ = [
 
 MIN_DENOMINATOR = 1e-8
 MAX_TAIL = 1e-13
+MAX_NODES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class MomentTable:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Circle |y| = radius sampled at ``nodes`` equispaced points."""
+    """Circle |y| = radius sampled at ``nodes`` equispaced points, 16 to ``MAX_NODES``."""
 
     radius: float
     nodes: int = 512
@@ -99,8 +100,8 @@ class ContourSpec:
     def __post_init__(self):
         if not self.radius > 0:
             raise InvalidParams("contour radius must be positive")
-        if self.nodes < 16:
-            raise InvalidParams("contour needs at least 16 nodes")
+        if not 16 <= self.nodes <= MAX_NODES:
+            raise InvalidParams(f"contour needs 16 to {MAX_NODES} nodes, got {self.nodes}")
 
 
 def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
@@ -143,14 +144,18 @@ def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
 
 
 def apply_L(p: LaurentPoly, moments: MomentTable) -> complex:
-    """L(p) as the moment sum over the polynomial's support."""
-    lo, hi = p.min_exponent, p.max_exponent
-    if lo is None:
+    """L(p) = sum_e c_e mu_e, summed exactly over the table's integers and rounded once."""
+    if not p:
         return 0j
+    lo, hi = p.min_exponent, p.max_exponent
     if lo < -moments.window or hi > moments.window:
         raise WindowExceeded(
             f"support [{lo}, {hi}] exceeds moment window [-{moments.window}, {moments.window}]")
-    return complex(sum(c * moments.mu[e] for e, c in p.items()))
+    cr, ci, cs = exact.scaled(p.coeffs)
+    span = slice(lo + moments.window, hi + moments.window + 1)
+    re, im = exact.cdot(cr, ci, moments.re[span],
+                        None if moments.im is None else moments.im[span])
+    return exact.to_complex(re, im, cs + moments.scale)
 
 
 def contour_L(p: LaurentPoly, source: TruncatedPowerSeries,
@@ -178,12 +183,11 @@ def contour_L(p: LaurentPoly, source: TruncatedPowerSeries,
     m = float(np.min(np.abs(f_vals)))
     if m <= MIN_DENOMINATOR:
         raise NearZeroDenominator(f"min |f| on contour = {m:.3e}")
-    if p.min_exponent is None:
+    if not p:
         return 0j
-    dense, lo = p._dense()
-    p_vals = kernels.eval_poly_extended(dense, w)
-    if lo != 0:
-        p_vals = p_vals * w ** lo
+    p_vals = kernels.eval_poly_extended(p.coeffs, w)
+    if p.lo != 0:
+        p_vals = p_vals * w ** p.lo
     return complex((p_vals / f_vals).sum() / spec.nodes)
 
 

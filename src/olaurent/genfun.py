@@ -18,12 +18,14 @@ required to sit inside the convergence disc with a fixed safety margin.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import DomainViolation, InsufficientOrder, InvalidParams, PoleProximity
+from .errors import TailNotNegligible
 from .series import TruncatedPowerSeries
 from .systems import OLPSystem
 
@@ -66,11 +68,15 @@ class GenfunSample:
 
 @dataclass(frozen=True)
 class GenfunCheck:
-    """Residual of a truncated identity next to its tail estimate."""
+    """Residual of a truncated identity next to its finite tail estimate."""
 
     residual: float
     tail_bound: float
     lhs: complex
+
+    def __post_init__(self):
+        if not math.isfinite(self.tail_bound):
+            raise TailNotNegligible(f"tail estimate {self.tail_bound} is not finite")
 
 
 def _partial_values(source: TruncatedPowerSeries, x: complex, terms: int) -> np.ndarray:
@@ -120,12 +126,9 @@ def check_laurent_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck
     # R_n(x) z^n = f_n(x) w_n with w_n = z^n / x^ceil(n/2); the w ladder
     # multiplies by z/x on odd steps and z on even ones, so |w_n| decays
     # like (|z|/|s|)^n and never overflows
-    if terms >= 1:
-        n = np.arange(1, terms + 1)
-        factors = np.where(n % 2 == 1, z / x, z).astype(np.complex128)
-        w = np.concatenate(([1.0 + 0j], np.cumprod(factors)))
-    else:
-        w = np.ones(1, dtype=np.complex128)
+    n = np.arange(1, terms + 1)
+    factors = np.where(n % 2 == 1, z / x, z).astype(np.complex128)
+    w = np.concatenate(([1.0 + 0j], np.cumprod(factors)))
     rhs = 2.0 * complex(np.dot(f_n, w))
     ratio = abs(z) / abs(s)
     cmax = 2.0 * float(np.max(np.abs(f_n))) * max(1.0, 1.0 / abs(s))

@@ -1,21 +1,21 @@
-"""Truncated power series and sparse Laurent polynomials.
+"""Truncated power series and dense Laurent polynomials.
 
 A :class:`TruncatedPowerSeries` stores Maclaurin coefficients ``d_0..d_T``
 together with radius-of-convergence metadata.  Products truncate to the
 smaller operand order; reciprocals use the standard triangular recurrence.
 
 A :class:`LaurentPoly` is an immutable finite sum ``sum_k c_k x^k`` over
-integer exponents of either sign, kept in canonical form: coefficients
-that are exactly zero are never stored.  Arithmetic goes through the
-normal operators; evaluation accepts scalars or numpy arrays and raises
-:class:`~olaurent.errors.EvalAtZero` when a negative exponent meets the
-origin.
+integer exponents of either sign, stored densely: every polynomial here
+(a partial sum over a power of x, a recurrence step, their products) has
+contiguous support.  Products are convolutions; evaluation accepts
+scalars or numpy arrays and raises :class:`~olaurent.errors.EvalAtZero`
+when a negative exponent meets the origin.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -145,25 +145,43 @@ class TruncatedPowerSeries:
 class LaurentPoly:
     """Finite Laurent polynomial ``sum_k c_k x^k``, exponents of any sign.
 
-    Canonical form stores no exact-zero coefficients, so two polynomials
-    are equal iff their term maps are equal.
+    ``coeffs`` holds the read-only complex128 coefficients of x^lo,
+    x^(lo+1), ... with nonzero ends (none for the zero polynomial, which
+    has ``lo = 0``), so equal polynomials have equal ``lo`` and ``coeffs``.
+    ``items`` and ``len`` skip interior zeros.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("lo", "coeffs")
 
     def __init__(self, terms: Mapping[int, complex] | None = None):
-        canon: dict[int, complex] = {}
-        if terms:
-            for e, c in terms.items():
-                c = complex(c)
-                if c != 0:
-                    canon[int(e)] = c
-        object.__setattr__(self, "_terms", canon)
+        terms = {int(e): complex(c) for e, c in (terms or {}).items()}
+        lo = min(terms, default=0)
+        dense = np.zeros(max(terms, default=lo - 1) - lo + 1, dtype=np.complex128)
+        dense[[e - lo for e in terms]] = list(terms.values())
+        self._store(lo, dense)
+
+    def _store(self, lo: int, dense: np.ndarray) -> None:
+        """Trim zero ends off an array nothing else writes to, freeze it, keep it."""
+        nz = np.flatnonzero(dense)
+        if nz.size:
+            lo, dense = lo + int(nz[0]), dense[nz[0]:nz[-1] + 1]
+        else:
+            lo, dense = 0, dense[:0]
+        dense.setflags(write=False)
+        object.__setattr__(self, "lo", int(lo))
+        object.__setattr__(self, "coeffs", dense)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def from_coeffs(cls, lo: int, coeffs) -> "LaurentPoly":
+        """``sum_i coeffs[i] x^(lo + i)``; the coefficients are copied."""
+        p = cls.__new__(cls)
+        p._store(lo, np.array(coeffs, dtype=np.complex128).reshape(-1))
+        return p
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -180,41 +198,41 @@ class LaurentPoly:
     # -- inspection -----------------------------------------------------------
 
     def coeff(self, exponent: int) -> complex:
-        return self._terms.get(int(exponent), 0j)
+        i = int(exponent) - self.lo
+        return complex(self.coeffs[i]) if 0 <= i < self.coeffs.shape[0] else 0j
 
     def items(self) -> list[tuple[int, complex]]:
-        """Terms as (exponent, coefficient) pairs, ascending exponent."""
-        return sorted(self._terms.items())
-
-    def __iter__(self) -> Iterator[tuple[int, complex]]:
-        return iter(self.items())
+        """Nonzero terms as (exponent, coefficient) pairs, ascending exponent."""
+        return [(self.lo + i, complex(c)) for i, c in enumerate(self.coeffs) if c != 0]
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return int(np.count_nonzero(self.coeffs))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return self.coeffs.shape[0] > 0
 
     @property
     def min_exponent(self) -> int | None:
-        return min(self._terms) if self._terms else None
+        return self.lo if self else None
 
     @property
     def max_exponent(self) -> int | None:
-        return max(self._terms) if self._terms else None
+        return self.lo + self.coeffs.shape[0] - 1 if self else None
 
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0j) + c
-        return LaurentPoly(out)
+        lo = min(self.lo, other.lo)
+        out = np.zeros(max(self.lo + len(self.coeffs), other.lo + len(other.coeffs)) - lo,
+                       dtype=np.complex128)
+        out[self.lo - lo:][:len(self.coeffs)] = self.coeffs
+        out[other.lo - lo:][:len(other.coeffs)] += other.coeffs
+        return LaurentPoly.from_coeffs(lo, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly.from_coeffs(self.lo, -self.coeffs)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -223,48 +241,36 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            out: dict[int, complex] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = e1 + e2
-                    out[e] = out.get(e, 0j) + c1 * c2
-            return LaurentPoly(out)
+            if not self or not other:
+                return LaurentPoly()
+            prod = np.convolve(self.coeffs, other.coeffs)
+            return LaurentPoly.from_coeffs(self.lo + other.lo, prod)
         if isinstance(other, (int, float, complex)):
-            return LaurentPoly({e: c * other for e, c in self._terms.items()})
+            return LaurentPoly.from_coeffs(self.lo, self.coeffs * complex(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by ``x**k`` (exponent shift)."""
-        return LaurentPoly({e + k: c for e, c in self._terms.items()})
+        return LaurentPoly.from_coeffs(self.lo + k, self.coeffs)
 
     # -- evaluation ---------------------------------------------------------------
-
-    def _dense(self) -> tuple[np.ndarray, int]:
-        lo, hi = self.min_exponent, self.max_exponent
-        dense = np.zeros(hi - lo + 1, dtype=np.complex128)
-        for e, c in self._terms.items():
-            dense[e - lo] = c
-        return dense, lo
 
     def __call__(self, x):
         """Evaluate at a scalar or ndarray of points.
 
         Negative exponents are evaluated stably as a dense Horner pass
-        times ``x**min_exponent``.
+        times ``x**lo``.
         """
         array = isinstance(x, np.ndarray)
         pts = np.ascontiguousarray(x, dtype=np.complex128) if array else complex(x)
-        if not self._terms:
+        if not self:
             return np.zeros(pts.shape, dtype=np.complex128) if array else 0j
-        dense, lo = self._dense()
+        lo = self.lo
         if lo < 0 and np.any(pts == 0):
             raise EvalAtZero("negative exponents cannot be evaluated at 0")
-        vals = kernels.eval_poly(dense, pts)
+        vals = kernels.eval_poly(self.coeffs, pts)
         if not array:
             vals = complex(vals)
         return vals if lo == 0 else vals * pts ** lo
@@ -274,12 +280,12 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self.lo == other.lo and np.array_equal(self.coeffs, other.coeffs)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self:
             return "LaurentPoly(0)"
         bits = [f"{c:g}*x^{e}" for e, c in self.items()]
         return "LaurentPoly(" + " + ".join(bits) + ")"

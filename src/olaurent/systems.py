@@ -35,6 +35,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exact
 from .errors import (
     InsufficientOrder,
@@ -109,12 +111,9 @@ def build_system(source: TruncatedPowerSeries, K: int) -> OLPSystem:
     if K < 0:
         raise InvalidParams("K must be >= 0")
     _validate_source(source, K)
-    R = []
-    acc: dict[int, complex] = {}
-    for n in range(K + 1):
-        acc[n] = complex(source.coeffs[n])
-        R.append(LaurentPoly(acc).shift(-math.ceil(n / 2)))
-    return OLPSystem(source=source, R=tuple(R), K=K)
+    R = tuple(LaurentPoly.from_coeffs(-math.ceil(n / 2), source.coeffs[:n + 1])
+              for n in range(K + 1))
+    return OLPSystem(source=source, R=R, K=K)
 
 
 def _refuse_unrepresentable(name: str, values: list[complex], start: int) -> None:
@@ -194,8 +193,9 @@ def two_step(g, f_rec):
             for i, (a, b) in enumerate(zip(r0, i0), start=lo0 - lo):
                 re[i] -= (fi * b) << w
                 im[i] += (fr * b + fi * a) << w
-        yield LaurentPoly({lo + i: exact.to_complex(a, 0 if im is None else im[i], scale)
-                           for i, a in enumerate(re)})
+        coeffs = [exact.to_complex(a, 0 if im is None else im[i], scale)
+                  for i, a in enumerate(re)]
+        yield LaurentPoly.from_coeffs(lo, coeffs)
         lo0, r0, i0, s0 = lo1, r1, i1, s1
         lo1, r1, i1, s1 = lo, re, im, scale
 
@@ -223,9 +223,8 @@ def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationR
     per: list[float] = []
     for n in range(K + 1):
         target = system.R[n] * (1.0 / (rd.xi[n] * complex(system.source.coeffs[n])))
-        scale = max(abs(c) for _, c in target.items())
         diff = Q[n] - target
-        dev = max((abs(c) for _, c in diff.items()), default=0.0)
-        per.append(dev / scale)
+        dev = np.max(np.abs(diff.coeffs), initial=0.0)
+        per.append(float(dev / np.max(np.abs(target.coeffs))))
     return NormalizationReport(per_index=tuple(per),
                                max_rel_deviation=max(per, default=0.0), K=K)

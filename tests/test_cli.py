@@ -1,8 +1,12 @@
 """Command-line reports: content, determinism, exit codes, formats."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import olaurent
 from olaurent.cli import main
@@ -15,6 +19,15 @@ def run(tmp_path, *argv):
     if out.exists():
         return code, json.loads(out.read_text())
     return code, None
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def test_build_geometric_k2(tmp_path):
@@ -77,6 +90,28 @@ def test_ortho_bad_radius_is_numeric_failure(tmp_path, capsys):
     assert "RadiusInvalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nodes", [str(2 ** 20 + 1), str(10 ** 20)])
+def test_ortho_refuses_contour_node_counts(capsys, nodes):
+    # refused before any node is allocated: 10**20 used to end in a numpy
+    # ValueError, and counts short of numpy's limit would allocate gigabytes
+    code = main(["ortho", "--radius", "0.5", "--nodes", nodes])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "InvalidParams" in err
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_ortho_without_contour_needs_only_the_window(tmp_path, order):
+    # the Gram matrix reads d_0..d_window (window = 2, as G_11 = -d_2), so
+    # three coefficients suffice when no contour asks for a long tail
+    family = json.dumps({"kind": "explicit", "coeffs": [1, 2, 3]})
+    code, rep = run(tmp_path, "ortho", "--family", family, "--order", str(order))
+    assert code == 0
+    assert rep["diag"] == [[1.0, 0.0], [-3.0, 0.0], [3.0, 0.0]][:order + 1]
+    assert rep["max_offdiag"] == 0.0
+    assert main(["ortho", "--family", family, "--order", str(order), "--radius", "0.5"]) == 2
+
+
 def test_genfun_check_fixed_point_and_determinism(tmp_path):
     args = ["genfun-check", "--family", "exponential", "--samples", "3",
             "--terms", "60", "--seed", "7"]
@@ -91,6 +126,18 @@ def test_genfun_check_fixed_point_and_determinism(tmp_path):
     assert main([*args, "--out", str(out1)]) == 0
     assert main([*args, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_genfun_check_refuses_an_infinite_tail_estimate(capsys):
+    # d_k grows, so the tail estimate at most samples is infinite: no
+    # residual can be judged against it, and the check used to pass with
+    # "bound": Infinity in the report
+    code = main(["genfun-check", "--family", '{"kind":"explicit","coeffs":[1,2,3]}',
+                 "--terms", "2", "--samples", "2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" or strict_loads(out)
+    assert "TailNotNegligible" in err
 
 
 def test_finite_defaults_hit_representation_condition(tmp_path, capsys):
@@ -192,10 +239,6 @@ def test_finite_refuses_non_finite_spec_values(tmp_path, capsys, bad):
     assert "finite coefficients" in capsys.readouterr().err
 
 
-def _reject_constant(token):
-    raise ValueError(f"non-strict JSON constant {token}")
-
-
 @pytest.mark.parametrize("argv", [
     ["build", "--family", "exponential", "--order", "172"],   # xi_171 = 171! overflows
     ["build", "--family", '{"kind": "explicit", "coeffs": [1, 1e-320, 1], "radius": 1}',
@@ -209,5 +252,47 @@ def test_unrepresentable_recurrence_data_is_refused(capsys, argv):
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == 3
-    assert out == "" or json.loads(out, parse_constant=_reject_constant)
+    assert out == "" or strict_loads(out)
     assert "UnrepresentableValue" in err
+
+
+SHORT_EXPLICIT = '{"kind": "explicit", "coeffs": [1, 2, 3]}'
+FUZZ_FAMILIES = ["geometric", "exponential",
+                 '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}',
+                 SHORT_EXPLICIT]
+SMALL_INTS = ["-1", "0", "1", "2", "5", "nan", "inf"]
+FUZZ_FLAGS = {
+    "build": {"--family": FUZZ_FAMILIES, "--order": SMALL_INTS},
+    "ortho": {"--family": FUZZ_FAMILIES, "--order": SMALL_INTS,
+              "--radius": ["nan", "inf", "-0.5", "0", "0.5", "0.8", "2"],
+              "--nodes": ["-1", "0", "16", "64", str(2 ** 20 + 1), str(10 ** 20), "nan"]},
+    "moments": {"--family": FUZZ_FAMILIES, "--window": SMALL_INTS},
+    "genfun-check": {"--family": FUZZ_FAMILIES, "--terms": SMALL_INTS,
+                     "--samples": ["0", "1", "2"]},
+    "finite": {"--family": FUZZ_FAMILIES, "--ncap": SMALL_INTS},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    for flag, values in FUZZ_FLAGS[command].items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@given(cli_argv())
+@example(["genfun-check", "--family", SHORT_EXPLICIT, "--terms", "2", "--samples", "2"])
+@example(["ortho", "--radius", "0.5", "--nodes", str(10 ** 20)])
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_cli_fuzz_exits_documented_codes_with_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    text = out.getvalue()
+    if code == 0 or text:
+        strict_loads(text)

@@ -155,6 +155,9 @@ def test_trivial_measure_is_uniform():
     assert abs(m.moment(0) - 1) <= 1e-15
     assert abs(m.moment(1)) <= 1e-15
     assert abs(m.moment(2)) <= 1e-15
+    for k in (-1, m.moment_window + 1):
+        with pytest.raises(WindowExceeded):
+            m.moment(k)
 
 
 def test_three_atom_measure_by_hand():

@@ -29,6 +29,7 @@ from olaurent.errors import (
     UnsupportedFamily,
     WindowExceeded,
 )
+from olaurent.functional import MAX_NODES
 
 
 def test_moment_values_geometric(geometric):
@@ -126,6 +127,10 @@ def test_contour_spec_validation():
         ContourSpec(radius=0.0)
     with pytest.raises(InvalidParams):
         ContourSpec(radius=0.5, nodes=8)
+    assert ContourSpec(radius=0.5, nodes=MAX_NODES).nodes == MAX_NODES
+    for nodes in (MAX_NODES + 1, 10 ** 20):
+        with pytest.raises(InvalidParams):
+            ContourSpec(radius=0.5, nodes=nodes)
 
 
 def test_node_doubling_converges_to_floor(exponential):

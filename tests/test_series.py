@@ -1,4 +1,4 @@
-"""Truncated power series arithmetic and sparse Laurent polynomials."""
+"""Truncated power series arithmetic and dense Laurent polynomials."""
 
 import math
 
@@ -156,6 +156,11 @@ def test_addition_cancels_to_canonical_form():
 def test_zero_coefficients_dropped_at_construction():
     assert lp({3: 0.0, 1: 2.0}).items() == [(1, 2 + 0j)]
     assert lp({}).min_exponent is None
+    # an interior zero is stored in the dense array but is not a term
+    gap = lp({-1: 1, 1: 1})
+    assert len(gap) == 2
+    assert gap.items() == [(-1, 1 + 0j), (1, 1 + 0j)]
+    assert gap.lo == -1 and list(gap.coeffs) == [1, 0, 1]
 
 
 def test_shift_moves_all_exponents():

@@ -67,6 +67,8 @@ def test_shifted_system_reproduces_partial_sums(geometric, exponential):
             shifted = sysK.R[n].shift(math.ceil(n / 2))
             expect = LaurentPoly({k: src.coeff(k) for k in range(n + 1)})
             assert shifted == expect
+            assert sysK.R[n].lo == -math.ceil(n / 2)
+            assert np.array_equal(sysK.R[n].coeffs, src.coeffs[:n + 1])
 
 
 def test_build_requires_enough_coefficients():
