@@ -11,7 +11,6 @@ measures.
 __version__ = "0.1.0"
 
 from .errors import (
-    DegenerateLeadingCoefficient,
     DomainViolation,
     EvalAtZero,
     InsufficientOrder,
@@ -20,7 +19,6 @@ from .errors import (
     NearZeroDenominator,
     NonzeroCoefficientViolated,
     OLaurentError,
-    PivotVanished,
     PoleProximity,
     RadiusInvalid,
     RepresentationCondFailed,
@@ -116,8 +114,6 @@ __all__ = [
     "TailNotNegligible",
     "DomainViolation",
     "PoleProximity",
-    "DegenerateLeadingCoefficient",
-    "PivotVanished",
     "UnrepresentableValue",
     "RepresentationCondFailed",
 ]

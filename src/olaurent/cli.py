@@ -30,6 +30,7 @@ from . import __version__
 from .errors import InvalidParams, OLaurentError
 from .families import FamilySpec, realize
 from .finite import (
+    SOLVE_GUARD_BITS,
     FiniteSystemSpec,
     FunctionalSolve,
     build_atomic_measure,
@@ -46,6 +47,7 @@ __all__ = ["main"]
 
 EVAL_ORDER = 64
 GENFUN_FLOOR = 1e-13
+CONFIG_NUMBERS = ("K", "window", "samples", "terms", "seed", "n_cap", "level")
 
 
 def _c2j(z) -> list[float]:
@@ -90,10 +92,27 @@ def _pick(flag, config: dict, key: str, default):
     return default
 
 
+def _load_config(value: str) -> dict:
+    """The ``--config`` object, with its nested objects and numbers checked."""
+    config = _load_json_arg(value, "config")
+    if not isinstance(config, dict) or not all(
+            isinstance(config.get(key) or {}, dict) for key in ("contour", "output")):
+        raise InvalidParams("config, its 'contour' and its 'output' must be JSON objects")
+    contour, output = config.get("contour") or {}, config.get("output") or {}
+    if not isinstance(output.get("path") or "", str):
+        raise InvalidParams("config output 'path' must be a string")
+    numbers = {key: config.get(key) for key in CONFIG_NUMBERS}
+    numbers.update(radius=contour.get("radius"), nodes=contour.get("nodes"))
+    for key, value in numbers.items():
+        if value is not None and (type(value) not in (int, float) or not abs(value) < math.inf):
+            raise InvalidParams(f"config {key!r} must be a finite number, got {value!r}")
+    return config
+
+
 def _options(args) -> tuple[dict, str, str | None]:
     """The run configuration, the report format and the report path."""
-    config = _load_json_arg(args.config, "config") if args.config else {}
-    output = config.get("output", {})
+    config = _load_config(args.config) if args.config else {}
+    output = config.get("output") or {}
     fmt = _pick(args.format, output, "format", "json")
     return config, fmt, _pick(args.out, output, "path", None)
 
@@ -320,7 +339,7 @@ def cmd_finite(args) -> int:
     level = int(_pick(args.level, config, "level", fspec.n_cap))
 
     Q = build_Q(fspec)
-    table = solve_moments(Q, 2 * fspec.n_cap)
+    table = solve_moments(fspec, 2 * fspec.n_cap)
     solve = FunctionalSolve.from_moments(table, level)
     measure = build_atomic_measure(solve.s)
 
@@ -340,6 +359,7 @@ def cmd_finite(args) -> int:
         "min_weight": min(w for _, w in measure.atoms),
         "moment_residual_max": moment_res,
         "representation_residual_max": rep_res,
+        "solve_amplification_log2": table.scale - SOLVE_GUARD_BITS,
         "moments": [[m, table[m].real, table[m].imag]
                     for m in range(-table.window, table.window + 1)],
     }
@@ -354,14 +374,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"olaurent {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_family=True):
-        if with_family:
-            sp.add_argument("--family",
-                            help="geometric | exponential | inline JSON | JSON file")
+    def common(sp):
+        sp.add_argument("--family", help="geometric | exponential | inline JSON | JSON file")
         sp.add_argument("--config", help="JSON file with run options; flags override")
         sp.add_argument("--out", help="report path (stdout when omitted)")
         sp.add_argument("--format", choices=("json", "csv"), default=None)
-        sp.add_argument("--seed", type=int, default=None)
 
     b = sub.add_parser("build", help="construct R_0..R_K and recurrence data")
     common(b)
@@ -382,6 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("genfun-check", help="residual checks of both identities")
     common(g)
+    g.add_argument("--seed", type=int, default=None)
     g.add_argument("--samples", type=int, default=None)
     g.add_argument("--terms", type=int, default=None)
     g.set_defaults(func=cmd_genfun)

@@ -74,14 +74,6 @@ class PoleProximity(OLaurentError):
     """Evaluation point too close to a pole of the kernel."""
 
 
-class DegenerateLeadingCoefficient(OLaurentError):
-    """A recurrence step produced a vanishing extremal coefficient."""
-
-
-class PivotVanished(OLaurentError):
-    """A pivot in the triangular moment solve is numerically zero."""
-
-
 class UnrepresentableValue(OLaurentError):
     """An exactly computed value overflows the double range when rounded."""
 

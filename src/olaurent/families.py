@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, UnsupportedFamily
+from .errors import InvalidParams, UnrepresentableValue, UnsupportedFamily
 from .series import TruncatedPowerSeries
 
 __all__ = ["FamilySpec", "realize", "reciprocal_closed_form"]
@@ -143,25 +143,32 @@ def _exp_binomial_coeffs(b: float, a, lam, order: int) -> np.ndarray:
 
 
 def realize(spec: FamilySpec, order: int) -> TruncatedPowerSeries:
-    """Coefficients d_0..d_order of the family as a source series."""
+    """Coefficients d_0..d_order of the family as a source series.
+
+    A stock family's coefficients are all finite and nonzero; one that a
+    double cannot hold (d_k = 1/k! underflows at k = 178) raises
+    :class:`UnrepresentableValue`.
+    """
     if order < 0:
         raise InvalidParams("order must be >= 0")
+    if spec.kind == "explicit":
+        if len(spec.coeffs) < order + 1:
+            raise InvalidParams(f"explicit family provides {len(spec.coeffs)} coefficients, "
+                                f"order {order} needs {order + 1}")
+        return TruncatedPowerSeries.source(spec.coeffs[:order + 1], spec.radius)
     if spec.kind == "geometric":
-        return TruncatedPowerSeries.source(np.ones(order + 1), 1.0)
-    if spec.kind == "exponential":
+        d = np.ones(order + 1)
+    elif spec.kind == "exponential":
         d = np.zeros(order + 1, dtype=np.complex128)
         d[0] = 1.0
         for k in range(order):
             d[k + 1] = d[k] / (k + 1)
-        return TruncatedPowerSeries.source(d, math.inf)
-    if spec.kind == "exp-binomial":
+    else:
         d = _exp_binomial_coeffs(spec.b, spec.a, spec.family_lambda, order)
-        return TruncatedPowerSeries.source(d, spec.radius)
-    # explicit
-    if len(spec.coeffs) < order + 1:
-        raise InvalidParams(f"explicit family provides {len(spec.coeffs)} coefficients, "
-                            f"order {order} needs {order + 1}")
-    return TruncatedPowerSeries.source(spec.coeffs[:order + 1], spec.radius)
+    bad = np.flatnonzero((d == 0) | ~np.isfinite(d))
+    if bad.size:
+        raise UnrepresentableValue(f"{spec.kind} coefficient d_{bad[0]} is out of the double range")
+    return TruncatedPowerSeries.source(d, spec.radius)
 
 
 def reciprocal_closed_form(spec: FamilySpec, order: int) -> TruncatedPowerSeries:

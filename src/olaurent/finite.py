@@ -1,17 +1,17 @@
 """Finite recurrence systems and atomic representing measures.
 
-A finite system prescribes recurrence coefficients g_1..g_{4n} and
-f_1..f_{4n} (every f_k nonzero).  Building Q_0..Q_{4n} and imposing
-L(Q_0) = 1, L(Q_k) = 0 determines the moments mu_m for |m| <= 2n by a
-triangular solve: each Q_k introduces exactly one new extreme exponent,
-whose coefficient is the pivot.
+A finite system prescribes nonzero recurrence coefficients g_1..g_{4n}
+and f_1..f_{4n}.  Building Q_0..Q_{4n} and imposing L(Q_0) = 1,
+L(Q_k) = 0 determines the moments mu_m for |m| <= 2n by a triangular
+solve: each Q_k introduces exactly one new extreme exponent, whose
+coefficient, the pivot, is exactly 1 (odd k) or g_1 ... g_k (even k).
 
-Both steps amplify rounding: the pivots are products of the g_j (1/12!
-for the exponential family's Q_12) against coefficients of size 1.  So
-:func:`build_Q` runs the recurrence exactly on the double g_k and f_k
-and rounds each coefficient once, and :func:`solve_moments` takes those
-doubles as exact and solves in fixed point at a precision scaled to the
-pivot amplification, rounding each moment once.
+The moment map amplifies any rounding of the Q_k past use (the pivot of
+the exponential family's Q_16 is 1/16!, its other coefficients ~1), so
+:func:`solve_moments` solves on the exact Q_k of
+:func:`~olaurent.systems.two_step`, in fixed point at a precision scaled
+to the pivot amplification, and rounds each moment once.  :func:`build_Q`
+rounds the same Q_k to doubles for evaluation.
 
 With a = mu_{-level} nonzero and s_k = mu_{k-level}/a, a measure with
 M = 2N+1 equal-angle atoms on a circle of radius r,
@@ -43,22 +43,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import mpmath
 import numpy as np
 
 from .errors import (
-    DegenerateLeadingCoefficient,
     InvalidParams,
     MissingCoefficients,
-    PivotVanished,
     RepresentationCondFailed,
     WindowExceeded,
 )
 from . import exact
 from .functional import MomentTable
 from .series import LaurentPoly, TruncatedPowerSeries
-from .systems import recurrence_data, two_step
+from .systems import recurrence_data, rounded, two_step
 
 __all__ = [
     "FiniteSystemSpec",
@@ -70,8 +69,6 @@ __all__ = [
     "represent_functional",
 ]
 
-DEGENERACY_TOL = 1e-12
-PIVOT_TOL = 1e-12
 SOLVE_GUARD_BITS = 64
 COND_TOL = 1e-12
 
@@ -101,8 +98,8 @@ class FiniteSystemSpec:
             raise InvalidParams(f"coefficient lists longer than 4n = {full}")
         g = g + (DEFAULT_G,) * (full - len(g))
         f = f + (DEFAULT_F,) * (full - len(f))
-        if any(v == 0 for v in f):
-            raise InvalidParams("every f_k must be nonzero")
+        if any(v == 0 for v in g + f):
+            raise InvalidParams("every g_k and f_k must be nonzero")
         if not all(cmath.isfinite(v) for v in g + f):
             raise InvalidParams("every g_k and f_k must be finite")
         object.__setattr__(self, "g", g)
@@ -197,80 +194,61 @@ class AtomicMeasure:
 
 
 def build_Q(spec: FiniteSystemSpec) -> tuple[LaurentPoly, ...]:
-    """Q_0..Q_{4n} from the finite recurrence.
-
-    The exact, once-rounded loop of :func:`~olaurent.systems.two_step`
-    builds each Q_k; this adds the guard.  Each step must keep the new
-    extreme coefficient nonzero (top coefficient at even indices, bottom
-    at odd ones); a collapse there signals an invalid parameter choice.
-    """
-    out = [LaurentPoly.one()]
-    for k, step in enumerate(two_step(spec.g, spec.f_rec), start=1):
-        extreme = -(k + 1) // 2 if k % 2 == 1 else k // 2
-        top = float(np.max(np.abs(step.coeffs), initial=0.0))
-        if top == 0.0 or abs(step.coeff(extreme)) < DEGENERACY_TOL * top:
-            raise DegenerateLeadingCoefficient(
-                f"Q_{k} lost its coefficient at exponent {extreme}")
-        out.append(step)
-    return tuple(out)
+    """Q_0..Q_{4n} from the finite recurrence, each coefficient rounded once."""
+    return (LaurentPoly.one(), *map(rounded, two_step(spec.g, spec.f_rec)))
 
 
 def _round_div(a: int, b: int) -> int:
-    """a / b rounded to the nearest integer (halves up)."""
-    if b < 0:
-        a, b = -a, -b
+    """a / b rounded to the nearest integer (halves up), for b > 0."""
     return (2 * a + b) // (2 * b)
 
 
-def solve_moments(Q: tuple[LaurentPoly, ...], window: int) -> MomentTable:
+def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
     """Triangular solve of L(Q_0) = 1, L(Q_k) = 0 for mu over [-window, window].
 
     Q_{2m+1} determines mu_{-m-1} (pivot at exponent -m-1); Q_{2m}
     determines mu_m (pivot at exponent m).
 
-    The double coefficients of each Q_k are taken as exact.  The solve
-    runs in fixed point over 2**P on Python integers: every product and
-    sum is exact, and each division by a pivot rounds once to the
-    nearest multiple of 2**-P.  A division error spreads to later moments
-    by the factor sum |c_e| / |pivot| of each row that uses it; P is
-    chosen from those factors so that every solved moment lies within
-    2**-SOLVE_GUARD_BITS of the exact solution, and each is then rounded
-    to a double once.
+    The Q_k are the exact ones of :func:`~olaurent.systems.two_step`,
+    integers over 2**scale.  The solve runs in fixed point over 2**P on
+    Python integers: every product and sum is exact, and each division
+    by a pivot rounds once to the nearest multiple of 2**-P.  A division
+    error spreads to later moments by the factor sum |c_e| / |pivot| of
+    each row that uses it; P - SOLVE_GUARD_BITS is the log2 of the
+    largest propagated factor, rounded up, so every solved moment lies
+    within 2**-SOLVE_GUARD_BITS of the exact solution, and each is then
+    rounded to a double once.
     """
     if window < 0:
         raise InvalidParams("window must be >= 0")
-    if len(Q) < 2 * window + 1:
-        raise MissingCoefficients(f"need Q_0..Q_{2 * window}, have {len(Q) - 1}")
-    # pass 1: guards, exact rows and the log2 error bound of each moment
-    # in units of 2**-P (mu_0 = 1 carries none)
+    if len(spec.g) < 2 * window:
+        raise MissingCoefficients(f"need Q_0..Q_{2 * window}, have {len(spec.g)}")
+    # pass 1: exact rows and the log2 error bound of each moment in units
+    # of 2**-P (mu_0 = 1 carries none); the common scale of a row cancels
     bound = {0: -math.inf}
     rows = []
-    for k in range(1, 2 * window + 1):
-        new = -(k + 1) // 2 if k % 2 == 1 else k // 2
-        poly = Q[k]
-        pivot = poly.coeff(new)
-        top = float(np.max(np.abs(poly.coeffs), initial=0.0))
-        if abs(pivot) < PIVOT_TOL * top:
-            raise PivotVanished(f"pivot of Q_{k} at exponent {new} is {pivot}")
-        others = [(e, c) for e, c in poly.items() if e != new]
+    steps = two_step(spec.g[:2 * window], spec.f_rec[:2 * window])
+    for k, (lo, re, im, _) in enumerate(steps, start=1):
+        # the new extreme exponent: the bottom one at odd k, the top one at even k
+        p, others = (0, slice(1, None)) if k % 2 == 1 else (len(re) - 1, slice(0, -1))
+        new, exps = lo + p, range(lo, lo + len(re))[others]
+        pr, cr = re[p], re[others]
+        pi, ci = (0, None) if im is None else (im[p], im[others])
+        lp = math.log2(pr * pr + pi * pi) / 2
         # log2(1 + sum |c_e / pivot| 2**bound_e), summed without overflow
-        logs = [0.0] + [math.log2(abs(c / pivot)) + bound[e] for e, c in others]
+        logs = [0.0] + [math.log2(a * a + b * b) / 2 - lp + bound[e]
+                        for e, a, b in zip(exps, cr, ci or repeat(0)) if a or b]
         peak = max(logs)
         bound[new] = peak + math.log2(sum(2.0 ** (x - peak) for x in logs))
-        re, im, _ = exact.scaled([pivot] + [c for _, c in others])
-        rows.append((new, [e for e, _ in others], re, im))
-    P = SOLVE_GUARD_BITS + max(0, math.ceil(max(bound.values())))
+        rows.append((new, exps, pr, pi, cr, ci))
+    P = SOLVE_GUARD_BITS + math.ceil(max(0.0, *bound.values()))
     mr, mi = {0: 1 << P}, {0: 0}
-    for new, exps, re, im in rows:
-        ar, ai = exact.cdot(re[1:], None if im is None else im[1:],
-                            [mr[e] for e in exps], [mi[e] for e in exps])
-        pr, pi = re[0], (0 if im is None else im[0])
-        if pi == 0:
-            mr[new], mi[new] = _round_div(-ar, pr), _round_div(-ai, pr)
-        else:
-            den = pr * pr + pi * pi
-            mr[new] = _round_div(-(ar * pr + ai * pi), den)
-            mi[new] = _round_div(ar * pi - ai * pr, den)
+    for new, exps, pr, pi, cr, ci in rows:
+        ar, ai = exact.cdot(cr, ci, [mr[e] for e in exps],
+                            None if ci is None else [mi[e] for e in exps])
+        den = pr * pr + pi * pi
+        mr[new] = _round_div(-(ar * pr + ai * pi), den)
+        mi[new] = _round_div(ar * pi - ai * pr, den)
     span = range(-window, window + 1)
     im = tuple(mi[m] for m in span)
     return MomentTable(window=window, re=tuple(mr[m] for m in span),

@@ -23,10 +23,11 @@ Q_{-1} = 0, so any nonzero choice is equivalent, and this one continues
 the closed forms of the stock families (for d_k = 1/k! it keeps
 f^rec_k = -1/k at k = 1).
 
-The recurrence needs products and sums only, so :func:`build_by_recurrence`
-runs it exactly on the double g_k and f^rec_k (see :mod:`olaurent.exact`)
-and rounds each coefficient of each Q_n to a double once; the finite
-systems of :mod:`olaurent.finite` run the same loop.
+The recurrence needs products and sums only, so :func:`two_step` runs it
+exactly on the double g_k and f^rec_k (see :mod:`olaurent.exact`).
+:func:`build_by_recurrence` rounds each coefficient of each Q_n to a
+double once; the finite systems of :mod:`olaurent.finite` run the same
+loop and solve for their moments on its exact output.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "build_system",
     "recurrence_data",
     "two_step",
+    "rounded",
     "build_by_recurrence",
     "check_normalization",
 ]
@@ -162,15 +164,13 @@ def recurrence_data(source: TruncatedPowerSeries, K: int) -> RecurrenceData:
 
 
 def two_step(g, f_rec):
-    """Yield Q_1, Q_2, ... of the two-step recurrence; g[k-1], f_rec[k-1] hold g_k, f_k.
+    """Yield the exact Q_1, Q_2, ... of the recurrence; g[k-1], f_rec[k-1] hold g_k, f_k.
 
-    Runs exactly on the double inputs and rounds each coefficient once.
+    Q_k is (lo, re, im, scale), read-only: coefficient i is (re[i] + i im[i])
+    / 2**scale at exponent lo + i; im is None when every input is real.
     """
     steps = [(exact.split(a), exact.split(b)) for a, b in zip(g, f_rec)]
     real = not any(gp[1] or fp[1] for gp, fp in steps)
-    # a polynomial is (lowest exponent, re, im, scale): coefficients
-    # (re[i] + i im[i]) / 2**scale at exponent lo + i; im is None when
-    # every input is real
     lo0, r0, i0, s0 = 0, [], None if real else [], 0       # Q_{-1} = 0
     lo1, r1, i1, s1 = 0, [1], None if real else [0], 0     # Q_0 = 1
     for k, ((gr, gi, sg), (fr, fi, sf)) in enumerate(steps, start=1):
@@ -193,11 +193,16 @@ def two_step(g, f_rec):
             for i, (a, b) in enumerate(zip(r0, i0), start=lo0 - lo):
                 re[i] -= (fi * b) << w
                 im[i] += (fr * b + fi * a) << w
-        coeffs = [exact.to_complex(a, 0 if im is None else im[i], scale)
-                  for i, a in enumerate(re)]
-        yield LaurentPoly.from_coeffs(lo, coeffs)
+        yield lo, re, im, scale
         lo0, r0, i0, s0 = lo1, r1, i1, s1
         lo1, r1, i1, s1 = lo, re, im, scale
+
+
+def rounded(q) -> LaurentPoly:
+    """One exact :func:`two_step` polynomial with each coefficient rounded once."""
+    lo, re, im, scale = q
+    return LaurentPoly.from_coeffs(lo, [exact.to_complex(a, 0 if im is None else im[i], scale)
+                                        for i, a in enumerate(re)])
 
 
 def build_by_recurrence(rd: RecurrenceData, K: int) -> tuple[LaurentPoly, ...]:
@@ -209,7 +214,7 @@ def build_by_recurrence(rd: RecurrenceData, K: int) -> tuple[LaurentPoly, ...]:
         raise InvalidParams("K must be >= 0")
     if rd.K < K:
         raise MissingCoefficients(f"recurrence data stops at {rd.K}, need {K}")
-    return (LaurentPoly.one(), *two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]))
+    return (LaurentPoly.one(), *map(rounded, two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1])))
 
 
 def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationReport:

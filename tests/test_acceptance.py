@@ -253,7 +253,7 @@ def test_criterion_7_finite_systems_measure_and_representation(tmp_path):
     degenerate = []
     for label, spec in specs:
         Q = build_Q(spec)
-        table = solve_moments(Q, 2 * ncap)
+        table = solve_moments(spec, 2 * ncap)
         try:
             solves = [FunctionalSolve.from_moments(table, ncap),
                       FunctionalSolve.from_moments(table, 2 * ncap)]
@@ -298,7 +298,7 @@ def test_criterion_8_solved_moments_match_exact_moments():
     for name, fam in families():
         src = realize(fam, 12)
         spec = FiniteSystemSpec.from_partial_sums(src, 3)
-        solved = solve_moments(build_Q(spec), 6)
+        solved = solve_moments(spec, 6)
         exact = exact_moments(src, 6)
         worst = max(abs(solved[m] - exact[m]) for m in range(-6, 7))
         ok &= worst <= 1e-10

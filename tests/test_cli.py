@@ -162,6 +162,18 @@ def test_finite_derived_from_family(tmp_path):
     assert rep["config"]["finite_spec"]["n_cap"] == 2
 
 
+def test_finite_exponential_ncap_8_matches_the_exact_moments(capsys):
+    # the pivots of Q_1..Q_32 fall to 1/32!; the solve runs on the exact Q_k
+    assert main(["finite", "--family", "exponential", "--ncap", "8"]) == 0
+    rep = strict_loads(capsys.readouterr().out)
+    assert isinstance(rep["solve_amplification_log2"], int)
+    assert main(["moments", "--family", "exponential", "--window", "16"]) == 0
+    exact = strict_loads(capsys.readouterr().out)["moments"]
+    assert [m for m, _, _ in rep["moments"]] == [m for m, _, _ in exact]
+    for (_, re1, im1), (_, re2, im2) in zip(rep["moments"], exact):
+        assert abs(complex(re1, im1) - complex(re2, im2)) <= 1e-15
+
+
 def test_finite_explicit_spec_inline(tmp_path):
     spec = '{"n_cap": 1, "g": [[1.0, 0.0]], "f_rec": [[-1.0, 0.0]]}'
     code, rep = run(tmp_path, "finite", "--spec", spec, "--level", "1")
@@ -247,7 +259,9 @@ def test_finite_refuses_non_finite_spec_values(tmp_path, capsys, bad):
      "--order", "2"],                                          # c_2 underflows to -0
     ["finite", "--family",
      '{"kind": "explicit", "coeffs": [1, 1e-200, 1e200, 1, 1], "radius": 1}', "--ncap", "1"],
-], ids=["exponential-172", "overflowing-c1", "underflowing-c2", "finite-underflowing-c2"])
+    ["moments", "--family", "exponential", "--window", "180"],  # d_178 = 1/178! underflows
+], ids=["exponential-172", "overflowing-c1", "underflowing-c2", "finite-underflowing-c2",
+        "exponential-underflow-178"])
 def test_unrepresentable_recurrence_data_is_refused(capsys, argv):
     code = main(argv)
     out, err = capsys.readouterr()
@@ -269,26 +283,51 @@ FUZZ_FLAGS = {
     "moments": {"--family": FUZZ_FAMILIES, "--window": SMALL_INTS},
     "genfun-check": {"--family": FUZZ_FAMILIES, "--terms": SMALL_INTS,
                      "--samples": ["0", "1", "2"]},
-    "finite": {"--family": FUZZ_FAMILIES, "--ncap": SMALL_INTS},
+    "finite": {"--family": FUZZ_FAMILIES, "--ncap": SMALL_INTS + ["8"]},
 }
+# --config documents, one file each: one valid, the others malformed in
+# one way each (not an object, nested section not an object, a number
+# that is a string, a boolean or non-finite)
+FUZZ_CONFIGS = {
+    "valid": {"K": 2, "window": 2, "n_cap": 1, "contour": {"radius": 0.5, "nodes": 16}},
+    "list": [1, 2],
+    "contour-number": {"contour": 5},
+    "output-string": {"output": "x"},
+    "string-K": {"K": "x"},
+    "bool-window": {"window": True},
+    "nan-n_cap": {"n_cap": float("nan")},
+    "inf-radius": {"contour": {"radius": float("inf")}},
+}
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("configs")
+    for name, doc in FUZZ_CONFIGS.items():
+        (path / f"{name}.json").write_text(json.dumps(doc))
+    return path
 
 
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
     argv = [command]
-    for flag, values in FUZZ_FLAGS[command].items():
+    flags = {**FUZZ_FLAGS[command], "--config": sorted(FUZZ_CONFIGS)}
+    for flag, values in flags.items():
         value = draw(st.none() | st.sampled_from(values))
         if value is not None:
             argv += [flag, value]
     return argv
 
 
-@given(cli_argv())
-@example(["genfun-check", "--family", SHORT_EXPLICIT, "--terms", "2", "--samples", "2"])
-@example(["ortho", "--radius", "0.5", "--nodes", str(10 ** 20)])
-@settings(max_examples=50, deadline=None, derandomize=True)
-def test_cli_fuzz_exits_documented_codes_with_strict_json(argv):
+@given(argv=cli_argv())
+@example(argv=["genfun-check", "--family", SHORT_EXPLICIT, "--terms", "2", "--samples", "2"])
+@example(argv=["ortho", "--radius", "0.5", "--nodes", str(10 ** 20)])
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_fuzz_exits_documented_codes_with_strict_json(config_dir, argv):
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        argv = [*argv[:i], str(config_dir / f"{argv[i]}.json"), *argv[i + 1:]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -22,10 +22,8 @@ from olaurent import (
 )
 from olaurent.finite import SOLVE_GUARD_BITS
 from olaurent.errors import (
-    DegenerateLeadingCoefficient,
     InvalidParams,
     MissingCoefficients,
-    PivotVanished,
     RepresentationCondFailed,
     WindowExceeded,
 )
@@ -50,6 +48,9 @@ def test_spec_validation():
         FiniteSystemSpec(n_cap=1, g=(1.0,) * 5)
     with pytest.raises(InvalidParams):
         FiniteSystemSpec(n_cap=1, f_rec=(-1.0, 0.0))
+    # g_2 = 0 kills the x^1 coefficient of Q_2, the pivot of mu_1
+    with pytest.raises(InvalidParams):
+        FiniteSystemSpec(n_cap=1, g=(1.0, 0.0))
 
 
 def test_spec_json_roundtrip():
@@ -91,41 +92,37 @@ def test_derived_spec_reproduces_source_system(geometric):
         assert all(abs(c) <= 1e-12 for _, c in diff.items())
 
 
-def test_degenerate_leading_coefficient_detected():
-    # g_2 = 0 kills the x^1 coefficient of Q_2
-    with pytest.raises(DegenerateLeadingCoefficient):
-        build_Q(FiniteSystemSpec(n_cap=1, g=(1.0, 0.0)))
-
-
-def test_solved_moments_match_exact_moments(geometric):
-    spec = FiniteSystemSpec.from_partial_sums(geometric, 2)
-    solved = solve_moments(build_Q(spec), 4)
-    exact = exact_moments(geometric, 4)
+@pytest.mark.parametrize("family, ncap, tol", [
+    (FamilySpec.geometric(), 2, 1e-12),
+    # pivots down to 1/32!: any rounding of Q_k before the solve is
+    # amplified far past these tolerances
+    (FamilySpec.exponential(), 4, 1e-15),
+    (FamilySpec.exponential(), 6, 1e-15),
+    (FamilySpec.exponential(), 8, 1e-15),
+], ids=["geometric-2", "exponential-4", "exponential-6", "exponential-8"])
+def test_solved_moments_match_exact_moments(family, ncap, tol):
+    src = realize(family, 4 * ncap)
+    spec = FiniteSystemSpec.from_partial_sums(src, ncap)
+    solved = solve_moments(spec, 2 * ncap)
+    exact = exact_moments(src, 2 * ncap)
     assert solved[0] == 1
-    for m in range(-4, 5):
-        assert abs(solved[m] - exact[m]) <= 1e-12
+    for m in range(-2 * ncap, 2 * ncap + 1):
+        assert abs(solved[m] - exact[m]) <= tol
 
 
 def test_solved_moments_match_exact_moments_rational():
     src = realize(RATIONAL, 24)
     spec = FiniteSystemSpec.from_partial_sums(src, 3)
-    solved = solve_moments(build_Q(spec), 6)
+    solved = solve_moments(spec, 6)
     exact = exact_moments(src, 6)
     for m in range(-6, 7):
         assert abs(solved[m] - exact[m]) <= 1e-10 * (1 + abs(exact[m]))
 
 
 def test_solve_needs_enough_polynomials():
-    q = build_Q(FiniteSystemSpec(n_cap=1))
+    spec = FiniteSystemSpec(n_cap=1)
     with pytest.raises(MissingCoefficients):
-        solve_moments(q, 3)
-
-
-def test_vanished_pivot_detected():
-    # hand-built list where Q_2 lacks its x^1 term
-    q = (LaurentPoly.one(), LaurentPoly({-1: 1, 0: 1}), LaurentPoly({-1: 1, 0: 2}))
-    with pytest.raises(PivotVanished):
-        solve_moments(q, 1)
+        solve_moments(spec, 3)
 
 
 def test_functional_solve_normalizes(geometric):
@@ -203,7 +200,7 @@ def test_representation_reproduces_normalizing_moment(geometric):
 def test_representation_kills_first_polynomial(geometric):
     spec = FiniteSystemSpec.from_partial_sums(geometric, 1)
     q = build_Q(spec)
-    solve = FunctionalSolve.from_moments(solve_moments(q, 2), 1)
+    solve = FunctionalSolve.from_moments(solve_moments(spec, 2), 1)
     measure = build_atomic_measure(solve.s)
     assert abs(represent_functional(solve, measure, q[1])) <= 1e-10
 
@@ -243,7 +240,7 @@ def test_orthogonality_survives_the_measure_representation():
     spec = FiniteSystemSpec.from_partial_sums(
         realize(FamilySpec.exponential(), 4 * ncap), ncap)
     q = build_Q(spec)
-    table = solve_moments(q, 2 * ncap)
+    table = solve_moments(spec, 2 * ncap)
     solve = FunctionalSolve.from_moments(table, 2 * ncap)
     measure = build_atomic_measure(solve.s)
     for k in range(2 * ncap + 1):
@@ -255,19 +252,39 @@ def test_orthogonality_survives_the_measure_representation():
                 assert abs(val) <= 1e-9
 
 
+def _rational_Q(g, f_rec):
+    """Q_0..Q_K of the two-step recurrence in exact complex rationals.
+
+    Each Q_k maps exponent to (re, im) Fractions of the double inputs.
+    """
+    zero = (Fraction(0), Fraction(0))
+    Q = [{}, {0: (Fraction(1), Fraction(0))}]      # Q_{-1}, Q_0
+    for k, (gk, fk) in enumerate(zip(g, f_rec), start=1):
+        gr, gi, fr, fi = (Fraction(v) for v in (gk.real, gk.imag, fk.real, fk.imag))
+        # odd k: (x^{-1} + g) Q_{k-1}; even k: (1 + g x) Q_{k-1}
+        unit = -1 if k % 2 == 1 else 0
+        terms = [(unit, 1, 0, Q[-1]), (unit + 1, gr, gi, Q[-1]), (0, fr, fi, Q[-2])]
+        new = {}
+        for shift, cr, ci, poly in terms:
+            for e, (pr, pi) in poly.items():
+                nr, ni = new.get(e + shift, zero)
+                new[e + shift] = (nr + cr * pr - ci * pi, ni + cr * pi + ci * pr)
+        Q.append(new)
+    return Q[1:]
+
+
 def _rational_solve(Q, window):
-    """The same triangular solve in exact complex rationals, as (re, im) Fractions."""
+    """The triangular solve in exact complex rationals, as (re, im) Fractions."""
     mu = {0: (Fraction(1), Fraction(0))}
     for k in range(1, 2 * window + 1):
         new = -(k + 1) // 2 if k % 2 == 1 else k // 2
         ar = ai = Fraction(0)
-        for e, c in Q[k].items():
+        for e, (cr, ci) in Q[k].items():
             if e != new:
-                cr, ci, (mr, mi) = Fraction(c.real), Fraction(c.imag), mu[e]
+                mr, mi = mu[e]
                 ar += cr * mr - ci * mi
                 ai += cr * mi + ci * mr
-        p = Q[k].coeff(new)
-        pr, pi = Fraction(p.real), Fraction(p.imag)
+        pr, pi = Q[k][new]
         den = pr * pr + pi * pi
         mu[new] = (-(ar * pr + ai * pi) / den, (ar * pi - ai * pr) / den)
     return mu
@@ -278,9 +295,8 @@ def test_solve_is_within_guard_of_the_exact_rational_solution(seed):
     rng = np.random.default_rng(seed)
     g = tuple(complex(*rng.uniform(0.2, 1.2, 2)) for _ in range(12))
     f = tuple(complex(*rng.uniform(-1.2, -0.2, 2)) for _ in range(12))
-    Q = build_Q(FiniteSystemSpec(n_cap=3, g=g, f_rec=f))
-    table = solve_moments(Q, 6)
-    exact = _rational_solve(Q, 6)
+    table = solve_moments(FiniteSystemSpec(n_cap=3, g=g, f_rec=f), 6)
+    exact = _rational_solve(_rational_Q(g, f), 6)
     tol = Fraction(1, 2 ** SOLVE_GUARD_BITS)
     for m in range(-6, 7):
         re, im = exact[m]
