@@ -48,6 +48,9 @@ def test_spec_validation():
         FiniteSystemSpec(n_cap=1, g=(1.0,) * 5)
     with pytest.raises(InvalidParams):
         FiniteSystemSpec(n_cap=1, f_rec=(-1.0, 0.0))
+
+
+def test_degenerate_leading_coefficient_detected():
     # g_2 = 0 kills the x^1 coefficient of Q_2, the pivot of mu_1
     with pytest.raises(InvalidParams):
         FiniteSystemSpec(n_cap=1, g=(1.0, 0.0))
