@@ -328,6 +328,7 @@ def cmd_finite(args) -> int:
     config, fmt, out = _options(args)
     ncap = int(_pick(args.ncap, config, "n_cap", 2))
 
+    source = None
     if args.spec is not None:
         fspec = FiniteSystemSpec.from_json(_load_json_arg(args.spec, "finite spec"))
     elif args.family is not None or config.get("family") is not None:
@@ -340,6 +341,10 @@ def cmd_finite(args) -> int:
 
     Q = build_Q(fspec)
     table = solve_moments(fspec, 2 * fspec.n_cap)
+    exact_dev = None
+    if source is not None:
+        exact = exact_moments(source, table.window)
+        exact_dev = max(abs(table[m] - exact[m]) for m in range(-table.window, table.window + 1))
     solve = FunctionalSolve.from_moments(table, level)
     measure = build_atomic_measure(solve.s)
 
@@ -360,6 +365,7 @@ def cmd_finite(args) -> int:
         "moment_residual_max": moment_res,
         "representation_residual_max": rep_res,
         "solve_amplification_log2": table.scale - SOLVE_GUARD_BITS,
+        "exact_moment_deviation": exact_dev,
         "moments": [[m, table[m].real, table[m].imag]
                     for m in range(-table.window, table.window + 1)],
     }

@@ -24,9 +24,11 @@ import numpy as np
 from .errors import InvalidParams, UnrepresentableValue, UnsupportedFamily
 from .series import TruncatedPowerSeries
 
-__all__ = ["FamilySpec", "realize", "reciprocal_closed_form"]
+__all__ = ["FamilySpec", "realize", "reciprocal_closed_form", "MAX_ORDER"]
 
 KINDS = ("geometric", "exponential", "exp-binomial", "explicit")
+
+MAX_ORDER = 4096  # largest order or index K; build_system stores ~K^2/2 coefficients
 
 
 @dataclass(frozen=True)
@@ -147,10 +149,11 @@ def realize(spec: FamilySpec, order: int) -> TruncatedPowerSeries:
 
     A stock family's coefficients are all finite and nonzero; one that a
     double cannot hold (d_k = 1/k! underflows at k = 178) raises
-    :class:`UnrepresentableValue`.
+    :class:`UnrepresentableValue`.  ``order`` is capped at
+    :data:`MAX_ORDER` before anything is allocated.
     """
-    if order < 0:
-        raise InvalidParams("order must be >= 0")
+    if not 0 <= order <= MAX_ORDER:
+        raise InvalidParams(f"order must be in [0, MAX_ORDER = {MAX_ORDER}], got {order}")
     if spec.kind == "explicit":
         if len(spec.coeffs) < order + 1:
             raise InvalidParams(f"explicit family provides {len(spec.coeffs)} coefficients, "

@@ -6,15 +6,17 @@ L(Q_k) = 0 determines the moments mu_m for |m| <= 2n by a triangular
 solve: each Q_k introduces exactly one new extreme exponent, whose
 coefficient, the pivot, is exactly 1 (odd k) or g_1 ... g_k (even k).
 
-The moment map amplifies any rounding of the Q_k past use (the pivot of
-the exponential family's Q_16 is 1/16!, its other coefficients ~1), so
+The moment map amplifies any rounding of the Q_k or the g_k past use
+(the pivot of the exponential family's Q_16 is 1/16!), so
 :func:`solve_moments` solves on the exact Q_k of
-:func:`~olaurent.systems.two_step`, in fixed point at a precision scaled
-to the pivot amplification, and rounds each moment once.  :func:`build_Q`
-rounds the same Q_k to doubles for evaluation.
+:func:`~olaurent.systems.two_step`, run once per spec, in fixed point
+at a precision scaled to the pivot amplification, and rounds each
+moment once; a spec derived from a source takes each g_k and f_k
+rounded once from the d_k.  :func:`build_Q` rounds the same Q_k.
 
-With a = mu_{-level} nonzero and s_k = mu_{k-level}/a, a measure with
-M = 2N+1 equal-angle atoms on a circle of radius r,
+With |a| = |mu_{-level}| above the solve's error 2**-SOLVE_GUARD_BITS
+and s_k = mu_{k-level}/a, a measure with M = 2N+1 equal-angle atoms on
+a circle of radius r,
 
     z_j = r exp(2 pi i j / M),
     w_j = (1/M) (1 + 2 sum_k Re(s_k r^{-k} exp(-2 pi i j k / M))),
@@ -43,6 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 
 import mpmath
@@ -55,6 +58,7 @@ from .errors import (
     WindowExceeded,
 )
 from . import exact
+from .families import MAX_ORDER
 from .functional import MomentTable
 from .series import LaurentPoly, TruncatedPowerSeries
 from .systems import recurrence_data, rounded, two_step
@@ -70,7 +74,6 @@ __all__ = [
 ]
 
 SOLVE_GUARD_BITS = 64
-COND_TOL = 1e-12
 
 DEFAULT_G = 1.0 + 0j
 DEFAULT_F = -1.0 + 0j
@@ -92,6 +95,8 @@ class FiniteSystemSpec:
         if self.n_cap < 1:
             raise InvalidParams("n_cap must be >= 1")
         full = 4 * self.n_cap
+        if full > MAX_ORDER:
+            raise InvalidParams(f"4 n_cap = {full} exceeds MAX_ORDER = {MAX_ORDER}")
         g = tuple(complex(v) for v in self.g)
         f = tuple(complex(v) for v in self.f_rec)
         if len(g) > full or len(f) > full:
@@ -133,6 +138,11 @@ class FiniteSystemSpec:
             "f_rec": [[v.real, v.imag] for v in self.f_rec],
         }
 
+    @cached_property
+    def exact_Q(self) -> tuple:
+        """The exact Q_1..Q_{4n} of :func:`~olaurent.systems.two_step`, run once."""
+        return tuple(two_step(self.g, self.f_rec))
+
 
 @dataclass(frozen=True)
 class FunctionalSolve:
@@ -147,18 +157,19 @@ class FunctionalSolve:
     def from_moments(cls, moments: MomentTable, level: int) -> "FunctionalSolve":
         """Normalize by a = mu_{-level}; s_k = mu_{k-level}/a for k <= 2 level.
 
-        Raises :class:`RepresentationCondFailed` when a vanishes (to
-        rounding, relative to the largest moment in the window).
+        Raises :class:`RepresentationCondFailed` when |a| is within
+        2**-SOLVE_GUARD_BITS of zero, the absolute error that
+        :func:`solve_moments` guarantees: such an a cannot be told from 0.
         """
         if level < 1:
             raise InvalidParams("level must be >= 1")
         if moments.window < level:
             raise WindowExceeded(f"moment window {moments.window} < level {level}")
         a = moments[-level]
-        scale = max(abs(moments.mu[m]) for m in moments.mu)
-        if abs(a) <= COND_TOL * scale:
+        if abs(a) <= 2.0 ** -SOLVE_GUARD_BITS:
             raise RepresentationCondFailed(
-                f"a = mu[-{level}] = {a} vanishes; no atomic representation")
+                f"|a| = |mu[-{level}]| = {abs(a):.3e} <= 2**-{SOLVE_GUARD_BITS} = "
+                f"{2.0 ** -SOLVE_GUARD_BITS:.3e}; no atomic representation")
         s = tuple(moments[k - level] / a for k in range(2 * level + 1))
         return cls(mu_table=moments, level=level, a=a, s=s)
 
@@ -195,7 +206,7 @@ class AtomicMeasure:
 
 def build_Q(spec: FiniteSystemSpec) -> tuple[LaurentPoly, ...]:
     """Q_0..Q_{4n} from the finite recurrence, each coefficient rounded once."""
-    return (LaurentPoly.one(), *map(rounded, two_step(spec.g, spec.f_rec)))
+    return (LaurentPoly.one(), *map(rounded, spec.exact_Q))
 
 
 def _round_div(a: int, b: int) -> int:
@@ -227,8 +238,7 @@ def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
     # of 2**-P (mu_0 = 1 carries none); the common scale of a row cancels
     bound = {0: -math.inf}
     rows = []
-    steps = two_step(spec.g[:2 * window], spec.f_rec[:2 * window])
-    for k, (lo, re, im, _) in enumerate(steps, start=1):
+    for k, (lo, re, im, _) in enumerate(spec.exact_Q[:2 * window], start=1):
         # the new extreme exponent: the bottom one at odd k, the top one at even k
         p, others = (0, slice(1, None)) if k % 2 == 1 else (len(re) - 1, slice(0, -1))
         new, exps = lo + p, range(lo, lo + len(re))[others]

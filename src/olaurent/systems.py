@@ -8,20 +8,20 @@ Writing f_n for the n-th partial sum of the source, the system is
 so R_{2n} has exponents in [-n, n] with top coefficient d_{2n} and
 R_{2n+1} has exponents in [-n-1, n] with bottom coefficient d_0 = 1.
 
-The same system, scaled to Q_n = R_n / (xi_n d_n), satisfies a two-step
-recurrence
+The same system satisfies the two-step recurrence of Jones, Njastad and
+Thron
 
     Q_{2n+1} = (x^{-1} + g_{2n+1}) Q_{2n} + f^rec_{2n+1} Q_{2n-1}
     Q_{2n+2} = (1 + g_{2n+2} x) Q_{2n+1} + f^rec_{2n+2} Q_{2n}
 
-with Q_{-1} = 0, Q_0 = 1, whose coefficients derive from the source:
-c_0 = 1, c_n = -d_{n-1}/d_n, xi_k = (-1)^k prod_{j<=k} c_j, g_k = -1/c_k
-and f^rec_k = -recur_lambda_k xi_{k-2}/xi_k with recur_lambda_n =
-d_{n-2}/d_{n-1}.  Two index conventions close the k = 1 gap: xi_{-1} = 1
-and recur_lambda_1 = 1, which make f^rec_1 = -d_1; the value multiplies
-Q_{-1} = 0, so any nonzero choice is equivalent, and this one continues
-the closed forms of the stock families (for d_k = 1/k! it keeps
-f^rec_k = -1/k at k = 1).
+with Q_{-1} = 0 and Q_0 = 1, scaled to Q_n = R_n / (xi_n d_n) with
+xi_n = (-1)^n c_0 ... c_n, c_0 = 1 and c_n = -d_{n-1}/d_n.  As d_0 = 1,
+the product telescopes to xi_n = 1/d_n, so Q_n is R_n itself, and each
+step adds the one term d_n x^n to the partial sum exactly when
+g_n = -1/c_n = d_n/d_{n-1} and f^rec_n = -recur_lambda_n xi_{n-2}/xi_n
+= -g_n, with recur_lambda_n = d_{n-2}/d_{n-1}.  f^rec_1 multiplies
+Q_{-1} = 0, so -g_1 is one free choice, and recur_lambda_1 = 1 a
+placeholder.  Each value is one operation on the double d_k.
 
 The recurrence needs products and sums only, so :func:`two_step` runs it
 exactly on the double g_k and f^rec_k (see :mod:`olaurent.exact`).
@@ -118,49 +118,29 @@ def build_system(source: TruncatedPowerSeries, K: int) -> OLPSystem:
     return OLPSystem(source=source, R=R, K=K)
 
 
-def _refuse_unrepresentable(name: str, values: list[complex], start: int) -> None:
-    for k in range(start, len(values)):
-        if values[k] == 0 or not cmath.isfinite(values[k]):
-            raise UnrepresentableValue(
-                f"{name}_{k} = {values[k]} is out of the double range")
-
-
 def recurrence_data(source: TruncatedPowerSeries, K: int) -> RecurrenceData:
     """Recurrence coefficients c, recur_lambda, xi, g, f_rec up to index K.
 
     Raises :class:`UnrepresentableValue` when one of them overflows or
-    underflows to zero in doubles (xi_k = k! for the exponential family
+    underflows to zero in doubles (xi_k = 1/d_k for the exponential family
     at k = 171); the recurrence needs every one finite and nonzero.
     """
     if K < 0:
         raise InvalidParams("K must be >= 0")
     _validate_source(source, K)
-    d = source.coeffs
-    c: list[complex] = [1.0 + 0j]
-    for n in range(1, K + 1):
-        c.append(-complex(d[n - 1]) / complex(d[n]))
-    _refuse_unrepresentable("c", c, 0)
-    lam: list[complex] = [0j, 1.0 + 0j][:K + 1]
-    for n in range(2, K + 1):
-        lam.append(complex(d[n - 2]) / complex(d[n - 1]))
-    _refuse_unrepresentable("recur_lambda", lam, 1)
-    xi: list[complex] = []
-    prod = 1.0 + 0j
-    for k in range(K + 1):
-        prod *= c[k]
-        xi.append((-1) ** k * prod)
-    _refuse_unrepresentable("xi", xi, 0)
-    g: list[complex] = [0j]
-    for k in range(1, K + 1):
-        g.append(-1.0 / c[k])
-    _refuse_unrepresentable("g", g, 1)
-    f_rec: list[complex] = [0j]
-    for k in range(1, K + 1):
-        xi_km2 = xi[k - 2] if k >= 2 else 1.0 + 0j  # xi_{-1} = 1
-        f_rec.append(-lam[k] * xi_km2 / xi[k])
-    _refuse_unrepresentable("f_rec", f_rec, 1)
+    d = [complex(v) for v in source.coeffs[:K + 1]]
+    c = [1.0 + 0j] + [-d[k - 1] / d[k] for k in range(1, K + 1)]
+    lam = [0j, 1.0 + 0j][:K + 1] + [d[k - 2] / d[k - 1] for k in range(2, K + 1)]
+    xi = [1 / v for v in d]
+    g = [0j] + [d[k] / d[k - 1] for k in range(1, K + 1)]
+    # index 0 is 1 or an unused slot; f_rec = 0 - g (no -0.0 imaginary
+    # parts in reports) is refused with g
+    for name, values in (("c", c), ("recur_lambda", lam), ("xi", xi), ("g", g)):
+        for k in range(1, K + 1):
+            if values[k] == 0 or not cmath.isfinite(values[k]):
+                raise UnrepresentableValue(f"{name}_{k} = {values[k]} is out of the double range")
     return RecurrenceData(c=tuple(c), recur_lambda=tuple(lam), xi=tuple(xi),
-                          g=tuple(g), f_rec=tuple(f_rec), K=K)
+                          g=tuple(g), f_rec=(0j, *(0 - v for v in g[1:])), K=K)
 
 
 def two_step(g, f_rec):
@@ -218,18 +198,18 @@ def build_by_recurrence(rd: RecurrenceData, K: int) -> tuple[LaurentPoly, ...]:
 
 
 def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationReport:
-    """Compare the recurrence route against R_n / (xi_n d_n).
+    """Compare the recurrence route Q_n against the direct route R_n.
 
-    Deviation for index n is max over exponents of |Q_n - R_n/(xi_n d_n)|
-    divided by the largest reference coefficient magnitude.
+    xi_n d_n = 1, so Q_n = R_n up to the rounding of the g_k and f^rec_k.
+    Deviation for index n is max over exponents of |Q_n - R_n| divided by
+    the largest coefficient magnitude of R_n.  Real coefficients of Q_n
+    and R_n agree within a factor of 2, so their difference is exact.
     """
     K = min(system.K, rd.K)
     Q = build_by_recurrence(rd, K)
     per: list[float] = []
     for n in range(K + 1):
-        target = system.R[n] * (1.0 / (rd.xi[n] * complex(system.source.coeffs[n])))
-        diff = Q[n] - target
-        dev = np.max(np.abs(diff.coeffs), initial=0.0)
-        per.append(float(dev / np.max(np.abs(target.coeffs))))
+        dev = np.max(np.abs((Q[n] - system.R[n]).coeffs), initial=0.0)
+        per.append(float(dev / np.max(np.abs(system.R[n].coeffs))))
     return NormalizationReport(per_index=tuple(per),
                                max_rel_deviation=max(per, default=0.0), K=K)

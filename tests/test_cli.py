@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import olaurent
 from olaurent.cli import main
+from olaurent.families import MAX_ORDER
 
 
 def run(tmp_path, *argv):
@@ -162,22 +163,42 @@ def test_finite_derived_from_family(tmp_path):
     assert rep["config"]["finite_spec"]["n_cap"] == 2
 
 
-def test_finite_exponential_ncap_8_matches_the_exact_moments(capsys):
-    # the pivots of Q_1..Q_32 fall to 1/32!; the solve runs on the exact Q_k
-    assert main(["finite", "--family", "exponential", "--ncap", "8"]) == 0
+def _check_finite_matches_moments(capsys, family, ncap):
+    assert main(["finite", "--family", family, "--ncap", str(ncap)]) == 0
     rep = strict_loads(capsys.readouterr().out)
     assert isinstance(rep["solve_amplification_log2"], int)
-    assert main(["moments", "--family", "exponential", "--window", "16"]) == 0
+    assert main(["moments", "--family", family, "--window", str(2 * ncap)]) == 0
     exact = strict_loads(capsys.readouterr().out)["moments"]
     assert [m for m, _, _ in rep["moments"]] == [m for m, _, _ in exact]
-    for (_, re1, im1), (_, re2, im2) in zip(rep["moments"], exact):
-        assert abs(complex(re1, im1) - complex(re2, im2)) <= 1e-15
+    worst = max(abs(complex(re1, im1) - complex(re2, im2))
+                for (_, re1, im1), (_, re2, im2) in zip(rep["moments"], exact))
+    assert worst <= 1e-15
+    assert rep["exact_moment_deviation"] == worst
+
+
+def test_finite_exponential_ncap_8_matches_the_exact_moments(capsys):
+    # the pivots of Q_1..Q_32 fall to 1/32!; the solve runs on the exact Q_k
+    _check_finite_matches_moments(capsys, "exponential", 8)
+
+
+EB_SMALL_A = '{"kind": "exp-binomial", "a": [0.2], "family_lambda": [0.5]}'
+
+
+@pytest.mark.parametrize("family, ncap", [
+    (EB_SMALL_A, 8), (EB_SMALL_A, 10),
+    # a = mu_{-n} is 9.1e-13 and 4.8e-14 here, far above the solve's 2**-64
+    (EB_SMALL_A, 14), ("exponential", 16),
+], ids=["exp-binomial-8", "exp-binomial-10", "exp-binomial-14", "exponential-16"])
+def test_finite_derived_moments_match_the_exact_moments(capsys, family, ncap):
+    # the solve amplifies any misrounding of g_k, f_k past these bounds
+    _check_finite_matches_moments(capsys, family, ncap)
 
 
 def test_finite_explicit_spec_inline(tmp_path):
     spec = '{"n_cap": 1, "g": [[1.0, 0.0]], "f_rec": [[-1.0, 0.0]]}'
     code, rep = run(tmp_path, "finite", "--spec", spec, "--level", "1")
     assert code == 0
+    assert rep["exact_moment_deviation"] is None
     assert rep["a"] == [-1.0, 0.0]
 
 
@@ -270,20 +291,38 @@ def test_unrepresentable_recurrence_data_is_refused(capsys, argv):
     assert "UnrepresentableValue" in err
 
 
+HUGE = str(10 ** 20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--order", HUGE], ["ortho", "--order", HUGE], ["moments", "--window", HUGE],
+    ["genfun-check", "--terms", HUGE], ["finite", "--ncap", HUGE],
+    ["finite", "--family", "exponential", "--ncap", HUGE],
+    ["build", "--order", str(MAX_ORDER + 1)], ["finite", "--ncap", str(MAX_ORDER // 4 + 1)],
+], ids=["build", "ortho", "moments", "genfun-check", "finite", "finite-family",
+        "build-cap-plus-1", "finite-cap-plus-1"])
+def test_size_flags_above_the_cap_are_config_errors(capsys, argv):
+    # refused before anything of that size is allocated
+    assert main(argv) == 2
+    assert f"MAX_ORDER = {MAX_ORDER}" in capsys.readouterr().err
+
+
 SHORT_EXPLICIT = '{"kind": "explicit", "coeffs": [1, 2, 3]}'
 FUZZ_FAMILIES = ["geometric", "exponential",
                  '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}',
                  SHORT_EXPLICIT]
 SMALL_INTS = ["-1", "0", "1", "2", "5", "nan", "inf"]
+# sizes above MAX_ORDER only: a size below it may allocate up to ~134 MB
+ABOVE_CAP = [str(MAX_ORDER + 1), HUGE]
 FUZZ_FLAGS = {
-    "build": {"--family": FUZZ_FAMILIES, "--order": SMALL_INTS},
-    "ortho": {"--family": FUZZ_FAMILIES, "--order": SMALL_INTS,
+    "build": {"--family": FUZZ_FAMILIES, "--order": SMALL_INTS + ABOVE_CAP},
+    "ortho": {"--family": FUZZ_FAMILIES, "--order": SMALL_INTS + ABOVE_CAP,
               "--radius": ["nan", "inf", "-0.5", "0", "0.5", "0.8", "2"],
               "--nodes": ["-1", "0", "16", "64", str(2 ** 20 + 1), str(10 ** 20), "nan"]},
-    "moments": {"--family": FUZZ_FAMILIES, "--window": SMALL_INTS},
-    "genfun-check": {"--family": FUZZ_FAMILIES, "--terms": SMALL_INTS,
+    "moments": {"--family": FUZZ_FAMILIES, "--window": SMALL_INTS + ABOVE_CAP},
+    "genfun-check": {"--family": FUZZ_FAMILIES, "--terms": SMALL_INTS + ABOVE_CAP,
                      "--samples": ["0", "1", "2"]},
-    "finite": {"--family": FUZZ_FAMILIES, "--ncap": SMALL_INTS + ["8"]},
+    "finite": {"--family": FUZZ_FAMILIES, "--ncap": SMALL_INTS + ["8", HUGE]},
 }
 # --config documents, one file each: one valid, the others malformed in
 # one way each (not an object, nested section not an object, a number

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from olaurent import (
+    FamilySpec,
     LaurentPoly,
     RecurrenceData,
     TruncatedPowerSeries,
     build_by_recurrence,
     build_system,
     check_normalization,
+    realize,
     recurrence_data,
 )
 from olaurent.errors import InsufficientOrder, MissingCoefficients, ZeroCoefficient
@@ -139,15 +141,31 @@ def test_recurrence_needs_enough_data(geometric):
         build_by_recurrence(rd, 4)
 
 
-@pytest.mark.parametrize("family", ["geometric", "exponential", "exp_binomial"])
-def test_normalization_report(family, request):
+@pytest.mark.parametrize("family", ["geometric", "exp_binomial", "exponential"])
+def test_recurrence_data_is_the_once_rounded_closed_form(family, request):
     src = request.getfixturevalue(family)
-    sysK = build_system(src, 24)
-    rd = recurrence_data(src, 24)
-    report = check_normalization(sysK, rd)
-    assert report.K == 24
-    assert report.max_rel_deviation <= 1e-12
-    assert len(report.per_index) == 25
+    d = [complex(v) for v in src.coeffs[:41]]
+    rd = recurrence_data(src, 40)
+    for k in range(1, 41):
+        assert rd.c[k] == -d[k - 1] / d[k]
+        assert rd.xi[k] == 1 / d[k]
+        assert rd.g[k] == d[k] / d[k - 1]
+        assert rd.f_rec[k] == -rd.g[k]
+    assert rd.recur_lambda[2:] == tuple(d[k - 2] / d[k - 1] for k in range(2, 41))
+
+
+FAMILIES = {"geometric": FamilySpec.geometric(), "exponential": FamilySpec.exponential(),
+            "exp_binomial": FamilySpec.exp_binomial(b=1.0, a=(0.5,), family_lambda=(1.0,))}
+
+
+@pytest.mark.parametrize("family", ["geometric", "exponential", "exp_binomial"])
+def test_normalization_report(family):
+    # Q_n = R_n by identity; only the rounding of each g_k shows
+    src = realize(FAMILIES[family], 80)
+    report = check_normalization(build_system(src, 80), recurrence_data(src, 80))
+    assert report.K == 80
+    assert report.max_rel_deviation <= 1e-16
+    assert len(report.per_index) == 81
     assert report.per_index[0] == 0.0
 
 
