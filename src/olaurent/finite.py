@@ -6,17 +6,16 @@ L(Q_k) = 0 determines the moments mu_m for |m| <= 2n by a triangular
 solve: each Q_k introduces exactly one new extreme exponent, whose
 coefficient, the pivot, is exactly 1 (odd k) or g_1 ... g_k (even k).
 
-The moment map amplifies any rounding of the Q_k or the g_k past use
-(the pivot of the exponential family's Q_16 is 1/16!), so
-:func:`solve_moments` solves on the exact Q_k of
-:func:`~olaurent.systems.two_step`, run once per spec, in fixed point
-at a precision scaled to the pivot amplification, and rounds each
-moment once; a spec derived from a source takes each g_k and f_k
-rounded once from the d_k.  :func:`build_Q` rounds the same Q_k.
+The moment map amplifies any rounding of the Q_k or g_k past use (the
+pivot of the exponential family's Q_16 is 1/16!), so :func:`solve_moments`
+solves on the exact Q_k of :func:`~olaurent.systems.two_step`, run once
+per spec, in fixed point at a precision scaled to the pivot amplification,
+and rounds each moment once; :func:`build_Q` rounds the same Q_k, and a
+derived spec's g_k, f_k are each rounded once from the d_k.
 
-With |a| = |mu_{-level}| above the solve's error 2**-SOLVE_GUARD_BITS
-and s_k = mu_{k-level}/a, a measure with M = 2N+1 equal-angle atoms on
-a circle of radius r,
+With |a| = |mu_{-level}| > 2**-SOLVE_GUARD_BITS, the solve's error, and
+s_k = mu_{k-level}/a, a measure with M = 2N+1 equal-angle atoms on a
+circle of radius r,
 
     z_j = r exp(2 pi i j / M),
     w_j = (1/M) (1 + 2 sum_k Re(s_k r^{-k} exp(-2 pi i j k / M))),
@@ -167,9 +166,8 @@ class FunctionalSolve:
             raise WindowExceeded(f"moment window {moments.window} < level {level}")
         a = moments[-level]
         if abs(a) <= 2.0 ** -SOLVE_GUARD_BITS:
-            raise RepresentationCondFailed(
-                f"|a| = |mu[-{level}]| = {abs(a):.3e} <= 2**-{SOLVE_GUARD_BITS} = "
-                f"{2.0 ** -SOLVE_GUARD_BITS:.3e}; no atomic representation")
+            raise RepresentationCondFailed(f"|a| = |mu[-{level}]| = {abs(a):.3e} <= "
+                                           f"2**-{SOLVE_GUARD_BITS}; no atomic representation")
         s = tuple(moments[k - level] / a for k in range(2 * level + 1))
         return cls(mu_table=moments, level=level, a=a, s=s)
 

@@ -312,7 +312,7 @@ FUZZ_FAMILIES = ["geometric", "exponential",
                  '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}',
                  SHORT_EXPLICIT]
 SMALL_INTS = ["-1", "0", "1", "2", "5", "nan", "inf"]
-# sizes above MAX_ORDER only: a size below it may allocate up to ~134 MB
+# sizes above MAX_ORDER only: one at the cap takes seconds and ~250 MB
 ABOVE_CAP = [str(MAX_ORDER + 1), HUGE]
 FUZZ_FLAGS = {
     "build": {"--family": FUZZ_FAMILIES, "--order": SMALL_INTS + ABOVE_CAP},

@@ -141,7 +141,7 @@ def test_recurrence_needs_enough_data(geometric):
         build_by_recurrence(rd, 4)
 
 
-@pytest.mark.parametrize("family", ["geometric", "exp_binomial", "exponential"])
+@pytest.mark.parametrize("family", ["geometric", "exponential", "exp_binomial"])
 def test_recurrence_data_is_the_once_rounded_closed_form(family, request):
     src = request.getfixturevalue(family)
     d = [complex(v) for v in src.coeffs[:41]]
