@@ -27,8 +27,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import InvalidParams, OLaurentError
-from .families import FamilySpec, realize
+from .errors import InvalidParams, OLaurentError, UnrepresentableValue
+from .families import MAX_ORDER, FamilySpec, realize
 from .finite import (
     SOLVE_GUARD_BITS,
     FiniteSystemSpec,
@@ -38,7 +38,7 @@ from .finite import (
     represent_functional,
     solve_moments,
 )
-from .functional import ContourSpec, apply_L, contour_L, exact_moments, gram_matrix
+from .functional import ContourSpec, apply_L, contour_moments, exact_moments, gram_matrix
 from .genfun import GenfunSample, check_laurent_genfun, check_partial_sum_genfun
 from .series import LaurentPoly
 from .systems import build_system, check_normalization, recurrence_data
@@ -230,12 +230,11 @@ def cmd_ortho(args) -> int:
         "min_abs_diag": float(np.min(np.abs(np.diag(gram)))),
     }
     if spec is not None:
-        worst = 0.0
-        for n in range(order + 1):
-            for m in range(n, order + 1):
-                approx = contour_L(system.R[n] * system.R[m], source, spec)
-                exact = gram[n, m]
-                worst = max(worst, abs(approx - exact) / (1 + abs(exact)))
+        contour = gram_matrix(system, contour_moments(source, spec, window))
+        with np.errstate(over="ignore"):
+            worst = float(np.max(np.abs(contour - gram) / (1 + np.abs(gram))))
+        if not math.isfinite(worst):
+            raise UnrepresentableValue("route disagreement overflows a double")
         report["contour"] = {"radius": float(radius), "nodes": nodes,
                              "max_route_disagreement": worst}
     _emit(report, "ortho", out, fmt)
@@ -274,8 +273,8 @@ def cmd_genfun(args) -> int:
     samples = int(_pick(args.samples, config, "samples", 20))
     terms = int(_pick(args.terms, config, "terms", 80))
     seed = int(_pick(args.seed, config, "seed", 0))
-    if samples < 1:
-        raise InvalidParams("samples must be >= 1")
+    if not 1 <= samples <= MAX_ORDER:
+        raise InvalidParams(f"samples must be in [1, MAX_ORDER = {MAX_ORDER}], got {samples}")
 
     source = realize(family, max(terms, 1))
     system = build_system(source, terms)

@@ -15,7 +15,10 @@ An independent route evaluates the defining contour integral
     L(p) = (1/2 pi i) oint_{|y|=c} p(y^2) dy / (y f(y^2))
 
 by the trapezoid rule on equispaced nodes, which converges geometrically
-for analytic integrands.  On the system R_0..R_K these give
+for analytic integrands.  The rule is linear in p, so the contour route is
+apply_L on quadrature moments mu~_m, the Cauchy coefficients -2m of
+1/f(y^2) read from one FFT: it differs from the exact route only in where
+its moments come from.  On the system R_0..R_K these give
 L(R_0) = 1 and L(R_n) = 0 for n >= 1, and the Gram matrix
 G[n, m] = L(R_n R_m) is diagonal with G[2n, 2n] = d_{2n} and
 G[2n+1, 2n+1] = -d_{2n+2}.  The entries are sums of products d_i d_j e_q
@@ -38,6 +41,7 @@ from .errors import (
     NearZeroDenominator,
     RadiusInvalid,
     TailNotNegligible,
+    UnrepresentableValue,
     UnsupportedFamily,
     WindowExceeded,
 )
@@ -49,6 +53,7 @@ __all__ = [
     "MomentTable",
     "ContourSpec",
     "exact_moments",
+    "contour_moments",
     "apply_L",
     "contour_L",
     "gram_matrix",
@@ -68,7 +73,8 @@ class MomentTable:
     integers over the common denominator 2**scale (``im`` is ``None``
     when every imaginary part is zero).  :func:`exact_moments` fills them
     with the exact moments of the double coefficients;
-    :func:`~olaurent.finite.solve_moments` with its fixed-point solution.
+    :func:`~olaurent.finite.solve_moments` with its fixed-point solution;
+    :func:`contour_moments` with the trapezoid rule's moments as doubles.
     ``mu`` maps m to that value rounded once to a double.
     """
 
@@ -158,9 +164,9 @@ def apply_L(p: LaurentPoly, moments: MomentTable) -> complex:
     return exact.to_complex(re, im, cs + moments.scale)
 
 
-def contour_L(p: LaurentPoly, source: TruncatedPowerSeries,
-              spec: ContourSpec) -> complex:
-    """Trapezoid quadrature of the defining contour integral.
+def contour_moments(source: TruncatedPowerSeries, spec: ContourSpec,
+                    window: int) -> MomentTable:
+    """Quadrature moments mu~_m, |m| <= window: coefficient -2m of 1/f(y^2) on |y| = c.
 
     Requires the contour radius c to satisfy c^2 < radius(f), the
     truncated f to carry a negligible tail on the contour, and |f| to
@@ -174,21 +180,29 @@ def contour_L(p: LaurentPoly, source: TruncatedPowerSeries,
     if not tail <= MAX_TAIL:
         raise TailNotNegligible(
             f"truncation tail estimate {tail:.3e} exceeds {MAX_TAIL:.0e} at |z| = {c * c}")
-    # Off the unit circle the integrand spans roughly c**(2*lo) orders of
-    # magnitude, so per-node double rounding would dominate the quadrature
-    # error; evaluate in the widest available precision, round once at the end.
     y = kernels.circle_nodes_extended(c, spec.nodes)
-    w = y * y
-    f_vals = kernels.eval_poly_extended(source.coeffs, w)
+    f_vals = kernels.eval_poly_extended(source.coeffs, y * y)
     m = float(np.min(np.abs(f_vals)))
     if m <= MIN_DENOMINATOR:
         raise NearZeroDenominator(f"min |f| on contour = {m:.3e}")
-    if not p:
-        return 0j
-    p_vals = kernels.eval_poly_extended(p.coeffs, w)
-    if p.lo != 0:
-        p_vals = p_vals * w ** p.lo
-    return complex((p_vals / f_vals).sum() / spec.nodes)
+    return _quadrature_table(1 / f_vals, c, window)
+
+
+def _quadrature_table(values: np.ndarray, radius: float, window: int) -> MomentTable:
+    """Coefficients -2m, |m| <= window, of node values on |y| = radius, each rounded to a double."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mu = kernels.circle_coefficients(values, radius, range(2 * window, -2 * window - 1, -2))
+    if not np.isfinite(mu).all():
+        raise UnrepresentableValue(f"a quadrature moment on radius {radius} overflows a double")
+    re, im, scale = exact.scaled(mu)
+    return MomentTable(window=window, re=tuple(re), im=im and tuple(im), scale=scale)
+
+
+def contour_L(p: LaurentPoly, source: TruncatedPowerSeries,
+              spec: ContourSpec) -> complex:
+    """Trapezoid quadrature of the defining contour integral, by :func:`contour_moments`."""
+    window = max(-p.min_exponent, p.max_exponent, 0) if p else 0
+    return apply_L(p, contour_moments(source, spec, window))
 
 
 def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
@@ -245,12 +259,11 @@ def specialized_L_exp_binomial(p: LaurentPoly, spec: FamilySpec,
     """
     if spec.kind != "exp-binomial":
         raise UnsupportedFamily(f"specialized route needs exp-binomial, got {spec.kind!r}")
-    if nodes < 16:
-        raise InvalidParams("contour needs at least 16 nodes")
-    y = kernels.circle_nodes_extended(1.0, nodes).astype(np.complex128)
+    circle = ContourSpec(radius=1.0, nodes=nodes)
+    y = kernels.circle_nodes_extended(circle.radius, circle.nodes).astype(np.complex128)
     w = y * y
     weight = np.exp(-spec.b * w)
     for aj, lj in zip(spec.a, spec.family_lambda):
         weight = weight * np.power(1.0 - aj * w, lj)
-    vals = p(w) * weight
-    return complex(math.fsum(vals.real), math.fsum(vals.imag)) / nodes
+    window = max(-p.min_exponent, p.max_exponent, 0) if p else 0
+    return apply_L(p, _quadrature_table(weight, 1.0, window))

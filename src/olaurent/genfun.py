@@ -26,6 +26,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainViolation, InsufficientOrder, InvalidParams, PoleProximity
 from .errors import TailNotNegligible
+from .functional import ContourSpec
 from .series import TruncatedPowerSeries
 from .systems import OLPSystem
 
@@ -148,19 +149,12 @@ def rn_by_contour(source: TruncatedPowerSeries, n: int, x: complex,
     """
     if n < 0:
         raise InvalidParams("n must be >= 0")
-    if nodes < 16:
-        raise InvalidParams("contour needs at least 16 nodes")
     if x == 0 or not abs(x) < source.radius:
         raise DomainViolation(f"need 0 < |x| < radius, got |x| = {abs(x)}")
     s = cmath.sqrt(x)
-    r = abs(s) / 2
-    # r**(-n) reaches 2**n here, so the sum cancels by that factor before the
-    # coefficient emerges; evaluate in the widest available precision and use
-    # the exact periodicity of the node phases, rounding once at the end
-    z = kernels.circle_nodes_extended(r, nodes)
+    circle = ContourSpec(radius=abs(s) / 2, nodes=nodes)
+    z = kernels.circle_nodes_extended(circle.radius, circle.nodes)
     se = kernels.QUAD_DTYPE(s)
     lhs = ((se + 1) / (se - z)) * kernels.eval_poly_extended(source.coeffs, se * z) \
         + ((se - 1) / (se + z)) * kernels.eval_poly_extended(source.coeffs, -se * z)
-    zpow = kernels.circle_nodes_extended(1.0, nodes)[(-n * np.arange(nodes)) % nodes]
-    scale = np.abs(z[0]) ** (-n)
-    return complex((lhs * zpow).sum() * scale / (2.0 * nodes))
+    return complex(kernels.circle_coefficients(lhs, circle.radius, [n])[0]) / 2

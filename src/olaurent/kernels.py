@@ -6,8 +6,9 @@ On contiguous complex128 arrays:
 * ``cauchy_product(a, b, n)``     -- truncated convolution, n output terms
 * ``reciprocal_coeffs(a)``        -- coefficients of 1/sum(a_k z^k)
 
-and, for contour quadrature, ``circle_nodes_extended`` and
-``eval_poly_extended`` in the widest complex dtype available.
+and, for contour quadrature in the widest complex dtype available,
+``circle_nodes_extended``, ``eval_poly_extended`` and
+``circle_coefficients``, the one sum over quadrature nodes (a single FFT).
 """
 
 import numpy as np
@@ -49,11 +50,11 @@ def reciprocal_coeffs(a: np.ndarray) -> np.ndarray:
 
 # -- extended-precision quadrature helpers -----------------------------------
 #
-# On a circle of radius c != 1 the Laurent values being averaged span
-# roughly c ** (lo - hi) orders of magnitude, so the 64-bit rounding of each
-# node value, not the quadrature rule, sets the error floor.  These helpers
-# run the identical Horner scheme in the widest complex dtype the platform
-# provides (80-bit extended on x86 Linux, plain double elsewhere).
+# A Cauchy coefficient k on a circle of radius c != 1 is a node average
+# scaled by c ** -k, so the average cancels by that factor and the 64-bit
+# rounding of each node value would be amplified by it.  These helpers run
+# Horner and the FFT in the widest complex dtype the platform provides (80-bit
+# extended on x86 Linux, plain double elsewhere) and round once at the end.
 
 QUAD_DTYPE = np.complex256 if hasattr(np, "complex256") else np.complex128
 _REAL_QUAD = np.longdouble if hasattr(np, "complex256") else np.float64
@@ -74,6 +75,13 @@ def eval_poly_extended(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
+def circle_coefficients(values: np.ndarray, radius: float, ks) -> np.ndarray:
+    """Trapezoid Cauchy coefficients k (mod N) of N samples at radius exp(2 pi i j / N), one FFT."""
+    ks = np.asarray(ks)
+    spectrum = np.fft.fft(np.asarray(values, dtype=QUAD_DTYPE)) / len(values)
+    return (spectrum[ks % len(values)] * _REAL_QUAD(radius) ** -ks).astype(np.complex128)
+
+
 __all__ = [
     "backend",
     "eval_poly",
@@ -82,4 +90,5 @@ __all__ = [
     "QUAD_DTYPE",
     "circle_nodes_extended",
     "eval_poly_extended",
+    "circle_coefficients",
 ]

@@ -281,8 +281,10 @@ def test_finite_refuses_non_finite_spec_values(tmp_path, capsys, bad):
     ["finite", "--family",
      '{"kind": "explicit", "coeffs": [1, 1e-200, 1e200, 1, 1], "radius": 1}', "--ncap", "1"],
     ["moments", "--family", "exponential", "--window", "180"],  # d_178 = 1/178! underflows
+    ["ortho", "--family", "geometric", "--order", "120", "--radius", "0.05",
+     "--nodes", "16"],                                         # mu~_{-120} ~ 400^120 overflows
 ], ids=["exponential-172", "overflowing-c1", "underflowing-c2", "finite-underflowing-c2",
-        "exponential-underflow-178"])
+        "exponential-underflow-178", "contour-moment-overflow"])
 def test_unrepresentable_recurrence_data_is_refused(capsys, argv):
     code = main(argv)
     out, err = capsys.readouterr()
@@ -299,8 +301,10 @@ HUGE = str(10 ** 20)
     ["genfun-check", "--terms", HUGE], ["finite", "--ncap", HUGE],
     ["finite", "--family", "exponential", "--ncap", HUGE],
     ["build", "--order", str(MAX_ORDER + 1)], ["finite", "--ncap", str(MAX_ORDER // 4 + 1)],
+    ["genfun-check", "--samples", HUGE], ["genfun-check", "--samples", str(MAX_ORDER + 1)],
 ], ids=["build", "ortho", "moments", "genfun-check", "finite", "finite-family",
-        "build-cap-plus-1", "finite-cap-plus-1"])
+        "build-cap-plus-1", "finite-cap-plus-1", "genfun-check-samples",
+        "genfun-check-samples-cap-plus-1"])
 def test_size_flags_above_the_cap_are_config_errors(capsys, argv):
     # refused before anything of that size is allocated
     assert main(argv) == 2
@@ -321,7 +325,7 @@ FUZZ_FLAGS = {
               "--nodes": ["-1", "0", "16", "64", str(2 ** 20 + 1), str(10 ** 20), "nan"]},
     "moments": {"--family": FUZZ_FAMILIES, "--window": SMALL_INTS + ABOVE_CAP},
     "genfun-check": {"--family": FUZZ_FAMILIES, "--terms": SMALL_INTS + ABOVE_CAP,
-                     "--samples": ["0", "1", "2"]},
+                     "--samples": ["0", "1", "2"] + ABOVE_CAP},
     "finite": {"--family": FUZZ_FAMILIES, "--ncap": SMALL_INTS + ["8", HUGE]},
 }
 # --config documents, one file each: one valid, the others malformed in

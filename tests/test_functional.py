@@ -29,7 +29,7 @@ from olaurent.errors import (
     UnsupportedFamily,
     WindowExceeded,
 )
-from olaurent.functional import MAX_NODES
+from olaurent.functional import MAX_NODES, contour_moments
 
 
 def test_moment_values_geometric(geometric):
@@ -98,6 +98,22 @@ def test_contour_r1_squared_geometric(geometric):
     sysK = build_system(geometric, 1)
     v = contour_L(sysK.R[1] * sysK.R[1], geometric, ContourSpec(radius=0.5, nodes=256))
     assert abs(v - (-1)) <= 1e-10
+
+
+def test_contour_L_is_apply_L_on_the_quadrature_moments(exponential):
+    sysK = build_system(exponential, 5)
+    p = sysK.R[3] * sysK.R[5]
+    spec = ContourSpec(radius=0.8)
+    assert contour_L(p, exponential, spec) == apply_L(p, contour_moments(exponential, spec, 6))
+
+
+def test_contour_gram_matches_exact_gram_geometric(geometric):
+    # one node sum per moment; summing each product R_n R_m over the nodes
+    # instead loses ~1e-7 here
+    system = build_system(geometric, 20)
+    exact = gram_matrix(system, exact_moments(geometric, 20))
+    quad = gram_matrix(system, contour_moments(geometric, ContourSpec(radius=0.5, nodes=512), 20))
+    assert np.max(np.abs(quad - exact)) <= 1e-8
 
 
 def test_contour_agrees_with_moments_for_empty_polynomial(geometric):
@@ -183,10 +199,11 @@ def test_specialized_route_exp_binomial(exp_binomial_spec, exp_binomial):
 def test_specialized_route_rejects_other_kinds():
     with pytest.raises(UnsupportedFamily):
         specialized_L_exp_binomial(LaurentPoly.one(), FamilySpec.geometric())
-    with pytest.raises(InvalidParams):
-        specialized_L_exp_binomial(
-            LaurentPoly.one(),
-            FamilySpec.exp_binomial(1.0, (0.5,), (1.0,)), nodes=4)
+    for nodes in (4, 10 ** 20):
+        with pytest.raises(InvalidParams):
+            specialized_L_exp_binomial(
+                LaurentPoly.one(),
+                FamilySpec.exp_binomial(1.0, (0.5,), (1.0,)), nodes=nodes)
 
 
 def test_two_routes_agree_on_random_polynomials(exp_binomial, exp_binomial_spec):

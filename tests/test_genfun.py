@@ -172,6 +172,8 @@ def test_extraction_guards(geo_sys):
         rn_by_contour(geo_sys.source, -1, 0.3)
     with pytest.raises(InvalidParams):
         rn_by_contour(geo_sys.source, 2, 0.3, nodes=8)
+    with pytest.raises(InvalidParams):
+        rn_by_contour(geo_sys.source, 0, 0.3, nodes=10 ** 20)
     with pytest.raises(DomainViolation):
         rn_by_contour(geo_sys.source, 2, 0.0)
     with pytest.raises(DomainViolation):
