@@ -231,8 +231,7 @@ def cmd_ortho(args) -> int:
     }
     if spec is not None:
         contour = gram_matrix(system, contour_moments(source, spec, window))
-        with np.errstate(over="ignore"):
-            worst = float(np.max(np.abs(contour - gram) / (1 + np.abs(gram))))
+        worst = float(np.max(np.abs(contour - gram) / (1 + np.abs(gram))))
         if not math.isfinite(worst):
             raise UnrepresentableValue("route disagreement overflows a double")
         report["contour"] = {"radius": float(radius), "nodes": nodes,
