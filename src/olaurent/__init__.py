@@ -53,6 +53,7 @@ from .genfun import (
     GenfunSample,
     check_laurent_genfun,
     check_partial_sum_genfun,
+    rn_all_by_contour,
     rn_by_contour,
 )
 from .series import LaurentPoly, TruncatedPowerSeries
@@ -91,6 +92,7 @@ __all__ = [
     "GenfunCheck",
     "check_partial_sum_genfun",
     "check_laurent_genfun",
+    "rn_all_by_contour",
     "rn_by_contour",
     "FiniteSystemSpec",
     "FunctionalSolve",

@@ -339,11 +339,12 @@ def cmd_finite(args) -> int:
 
     Q = build_Q(fspec)
     table = solve_moments(fspec, 2 * fspec.n_cap)
-    exact_dev = None
+    solve = FunctionalSolve.from_moments(table, level)
+    exact_dev = a_rel = None
     if source is not None:
         exact = exact_moments(source, table.window)
         exact_dev = max(abs(table[m] - exact[m]) for m in range(-table.window, table.window + 1))
-    solve = FunctionalSolve.from_moments(table, level)
+        a_rel = abs(solve.a - exact[-level]) / abs(exact[-level]) if exact[-level] else None
     measure = build_atomic_measure(solve.s)
 
     moment_res = max(abs(measure.moment(k) - solve.s[k])
@@ -364,6 +365,7 @@ def cmd_finite(args) -> int:
         "representation_residual_max": rep_res,
         "solve_amplification_log2": table.scale - SOLVE_GUARD_BITS,
         "exact_moment_deviation": exact_dev,
+        "a_relative_deviation": a_rel,
         "moments": [[m, table[m].real, table[m].imag]
                     for m in range(-table.window, table.window + 1)],
     }

@@ -185,13 +185,13 @@ def contour_moments(source: TruncatedPowerSeries, spec: ContourSpec,
     m = float(np.min(np.abs(f_vals)))
     if m <= MIN_DENOMINATOR:
         raise NearZeroDenominator(f"min |f| on contour = {m:.3e}")
-    return _quadrature_table(1 / f_vals, c, window)
+    return _quadrature_table(kernels.circle_spectrum(1 / f_vals), c, window)
 
 
-def _quadrature_table(values: np.ndarray, radius: float, window: int) -> MomentTable:
-    """Coefficients -2m, |m| <= window, of node values on |y| = radius, each rounded to a double."""
+def _quadrature_table(spectrum: np.ndarray, radius: float, window: int) -> MomentTable:
+    """Coefficients -2m, |m| <= window, of a node spectrum on |y| = radius, each rounded once."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        mu = kernels.circle_coefficients(values, radius, range(2 * window, -2 * window - 1, -2))
+        mu = kernels.circle_coefficients(spectrum, radius, range(2 * window, -2 * window - 1, -2))
     if not np.isfinite(mu).all():
         raise UnrepresentableValue(f"a quadrature moment on radius {radius} overflows a double")
     re, im, scale = exact.scaled(mu)
@@ -266,4 +266,4 @@ def specialized_L_exp_binomial(p: LaurentPoly, spec: FamilySpec,
     for aj, lj in zip(spec.a, spec.family_lambda):
         weight = weight * np.power(1.0 - aj * w, lj)
     window = max(-p.min_exponent, p.max_exponent, 0) if p else 0
-    return apply_L(p, _quadrature_table(weight, 1.0, window))
+    return apply_L(p, _quadrature_table(kernels.circle_spectrum(weight), 1.0, window))

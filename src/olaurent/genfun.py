@@ -8,8 +8,8 @@ Two identities are checked against truncated sums:
 
 where s is either square root of x; the left side is invariant under the
 choice of branch.  Truncation residuals are compared against geometric
-tail estimates.  Dividing the second identity by z^(n+1) and integrating
-over |z| = |s|/2 extracts a single R_n(x).
+tail estimates.  The second identity's left side does not depend on n, so
+one FFT of it on |z| = |s|/2 gives every R_n(x) as a Taylor coefficient.
 
 Evaluations of f go through the truncated source series, so points are
 required to sit inside the convergence disc with a fixed safety margin.
@@ -18,6 +18,7 @@ required to sit inside the convergence disc with a fixed safety margin.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ __all__ = [
     "GenfunCheck",
     "check_partial_sum_genfun",
     "check_laurent_genfun",
+    "rn_all_by_contour",
     "rn_by_contour",
 ]
 
@@ -139,22 +141,36 @@ def check_laurent_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck
     return GenfunCheck(residual=abs(lhs - rhs), tail_bound=bound, lhs=lhs)
 
 
-def rn_by_contour(source: TruncatedPowerSeries, n: int, x: complex,
-                  nodes: int = 512) -> complex:
-    """R_n(x) extracted from the Laurent generating function.
+@functools.lru_cache(maxsize=8)
+def _lhs_spectrum(coeffs: bytes, x: complex, nodes: int) -> np.ndarray:
+    """Read-only spectrum of the left side on |z| = |sqrt x|/2, unscaled: r**-k can overflow."""
+    d = np.frombuffer(coeffs, dtype=np.complex128)
+    s = cmath.sqrt(x)
+    z = kernels.circle_nodes_extended(abs(s) / 2, nodes)
+    se = kernels.QUAD_DTYPE(s)
+    lhs = ((se + 1) / (se - z)) * kernels.eval_poly_extended(d, se * z) \
+        + ((se - 1) / (se + z)) * kernels.eval_poly_extended(d, -se * z)
+    spectrum = kernels.circle_spectrum(lhs)
+    spectrum.setflags(write=False)
+    return spectrum
 
-    Quadrature of the identity's left side against z^(-n-1) over the
-    circle |z| = |sqrt x|/2; the result halves because the identity
-    carries a factor 2 on the series side.
+
+def rn_all_by_contour(source: TruncatedPowerSeries, x: complex, n_max: int,
+                      nodes: int = 512) -> np.ndarray:
+    """R_0(x)..R_n_max(x) for n_max < nodes, from one FFT of the identity's left side.
+
+    That side does not depend on n: its spectrum on |z| = |sqrt x|/2 is memoized per
+    (coefficients, x, nodes), and R_n(x) is half its Taylor coefficient n.
     """
-    if n < 0:
-        raise InvalidParams("n must be >= 0")
+    if not 0 <= n_max < nodes:
+        raise InvalidParams(f"need 0 <= n < nodes, got n = {n_max}, nodes = {nodes}")
     if x == 0 or not abs(x) < source.radius:
         raise DomainViolation(f"need 0 < |x| < radius, got |x| = {abs(x)}")
-    s = cmath.sqrt(x)
-    circle = ContourSpec(radius=abs(s) / 2, nodes=nodes)
-    z = kernels.circle_nodes_extended(circle.radius, circle.nodes)
-    se = kernels.QUAD_DTYPE(s)
-    lhs = ((se + 1) / (se - z)) * kernels.eval_poly_extended(source.coeffs, se * z) \
-        + ((se - 1) / (se + z)) * kernels.eval_poly_extended(source.coeffs, -se * z)
-    return complex(kernels.circle_coefficients(lhs, circle.radius, [n])[0]) / 2
+    circle = ContourSpec(radius=abs(cmath.sqrt(x)) / 2, nodes=nodes)
+    spectrum = _lhs_spectrum(source.coeffs.tobytes(), complex(x), circle.nodes)
+    return kernels.circle_coefficients(spectrum, circle.radius, np.arange(n_max + 1)) / 2
+
+
+def rn_by_contour(source: TruncatedPowerSeries, n: int, x: complex, nodes: int = 512) -> complex:
+    """R_n(x), read from the spectrum that :func:`rn_all_by_contour` shares across n."""
+    return complex(rn_all_by_contour(source, x, n, nodes)[n])

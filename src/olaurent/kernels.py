@@ -7,8 +7,8 @@ On contiguous complex128 arrays:
 * ``reciprocal_coeffs(a)``        -- coefficients of 1/sum(a_k z^k)
 
 and, for contour quadrature in the widest complex dtype available,
-``circle_nodes_extended``, ``eval_poly_extended`` and
-``circle_coefficients``, the one sum over quadrature nodes (a single FFT).
+``circle_nodes_extended``, ``eval_poly_extended``, ``circle_spectrum`` (the one
+sum over quadrature nodes, a single FFT) and ``circle_coefficients``.
 """
 
 import numpy as np
@@ -75,11 +75,15 @@ def eval_poly_extended(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def circle_coefficients(values: np.ndarray, radius: float, ks) -> np.ndarray:
-    """Trapezoid Cauchy coefficients k (mod N) of N samples at radius exp(2 pi i j / N), one FFT."""
+def circle_spectrum(values: np.ndarray) -> np.ndarray:
+    """Averages of N samples at radius exp(2 pi i j / N) against exp(-2 pi i j k / N), one FFT."""
+    return np.fft.fft(np.asarray(values, dtype=QUAD_DTYPE)) / len(values)
+
+
+def circle_coefficients(spectrum: np.ndarray, radius: float, ks) -> np.ndarray:
+    """Trapezoid Cauchy coefficients k (mod N) from a :func:`circle_spectrum`, each rounded once."""
     ks = np.asarray(ks)
-    spectrum = np.fft.fft(np.asarray(values, dtype=QUAD_DTYPE)) / len(values)
-    return (spectrum[ks % len(values)] * _REAL_QUAD(radius) ** -ks).astype(np.complex128)
+    return (spectrum[ks % len(spectrum)] * _REAL_QUAD(radius) ** -ks).astype(np.complex128)
 
 
 __all__ = [
@@ -90,5 +94,6 @@ __all__ = [
     "QUAD_DTYPE",
     "circle_nodes_extended",
     "eval_poly_extended",
+    "circle_spectrum",
     "circle_coefficients",
 ]

@@ -174,6 +174,9 @@ def _check_finite_matches_moments(capsys, family, ncap):
                 for (_, re1, im1), (_, re2, im2) in zip(rep["moments"], exact))
     assert worst <= 1e-15
     assert rep["exact_moment_deviation"] == worst
+    # the deep moment a = mu_{-n_cap} can be far off relative to its size
+    mu = next(complex(re, im) for m, re, im in exact if m == -ncap)
+    assert rep["a_relative_deviation"] == abs(complex(*rep["a"]) - mu) / abs(mu)
 
 
 def test_finite_exponential_ncap_8_matches_the_exact_moments(capsys):
@@ -199,6 +202,7 @@ def test_finite_explicit_spec_inline(tmp_path):
     code, rep = run(tmp_path, "finite", "--spec", spec, "--level", "1")
     assert code == 0
     assert rep["exact_moment_deviation"] is None
+    assert rep["a_relative_deviation"] is None
     assert rep["a"] == [-1.0, 0.0]
 
 

@@ -1,13 +1,16 @@
-"""Generating-function identities and contour extraction of single R_n."""
+"""Generating-function identities and contour extraction of R_n."""
+
+import cmath
 
 import numpy as np
 import pytest
 
-from olaurent import FamilySpec, build_system, realize
+from olaurent import FamilySpec, TruncatedPowerSeries, build_system, genfun, kernels, realize
 from olaurent.genfun import (
     GenfunSample,
     check_laurent_genfun,
     check_partial_sum_genfun,
+    rn_all_by_contour,
     rn_by_contour,
 )
 from olaurent.errors import DomainViolation, InsufficientOrder, InvalidParams, PoleProximity
@@ -143,7 +146,7 @@ def test_laurent_guards(geo_sys):
         check_laurent_genfun(geo_sys, GenfunSample(x=0.25, terms=10, z=0.5 - 1e-8))
 
 
-# -- single-coefficient extraction ---------------------------------------------
+# -- coefficient extraction -----------------------------------------------------
 
 
 def test_extraction_of_constant_term(geo_sys):
@@ -178,3 +181,76 @@ def test_extraction_guards(geo_sys):
         rn_by_contour(geo_sys.source, 2, 0.0)
     with pytest.raises(DomainViolation):
         rn_by_contour(geo_sys.source, 2, 1.5)
+    # N nodes read coefficient n mod N: n = 64 and 70 would return the
+    # aliased 9.95e35 and 5.27e37 against the direct 7.7e16 and 2.86e18
+    with pytest.raises(InvalidParams, match="n = 64, nodes = 64"):
+        rn_by_contour(geo_sys.source, 64, 0.3, nodes=64)
+    with pytest.raises(InvalidParams, match="n = 70, nodes = 64"):
+        rn_by_contour(geo_sys.source, 70, 0.3, nodes=64)
+    with pytest.raises(InvalidParams):
+        rn_all_by_contour(geo_sys.source, 0.3, 64, nodes=64)
+    assert rn_all_by_contour(geo_sys.source, 0.3, 63, nodes=64).shape == (64,)
+
+
+def per_n_rn(source, n, x, nodes=512):
+    """One FFT per index n, as rn_by_contour computed R_n before sharing its spectrum."""
+    s = cmath.sqrt(x)
+    radius = abs(s) / 2
+    z = kernels.circle_nodes_extended(radius, nodes)
+    se = kernels.QUAD_DTYPE(s)
+    lhs = ((se + 1) / (se - z)) * kernels.eval_poly_extended(source.coeffs, se * z) \
+        + ((se - 1) / (se + z)) * kernels.eval_poly_extended(source.coeffs, -se * z)
+    ks = np.asarray([n])
+    spectrum = np.fft.fft(np.asarray(lhs, dtype=kernels.QUAD_DTYPE)) / len(lhs)
+    real = np.finfo(kernels.QUAD_DTYPE).dtype.type
+    return complex((spectrum[ks % len(lhs)] * real(radius) ** -ks).astype(np.complex128)[0]) / 2
+
+
+STOCK_POINTS = [
+    (FamilySpec.geometric(), 0.3), (FamilySpec.geometric(), 0.37 + 0.1j),
+    (FamilySpec.exponential(), 1.1 - 0.4j), (FamilySpec.exponential(), -0.8),
+    (FamilySpec.exp_binomial(1.0, [0.5], [1.0]), 0.6 + 0.2j),
+    (FamilySpec.exp_binomial(1.0, [0.5], [1.0]), -1.2j),
+]
+
+
+@pytest.mark.parametrize("family, x", STOCK_POINTS)
+def test_shared_spectrum_reproduces_the_per_n_extraction_bitwise(family, x):
+    source = realize(family, 64)
+    every = rn_all_by_contour(source, x, 20)
+    assert every.dtype == np.complex128 and every.shape == (21,)
+    for n in range(21):
+        ref = per_n_rn(source, n, x)
+        assert np.complex128(every[n]).tobytes() == np.complex128(ref).tobytes()
+        assert np.complex128(rn_by_contour(source, n, x)).tobytes() == np.complex128(ref).tobytes()
+
+
+def test_one_spectrum_serves_every_index_at_a_point(geo_sys, monkeypatch):
+    calls = []
+    horner = kernels.eval_poly_extended
+    monkeypatch.setattr(kernels, "eval_poly_extended", lambda c, p: calls.append(1) or horner(c, p))
+    genfun._lhs_spectrum.cache_clear()
+    for n in range(21):
+        rn_by_contour(geo_sys.source, n, 0.21 - 0.03j)
+    assert len(calls) == 2
+    for n in range(21):
+        rn_by_contour(geo_sys.source, n, 0.22)
+    assert len(calls) == 4
+
+
+def test_spectrum_memo_is_keyed_on_coefficients(geo_sys, exp_sys):
+    genfun._lhs_spectrum.cache_clear()
+    first = rn_by_contour(geo_sys.source, 5, 0.3)
+    twin = TruncatedPowerSeries(geo_sys.source.coeffs.copy(), geo_sys.source.radius)
+    assert rn_by_contour(twin, 5, 0.3) == first
+    info = genfun._lhs_spectrum.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
+    assert rn_by_contour(exp_sys.source, 5, 0.3) == per_n_rn(exp_sys.source, 5, 0.3)
+    assert genfun._lhs_spectrum.cache_info().currsize == 2
+
+
+def test_memoized_spectrum_is_read_only(geo_sys):
+    spectrum = genfun._lhs_spectrum(geo_sys.source.coeffs.tobytes(), 0.3 + 0j, 64)
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 0
