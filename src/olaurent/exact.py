@@ -1,27 +1,62 @@
 """Exact arithmetic on double inputs.
 
-Every finite double is a dyadic rational n / 2**s, so every complex
-double is a Gaussian dyadic rational, and sums and products of such
-values stay dyadic.  Python integers carry them without loss: a value
-is a pair of integers (re, im) over a power-of-two denominator
-2**scale.  A result is rounded to a double once, at the end, by
-correctly rounded integer division.
-
-An imaginary part list of ``None`` stands for all zeros, so real inputs
-pay for one integer product per term instead of four.
+Every finite double is a dyadic rational n / 2**s, so sums and products
+of complex doubles are Gaussian dyadic rationals, carried without loss
+as an integer numerator over 2**scale and rounded to a double once, at
+the end, by correctly rounded integer division.  A real numerator is a
+plain ``int`` and a complex one a :class:`Gaussian`, which mixes with
+``int`` the way ``complex`` mixes with ``float``; both have ``.real``,
+``.imag`` and ``.conjugate()``, so each exact algorithm is written once
+and real inputs never leave ``int``.
 """
 
 from __future__ import annotations
 
-from operator import mul
-
 from .errors import InvalidParams, UnrepresentableValue
 
-__all__ = ["split", "scaled", "to_complex", "cdot"]
+__all__ = ["Gaussian", "split", "scaled", "to_complex"]
 
 
-def split(z: complex) -> tuple[int, int, int]:
-    """(re, im, scale) with z = (re + i im) / 2**scale exactly, scale >= 0 minimal."""
+class Gaussian:
+    """The Gaussian integer real + i imag; the other operand is an int or a Gaussian.
+
+    A reflected operator sees only an int on its left, so it scales or
+    shifts the parts directly: int times Gaussian is two products, not four.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real, self.imag = real, imag
+
+    def __bool__(self) -> bool:
+        return bool(self.real or self.imag)
+
+    def __neg__(self) -> Gaussian:
+        return Gaussian(-self.real, -self.imag)
+
+    def conjugate(self) -> Gaussian:
+        return Gaussian(self.real, -self.imag)
+
+    def __add__(self, other) -> Gaussian:
+        return Gaussian(self.real + other.real, self.imag + other.imag)
+
+    def __radd__(self, n: int) -> Gaussian:
+        return Gaussian(n + self.real, self.imag)
+
+    def __mul__(self, other) -> Gaussian:
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return Gaussian(a * c - b * d, a * d + b * c)
+
+    def __rmul__(self, n: int) -> Gaussian:
+        return Gaussian(n * self.real, n * self.imag)
+
+    def __lshift__(self, n: int) -> Gaussian:
+        return Gaussian(self.real << n, self.imag << n)
+
+
+def split(z: complex) -> tuple[int | Gaussian, int]:
+    """(value, scale) with z = value / 2**scale exactly, scale >= 0 minimal; int when z is real."""
     z = complex(z)
     try:
         nr, dr = z.real.as_integer_ratio()
@@ -29,39 +64,24 @@ def split(z: complex) -> tuple[int, int, int]:
     except (ValueError, OverflowError) as exc:
         raise InvalidParams(f"non-finite value {z} has no exact form") from exc
     # both denominators are powers of two
-    if dr >= di:
-        return nr, ni * (dr // di), dr.bit_length() - 1
-    return nr * (di // dr), ni, di.bit_length() - 1
+    den = max(dr, di)
+    re, im = nr * (den // dr), ni * (den // di)
+    return (Gaussian(re, im) if im else re), den.bit_length() - 1
 
 
-def scaled(values) -> tuple[list[int], list[int] | None, int]:
-    """Values over one common denominator 2**scale: (re, im or None, scale)."""
+def scaled(values) -> tuple[list, int]:
+    """Values over one common denominator 2**scale: (numerators, scale)."""
     parts = [split(v) for v in values]
-    scale = max((s for _, _, s in parts), default=0)
-    re = [r << (scale - s) for r, _, s in parts]
-    im = [i << (scale - s) for _, i, s in parts]
-    return re, (im if any(im) else None), scale
+    scale = max((s for _, s in parts), default=0)
+    return [v << (scale - s) for v, s in parts], scale
 
 
-def to_complex(re: int, im: int, scale: int) -> complex:
-    """(re + i im) / 2**scale with each part correctly rounded to a double."""
+def to_complex(v, scale: int) -> complex:
+    """v / 2**scale with the real and imaginary parts each correctly rounded to a double."""
     den = 1 << scale
     try:
-        return complex(re / den, im / den)
+        return complex(v.real / den, v.imag / den)
     except OverflowError as exc:
         raise UnrepresentableValue(
-            f"exact value of magnitude ~2**{max(abs(re), abs(im)).bit_length() - scale} "
+            f"exact value of magnitude ~2**{max(abs(v.real), abs(v.imag)).bit_length() - scale} "
             "overflows a double") from exc
-
-
-def cdot(ar, ai, br, bi) -> tuple[int, int]:
-    """Exact sum of a_k b_k over Gaussian integers, up to the shorter length."""
-    re = sum(map(mul, ar, br))
-    im = 0
-    if ai is not None and bi is not None:
-        re -= sum(map(mul, ai, bi))
-    if bi is not None:
-        im += sum(map(mul, ar, bi))
-    if ai is not None:
-        im += sum(map(mul, ai, br))
-    return re, im

@@ -45,7 +45,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from operator import mul
 
 import mpmath
 import numpy as np
@@ -207,9 +207,11 @@ def build_Q(spec: FiniteSystemSpec) -> tuple[LaurentPoly, ...]:
     return (LaurentPoly.one(), *map(rounded, spec.exact_Q))
 
 
-def _round_div(a: int, b: int) -> int:
-    """a / b rounded to the nearest integer (halves up), for b > 0."""
-    return (2 * a + b) // (2 * b)
+def _round_div(a, b: int):
+    """a / b with each part rounded to the nearest integer (halves up), for an int b > 0."""
+    if isinstance(a, int):
+        return (2 * a + b) // (2 * b)
+    return exact.Gaussian(_round_div(a.real, b), _round_div(a.imag, b))
 
 
 def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
@@ -219,9 +221,11 @@ def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
     determines mu_m (pivot at exponent m).
 
     The Q_k are the exact ones of :func:`~olaurent.systems.two_step`,
-    integers over 2**scale.  The solve runs in fixed point over 2**P on
-    Python integers: every product and sum is exact, and each division
-    by a pivot rounds once to the nearest multiple of 2**-P.  A division
+    integer numerators (``int`` or :class:`~olaurent.exact.Gaussian`)
+    over 2**scale.  The solve runs in fixed point over 2**P on Python
+    integers: every product and sum is exact, and each division by a
+    pivot, as num * conj(pivot) over the integer |pivot|^2, rounds each
+    part once to the nearest multiple of 2**-P.  A division
     error spreads to later moments by the factor sum |c_e| / |pivot| of
     each row that uses it; P - SOLVE_GUARD_BITS is the log2 of the
     largest propagated factor, rounded up, so every solved moment lies
@@ -236,31 +240,25 @@ def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
     # of 2**-P (mu_0 = 1 carries none); the common scale of a row cancels
     bound = {0: -math.inf}
     rows = []
-    for k, (lo, re, im, _) in enumerate(spec.exact_Q[:2 * window], start=1):
+    for k, (lo, q, _) in enumerate(spec.exact_Q[:2 * window], start=1):
         # the new extreme exponent: the bottom one at odd k, the top one at even k
-        p, others = (0, slice(1, None)) if k % 2 == 1 else (len(re) - 1, slice(0, -1))
-        new, exps = lo + p, range(lo, lo + len(re))[others]
-        pr, cr = re[p], re[others]
-        pi, ci = (0, None) if im is None else (im[p], im[others])
-        lp = math.log2(pr * pr + pi * pi) / 2
+        p, others = (0, slice(1, None)) if k % 2 == 1 else (len(q) - 1, slice(0, -1))
+        new, exps, pivot, c = lo + p, range(lo, lo + len(q))[others], q[p], q[others]
+        norm = (pivot * pivot.conjugate()).real     # |pivot|^2, an int
+        lp = math.log2(norm) / 2
         # log2(1 + sum |c_e / pivot| 2**bound_e), summed without overflow
-        logs = [0.0] + [math.log2(a * a + b * b) / 2 - lp + bound[e]
-                        for e, a, b in zip(exps, cr, ci or repeat(0)) if a or b]
+        logs = [0.0] + [math.log2((a * a.conjugate()).real) / 2 - lp + bound[e]
+                        for e, a in zip(exps, c) if a]
         peak = max(logs)
         bound[new] = peak + math.log2(sum(2.0 ** (x - peak) for x in logs))
-        rows.append((new, exps, pr, pi, cr, ci))
+        rows.append((new, exps, pivot, norm, c))
     P = SOLVE_GUARD_BITS + math.ceil(max(0.0, *bound.values()))
-    mr, mi = {0: 1 << P}, {0: 0}
-    for new, exps, pr, pi, cr, ci in rows:
-        ar, ai = exact.cdot(cr, ci, [mr[e] for e in exps],
-                            None if ci is None else [mi[e] for e in exps])
-        den = pr * pr + pi * pi
-        mr[new] = _round_div(-(ar * pr + ai * pi), den)
-        mi[new] = _round_div(ar * pi - ai * pr, den)
-    span = range(-window, window + 1)
-    im = tuple(mi[m] for m in span)
-    return MomentTable(window=window, re=tuple(mr[m] for m in span),
-                       im=im if any(im) else None, scale=P)
+    mu = {0: 1 << P}
+    for new, exps, pivot, norm, c in rows:
+        # mu_new = -sum_e c_e mu_e / pivot, with 1/pivot = conj(pivot) / |pivot|^2
+        mu[new] = _round_div(-sum(map(mul, c, [mu[e] for e in exps])) * pivot.conjugate(), norm)
+    return MomentTable(window=window, values=tuple(mu[m] for m in range(-window, window + 1)),
+                       scale=P)
 
 
 def build_atomic_measure(s) -> AtomicMeasure:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -69,25 +70,24 @@ MAX_NODES = 2 ** 20
 class MomentTable:
     """Moments mu_m for |m| <= window.
 
-    ``re`` and ``im`` hold mu_{-window}..mu_{window} in ascending m as
-    integers over the common denominator 2**scale (``im`` is ``None``
-    when every imaginary part is zero).  :func:`exact_moments` fills them
-    with the exact moments of the double coefficients;
-    :func:`~olaurent.finite.solve_moments` with its fixed-point solution;
-    :func:`contour_moments` with the trapezoid rule's moments as doubles.
-    ``mu`` maps m to that value rounded once to a double.
+    ``values`` holds mu_{-window}..mu_{window} in ascending m as integer
+    numerators over the common denominator 2**scale: ``int``, or
+    :class:`~olaurent.exact.Gaussian` where complex inputs make them so.
+    :func:`exact_moments` fills them with the exact moments of the double
+    coefficients; :func:`~olaurent.finite.solve_moments` with its
+    fixed-point solution; :func:`contour_moments` with the trapezoid
+    rule's moments as doubles.  ``mu`` maps m to that value rounded once
+    to a double.
     """
 
     window: int
-    re: tuple[int, ...] = field(repr=False)
-    im: tuple[int, ...] | None = field(repr=False)
+    values: tuple = field(repr=False)
     scale: int
     mu: dict[int, complex] = field(init=False, repr=False)
 
     def __post_init__(self):
-        im = self.im or (0,) * len(self.re)
         object.__setattr__(self, "mu", {
-            m: exact.to_complex(self.re[m + self.window], im[m + self.window], self.scale)
+            m: exact.to_complex(self.values[m + self.window], self.scale)
             for m in range(-self.window, self.window + 1)})
 
     def __getitem__(self, m: int) -> complex:
@@ -124,29 +124,17 @@ def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
         raise InsufficientOrder(f"source order {source.order} < window {window}")
     if source.coeffs[0] != 1:
         raise InvalidParams("moments are normalized to d_0 = 1")
-    d = [exact.split(c) for c in source.coeffs[:window + 1]]
-    real = not any(di for _, di, _ in d)
-    er, ei, T = [1], [0], [0]
+    d, s = zip(*(exact.split(c) for c in source.coeffs[:window + 1]))
+    e, T = [1], [0]
     for m in range(1, window + 1):
-        tm = max(d[k][2] + T[m - k] for k in range(1, m + 1))
-        re = im = 0
-        for k in range(1, m + 1):
-            dr, di, sk = d[k]
-            shift = tm - sk - T[m - k]
-            re -= (dr * er[m - k]) << shift
-            if not real:
-                re += (di * ei[m - k]) << shift
-                im -= (dr * ei[m - k] + di * er[m - k]) << shift
-        er.append(re)
-        ei.append(im)
+        tm = max(s[k] + T[m - k] for k in range(1, m + 1))
+        e.append(-sum((d[k] * e[m - k]) << (tm - s[k] - T[m - k]) for k in range(1, m + 1)))
         T.append(tm)
     scale = T[window]
     # ascending m: mu_{-window}..mu_{-1} = e_window..e_1, mu_0 = 1, then
     # the structural zeros
-    re = tuple(er[k] << (scale - T[k]) for k in range(window, -1, -1)) + (0,) * window
-    im = None if real else (
-        tuple(ei[k] << (scale - T[k]) for k in range(window, -1, -1)) + (0,) * window)
-    return MomentTable(window=window, re=re, im=im, scale=scale)
+    values = tuple(e[k] << (scale - T[k]) for k in range(window, -1, -1)) + (0,) * window
+    return MomentTable(window=window, values=values, scale=scale)
 
 
 def apply_L(p: LaurentPoly, moments: MomentTable) -> complex:
@@ -157,11 +145,9 @@ def apply_L(p: LaurentPoly, moments: MomentTable) -> complex:
     if lo < -moments.window or hi > moments.window:
         raise WindowExceeded(
             f"support [{lo}, {hi}] exceeds moment window [-{moments.window}, {moments.window}]")
-    cr, ci, cs = exact.scaled(p.coeffs)
-    span = slice(lo + moments.window, hi + moments.window + 1)
-    re, im = exact.cdot(cr, ci, moments.re[span],
-                        None if moments.im is None else moments.im[span])
-    return exact.to_complex(re, im, cs + moments.scale)
+    c, cs = exact.scaled(p.coeffs)
+    mu = moments.values[lo + moments.window:hi + moments.window + 1]
+    return exact.to_complex(sum(map(mul, c, mu)), cs + moments.scale)
 
 
 def contour_moments(source: TruncatedPowerSeries, spec: ContourSpec,
@@ -194,8 +180,8 @@ def _quadrature_table(spectrum: np.ndarray, radius: float, window: int) -> Momen
         mu = kernels.circle_coefficients(spectrum, radius, range(2 * window, -2 * window - 1, -2))
     if not np.isfinite(mu).all():
         raise UnrepresentableValue(f"a quadrature moment on radius {radius} overflows a double")
-    re, im, scale = exact.scaled(mu)
-    return MomentTable(window=window, re=tuple(re), im=im and tuple(im), scale=scale)
+    values, scale = exact.scaled(mu)
+    return MomentTable(window=window, values=tuple(values), scale=scale)
 
 
 def contour_L(p: LaurentPoly, source: TruncatedPowerSeries,
@@ -213,38 +199,37 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
         L(R_n R_m) = sum_{i <= n} d_i P_m[t_n + t_m - i],
         P_m[u] = sum_{j <= m} d_j mu_{j-u},
 
-    and P_m follows from P_{m-1} by one term per u.  Both sums run
-    exactly over the double coefficients d_k and the table's integer
-    moments; each entry is rounded to a double once.
+    and P_m follows from P_{m-1} by one term per u.  An even n has
+    t_n = t_{n-1}, so R_n = R_{n-1} + d_n x^{n/2} adds one term to the
+    previous entry; only odd n start a new sum.  Both sums run exactly
+    over the double coefficients d_k and the table's integer moments;
+    each entry is rounded to a double once.
     """
     K = system.K
     need = 2 * math.ceil(K / 2)
     if moments.window < need:
         raise WindowExceeded(f"Gram for K = {K} needs moment window >= {need}, "
                              f"have {moments.window}")
-    dr, di, ds = exact.scaled(system.source.coeffs[:K + 1])
-    w, mr, mi = moments.window, moments.re, moments.im
-    real = di is None and mi is None
-    di, mi = di or [0] * (K + 1), mi or (0,) * len(mr)
+    d, ds = exact.scaled(system.source.coeffs[:K + 1])
+    w, mu = moments.window, moments.values
     scale = 2 * ds + moments.scale
     # P_m[u] for u = 0..need; n <= m keeps every read at u >= 0
-    pr, pi = [0] * (need + 1), [0] * (need + 1)
+    P = [0] * (need + 1)
     G = np.zeros((K + 1, K + 1), dtype=np.complex128)
     for m in range(K + 1):
+        dm = d[m]
         for u in range(need + 1):
-            a, b = dr[m], mr[m - u + w]
-            pr[u] += a * b
-            if not real:
-                c, e = di[m], mi[m - u + w]
-                pr[u] -= c * e
-                pi[u] += a * e + c * b
-        rev_r, rev_i = pr[::-1], pi[::-1]
+            P[u] += dm * mu[m - u + w]
+        rev = P[::-1]
         tm = (m + 1) // 2
+        g = 0   # L(R_{-1} R_m)
         for n in range(m + 1):
             lo = need - (n + 1) // 2 - tm   # reversed index of u = t_n + t_m
-            re, im = exact.cdot(dr, None if real else di, rev_r[lo:lo + n + 1],
-                                None if real else rev_i[lo:lo + n + 1])
-            G[n, m] = G[m, n] = exact.to_complex(re, im, scale)
+            if n % 2:
+                g = sum(map(mul, d, rev[lo:lo + n + 1]))
+            else:
+                g += d[n] * rev[lo + n]
+            G[n, m] = G[m, n] = exact.to_complex(g, scale)
     return G
 
 

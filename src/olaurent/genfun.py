@@ -157,13 +157,15 @@ def _lhs_spectrum(coeffs: bytes, x: complex, nodes: int) -> np.ndarray:
 
 def rn_all_by_contour(source: TruncatedPowerSeries, x: complex, n_max: int,
                       nodes: int = 512) -> np.ndarray:
-    """R_0(x)..R_n_max(x) for n_max < nodes, from one FFT of the identity's left side.
+    """R_0(x)..R_n_max(x) for n_max < nodes and n_max <= source order, from one FFT.
 
     That side does not depend on n: its spectrum on |z| = |sqrt x|/2 is memoized per
     (coefficients, x, nodes), and R_n(x) is half its Taylor coefficient n.
     """
     if not 0 <= n_max < nodes:
         raise InvalidParams(f"need 0 <= n < nodes, got n = {n_max}, nodes = {nodes}")
+    if n_max > source.order:
+        raise InsufficientOrder(f"source order {source.order} < n = {n_max}")
     if x == 0 or not abs(x) < source.radius:
         raise DomainViolation(f"need 0 < |x| < radius, got |x| = {abs(x)}")
     circle = ContourSpec(radius=abs(cmath.sqrt(x)) / 2, nodes=nodes)

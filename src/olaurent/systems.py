@@ -146,43 +146,33 @@ def recurrence_data(source: TruncatedPowerSeries, K: int) -> RecurrenceData:
 def two_step(g, f_rec):
     """Yield the exact Q_1, Q_2, ... of the recurrence; g[k-1], f_rec[k-1] hold g_k, f_k.
 
-    Q_k is (lo, re, im, scale), read-only: coefficient i is (re[i] + i im[i])
-    / 2**scale at exponent lo + i; im is None when every input is real.
+    Q_k is (lo, coeffs, scale), read-only: coefficient i is coeffs[i] /
+    2**scale at exponent lo + i, where coeffs[i] is an ``int`` or an
+    :class:`~olaurent.exact.Gaussian`, and always an ``int`` for real inputs.
     """
     steps = [(exact.split(a), exact.split(b)) for a, b in zip(g, f_rec)]
-    real = not any(gp[1] or fp[1] for gp, fp in steps)
-    lo0, r0, i0, s0 = 0, [], None if real else [], 0       # Q_{-1} = 0
-    lo1, r1, i1, s1 = 0, [1], None if real else [0], 0     # Q_0 = 1
-    for k, ((gr, gi, sg), (fr, fi, sf)) in enumerate(steps, start=1):
+    lo0, q0, s0 = 0, [], 0      # Q_{-1} = 0
+    lo1, q1, s1 = 0, [1], 0     # Q_0 = 1
+    for k, ((gk, sg), (fk, sf)) in enumerate(steps, start=1):
         scale = max(sg + s1, sf + s0)
         u, v, w = scale - s1, scale - sg - s1, scale - sf - s0
         # odd k: (x^{-1} + g) Q_{k-1}; even k: (1 + g x) Q_{k-1}; both
         # put the unit part one slot below the g part
         lo = lo1 - 1 if k % 2 == 1 else lo1
-        re = [a << u for a in r1] + [0]
-        for i, a in enumerate(r1, start=1):
-            re[i] += (gr * a) << v
-        for i, a in enumerate(r0, start=lo0 - lo):
-            re[i] += (fr * a) << w
-        im = None
-        if not real:
-            im = [b << u for b in i1] + [0]
-            for i, (a, b) in enumerate(zip(r1, i1), start=1):
-                re[i] -= (gi * b) << v
-                im[i] += (gr * b + gi * a) << v
-            for i, (a, b) in enumerate(zip(r0, i0), start=lo0 - lo):
-                re[i] -= (fi * b) << w
-                im[i] += (fr * b + fi * a) << w
-        yield lo, re, im, scale
-        lo0, r0, i0, s0 = lo1, r1, i1, s1
-        lo1, r1, i1, s1 = lo, re, im, scale
+        q = [a << u for a in q1] + [0]
+        for i, a in enumerate(q1, start=1):
+            q[i] += (gk * a) << v
+        for i, a in enumerate(q0, start=lo0 - lo):
+            q[i] += (fk * a) << w
+        yield lo, q, scale
+        lo0, q0, s0 = lo1, q1, s1
+        lo1, q1, s1 = lo, q, scale
 
 
 def rounded(q) -> LaurentPoly:
-    """One exact :func:`two_step` polynomial with each coefficient rounded once."""
-    lo, re, im, scale = q
-    return LaurentPoly.from_coeffs(lo, [exact.to_complex(a, 0 if im is None else im[i], scale)
-                                        for i, a in enumerate(re)])
+    """One exact :func:`two_step` polynomial (lo, coeffs, scale), each coefficient rounded once."""
+    lo, coeffs, scale = q
+    return LaurentPoly.from_coeffs(lo, [exact.to_complex(c, scale) for c in coeffs])
 
 
 def build_by_recurrence(rd: RecurrenceData, K: int) -> tuple[LaurentPoly, ...]:

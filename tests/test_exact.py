@@ -1,0 +1,67 @@
+"""Exact dyadic arithmetic: the Gaussian integer type and the int-only real path."""
+
+from fractions import Fraction
+
+import pytest
+
+from olaurent import FiniteSystemSpec, exact_moments, recurrence_data, solve_moments
+from olaurent.exact import Gaussian, scaled, split, to_complex
+from olaurent.systems import two_step
+
+
+def pair(v):
+    """(real, imag) of an int or a Gaussian as Fractions."""
+    return Fraction(v.real), Fraction(v.imag)
+
+
+def add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+@pytest.mark.parametrize("a, b", [
+    (3, Gaussian(2, -5)),
+    (Gaussian(2, -5), -3),
+    (Gaussian(-7, 4), Gaussian(6, 11)),
+    (Gaussian(1 << 80, -3), -(1 << 70)),
+    (Gaussian(0, 1), Gaussian(0, 1)),
+    (Gaussian(3, 4), Gaussian(-3, -4)),     # cancels to Gaussian(0, 0)
+])
+def test_gaussian_arithmetic_matches_fraction_pairs(a, b):
+    x, y = pair(a), pair(b)
+    total = a + b
+    assert type(total) is Gaussian and type(a * b) is Gaussian
+    assert pair(total) == add(x, y) and pair(b + a) == add(x, y)
+    assert pair(a * b) == mul(x, y) and pair(b * a) == mul(x, y)
+    assert pair(-a) == (-x[0], -x[1])
+    assert pair(a << 7) == (x[0] * 128, x[1] * 128)
+    assert pair(a.conjugate()) == (x[0], -x[1])
+    # solve_moments skips zero coefficients, so a zero sum must be falsy
+    assert bool(total) == any(add(x, y))
+    assert pair(sum([a, b, a])) == add(add(x, y), x)
+    for scale in (0, 3, 200):
+        re, im = mul(x, y)
+        assert to_complex(a * b, scale) == complex(float(re / 2 ** scale), float(im / 2 ** scale))
+
+
+@pytest.mark.parametrize("z", [0.1, -3.0, complex(0.1, -0.3), complex(2.5, -0.0), 1j, 0j])
+def test_split_is_exact_and_real_values_stay_int(z):
+    v, s = split(z)
+    assert (type(v) is int) == (complex(z).imag == 0)
+    assert pair(v) == (Fraction(complex(z).real) * 2 ** s, Fraction(complex(z).imag) * 2 ** s)
+    assert to_complex(v, s) == z
+    values, scale = scaled([z, 0.75, 1e-30])
+    assert [to_complex(w, scale) for w in values] == [z, 0.75, 1e-30]
+
+
+@pytest.mark.parametrize("family", ["geometric", "exponential", "exp_binomial"])
+def test_real_inputs_never_leave_int(family, request):
+    src = request.getfixturevalue(family)
+    assert all(type(v) is int for v in exact_moments(src, 24).values)
+    rd = recurrence_data(src, 24)
+    assert all(type(c) is int for _, q, _ in two_step(rd.g[1:], rd.f_rec[1:]) for c in q)
+    table = solve_moments(FiniteSystemSpec.from_partial_sums(src, 4), 8)
+    assert all(type(v) is int for v in table.values)

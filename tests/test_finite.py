@@ -303,8 +303,8 @@ def test_solve_is_within_guard_of_the_exact_rational_solution(seed):
     tol = Fraction(1, 2 ** SOLVE_GUARD_BITS)
     for m in range(-6, 7):
         re, im = exact[m]
-        assert abs(Fraction(table.re[m + 6], 2 ** table.scale) - re) <= tol
-        assert abs(Fraction(table.im[m + 6], 2 ** table.scale) - im) <= tol
+        assert abs(Fraction(table.values[m + 6].real, 2 ** table.scale) - re) <= tol
+        assert abs(Fraction(table.values[m + 6].imag, 2 ** table.scale) - im) <= tol
 
 
 def test_build_q_rounds_the_exact_recurrence_once():

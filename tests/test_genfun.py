@@ -190,6 +190,15 @@ def test_extraction_guards(geo_sys):
     with pytest.raises(InvalidParams):
         rn_all_by_contour(geo_sys.source, 0.3, 64, nodes=64)
     assert rn_all_by_contour(geo_sys.source, 0.3, 63, nodes=64).shape == (64,)
+    # past the truncation order the left side is that of the truncated
+    # polynomial: R_15 at order 10 would be -1359.858+4613.054i, not the
+    # true -1359.887+4613.112i
+    short = realize(FamilySpec.geometric(), 10)
+    with pytest.raises(InsufficientOrder, match="order 10 < n = 15"):
+        rn_by_contour(short, 15, 0.3 + 0.2j)
+    with pytest.raises(InsufficientOrder):
+        rn_all_by_contour(short, 0.3 + 0.2j, 11)
+    assert rn_all_by_contour(short, 0.3 + 0.2j, 10).shape == (11,)
 
 
 def per_n_rn(source, n, x, nodes=512):
