@@ -7,14 +7,20 @@ route agreement), ``moments`` (exact moment table), ``genfun-check``
 ``finite`` (finite-system solve, atomic measure, representation
 residuals).
 
+Each setting is named once, in :data:`SETTINGS`: its flag, its
+``--config`` path, its type and its default.  A flag wins over the
+config entry, which wins over the default.  Every config entry is
+checked against its type; an integer setting takes an int or an
+integral float, never a fraction, a bool or a string.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric-validation
 failure, 4 representation-condition failure.
 
 Reports are deterministic for a fixed configuration and seed: JSON uses
 sorted keys, complex values serialize as [re, im] pairs, Gram matrices
 as row-major nested arrays, and CSV cells use the textual "re+imi"
-form.  Every report embeds the resolved configuration and the package
-version.
+form.  Every report embeds the command, the package version and the
+resolved configuration.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidParams, OLaurentError, UnrepresentableValue
+from .exact import as_int
 from .families import MAX_ORDER, FamilySpec, realize
 from .finite import (
     SOLVE_GUARD_BITS,
@@ -40,14 +47,37 @@ from .finite import (
 )
 from .functional import ContourSpec, apply_L, contour_moments, exact_moments, gram_matrix
 from .genfun import GenfunSample, check_laurent_genfun, check_partial_sum_genfun
-from .series import LaurentPoly
 from .systems import build_system, check_normalization, recurrence_data
 
 __all__ = ["main"]
 
 EVAL_ORDER = 64
 GENFUN_FLOOR = 1e-13
-CONFIG_NUMBERS = ("K", "window", "samples", "terms", "seed", "n_cap", "level")
+FORMATS = ("json", "csv")
+EVERY = "*"
+
+# Each setting once: its flag dest (the flag is --dest), its --config path
+# (None: flag only), its type, its default, the subcommands that take the
+# flag and its help.  The family flag also takes a stock name or a file.
+SETTINGS = (
+    ("family", "family", FamilySpec, FamilySpec.geometric(), EVERY,
+     "geometric | exponential | inline JSON | JSON file"),
+    ("config", None, str, None, EVERY, "JSON file with run options; flags override"),
+    ("out", "output.path", str, None, EVERY, "report path (stdout when omitted)"),
+    ("format", "output.format", FORMATS, "json", EVERY, None),
+    ("order", "K", int, 8, "build ortho", "max index K"),
+    ("radius", "contour.radius", float, None, "ortho", "contour radius c"),
+    ("nodes", "contour.nodes", int, 512, "ortho", "quadrature nodes"),
+    ("window", "window", int, 6, "moments", None),
+    ("seed", "seed", int, 0, "genfun-check", None),
+    ("samples", "samples", int, 20, "genfun-check", None),
+    ("terms", "terms", int, 80, "genfun-check", None),
+    ("spec", None, str, None, "finite", "FiniteSystemSpec as inline JSON or a file"),
+    ("ncap", "n_cap", int, 2, "finite", "system size n"),
+    ("level", "level", int, None, "finite", "representation level (default: n)"),
+)
+KIND_NAMES = {float: "a finite number", str: "a string", FORMATS: "'json' or 'csv'",
+              FamilySpec: "a family JSON object"}
 
 
 def _c2j(z) -> list[float]:
@@ -55,7 +85,8 @@ def _c2j(z) -> list[float]:
     return [z.real, z.imag]
 
 
-def _fmt_complex_csv(z: complex) -> str:
+def _csv_complex(z) -> str:
+    z = complex(z)
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
@@ -71,62 +102,66 @@ def _load_json_arg(value: str, what: str) -> dict:
         raise InvalidParams(f"cannot read {what}: {exc}") from exc
 
 
-def _load_family(value: str | None, config: dict) -> FamilySpec:
-    if value is not None:
-        text = value.strip()
-        if text == "geometric":
-            return FamilySpec.geometric()
-        if text == "exponential":
-            return FamilySpec.exponential()
-        return FamilySpec.from_json(_load_json_arg(value, "family"))
-    if config.get("family") is not None:
-        return FamilySpec.from_json(config["family"])
-    return FamilySpec.geometric()
+def _family_flag(value: str) -> FamilySpec:
+    stock = {"geometric": FamilySpec.geometric, "exponential": FamilySpec.exponential}
+    if value.strip() in stock:
+        return stock[value.strip()]()
+    return FamilySpec.from_json(_load_json_arg(value, "family"))
 
 
-def _pick(flag, config: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if config.get(key) is not None:
-        return config[key]
-    return default
+def _config_entry(config: dict, path: str, kind):
+    """The ``--config`` entry at `path` ("K", "contour.radius", ...), checked against `kind`."""
+    section, _, key = path.rpartition(".")
+    if section and not isinstance(config.get(section), dict | None):
+        raise InvalidParams(f"config {section!r} must be a JSON object or null")
+    value = (config.get(section) or {} if section else config).get(key)
+    if value is None:
+        return None
+    if kind is int:
+        return as_int(value, f"config {path!r}")
+    if (kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max
+            or kind is str and isinstance(value, str)
+            or isinstance(kind, tuple) and value in kind):
+        return value
+    if kind is FamilySpec and isinstance(value, dict):
+        return FamilySpec.from_json(value)
+    raise InvalidParams(f"config {path!r} must be {KIND_NAMES[kind]}, got {value!r}")
 
 
-def _load_config(value: str) -> dict:
-    """The ``--config`` object, with its nested objects and numbers checked."""
-    config = _load_json_arg(value, "config")
-    if not isinstance(config, dict) or not all(
-            isinstance(config.get(key) or {}, dict) for key in ("contour", "output")):
-        raise InvalidParams("config, its 'contour' and its 'output' must be JSON objects")
-    contour, output = config.get("contour") or {}, config.get("output") or {}
-    if not isinstance(output.get("path") or "", str):
-        raise InvalidParams("config output 'path' must be a string")
-    numbers = {key: config.get(key) for key in CONFIG_NUMBERS}
-    numbers.update(radius=contour.get("radius"), nodes=contour.get("nodes"))
-    for key, value in numbers.items():
-        if value is not None and (type(value) not in (int, float) or not abs(value) < math.inf):
-            raise InvalidParams(f"config {key!r} must be a finite number, got {value!r}")
-    return config
+def _resolve(args) -> None:
+    """Set each setting on `args`: its flag, else its ``--config`` entry, else its default.
+
+    ``args.origin`` maps each setting to "flag", "config" or "default".
+    """
+    config = _load_json_arg(args.config, "config") if args.config else {}
+    if not isinstance(config, dict):
+        raise InvalidParams("config must be a JSON object")
+    args.origin = {}
+    for dest, path, kind, default, _, _ in SETTINGS:
+        entry = _config_entry(config, path, kind) if path else None
+        value, origin = getattr(args, dest, None), "flag"
+        if value is None:
+            value, origin = (entry, "config") if entry is not None else (default, "default")
+        elif kind is FamilySpec:
+            value = _family_flag(value)
+        setattr(args, dest, value)
+        args.origin[dest] = origin
 
 
-def _options(args) -> tuple[dict, str, str | None]:
-    """The run configuration, the report format and the report path."""
-    config = _load_config(args.config) if args.config else {}
-    output = config.get("output") or {}
-    fmt = _pick(args.format, output, "format", "json")
-    return config, fmt, _pick(args.out, output, "path", None)
+def _emit(args, report: dict, header: str, rows) -> None:
+    """Write `report` in the envelope every report shares, or as CSV.
 
-
-def _emit(report: dict, command: str, out: str | None, fmt: str) -> None:
-    if fmt == "json":
+    `rows` lazily yields the CSV lines under `header`; only CSV reads it.
+    """
+    report.update(command=args.command, version=__version__)
+    report["config"]["format"] = args.format
+    if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        text = _to_csv(command, report)
     else:
-        raise InvalidParams(f"unknown format {fmt!r}")
-    if out:
+        text = "\n".join([header, *rows]) + "\n"
+    if args.out:
         try:
-            with open(out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             raise InvalidParams(f"cannot write report: {exc}") from exc
@@ -134,55 +169,16 @@ def _emit(report: dict, command: str, out: str | None, fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def _to_csv(command: str, report: dict) -> str:
-    lines: list[str] = []
-    if command == "build":
-        lines.append("n,exponent,coeff")
-        for entry in report["R"]:
-            for e, re_, im in entry["coeffs"]:
-                lines.append(f"{entry['n']},{e},{_fmt_complex_csv(complex(re_, im))}")
-    elif command == "ortho":
-        lines.append("row,col,value")
-        for i, row in enumerate(report["gram"]):
-            for j, (re_, im) in enumerate(row):
-                lines.append(f"{i},{j},{_fmt_complex_csv(complex(re_, im))}")
-    elif command == "moments":
-        lines.append("m,value")
-        for m, re_, im in report["moments"]:
-            lines.append(f"{m},{_fmt_complex_csv(complex(re_, im))}")
-    elif command == "genfun-check":
-        lines.append("index,kind,residual,bound,passed")
-        for s in report["samples"]:
-            lines.append(f"{s['index']},{s['kind']},{s['residual']:.17g},"
-                         f"{s['bound']:.17g},{s['passed']}")
-    elif command == "finite":
-        lines.append("location,weight")
-        for re_, im, w in report["atoms"]:
-            lines.append(f"{_fmt_complex_csv(complex(re_, im))},{w:.17g}")
-    else:
-        raise InvalidParams(f"no CSV projection for {command}")
-    return "\n".join(lines) + "\n"
-
-
-def _poly_coeffs_json(p: LaurentPoly) -> list[list]:
-    return [[e, c.real, c.imag] for e, c in p.items()]
-
-
 def cmd_build(args) -> int:
-    config, fmt, out = _options(args)
-    family = _load_family(args.family, config)
-    order = int(_pick(args.order, config, "K", 8))
-
-    source = realize(family, max(order, 1))
+    order = args.order
+    source = realize(args.family, max(order, 1))
     system = build_system(source, order)
     rd = recurrence_data(source, order)
     norm = check_normalization(system, rd)
 
     report = {
-        "command": "build",
-        "version": __version__,
-        "config": {"family": family.to_json(), "order": order, "format": fmt},
-        "R": [{"n": n, "coeffs": _poly_coeffs_json(system.R[n])}
+        "config": {"family": args.family.to_json(), "order": order},
+        "R": [{"n": n, "coeffs": [[e, c.real, c.imag] for e, c in system.R[n].items()]}
               for n in range(order + 1)],
         "recurrence": {
             "c": [_c2j(v) for v in rd.c],
@@ -197,31 +193,24 @@ def cmd_build(args) -> int:
             "max_rel_deviation": norm.max_rel_deviation,
         },
     }
-    _emit(report, "build", out, fmt)
+    _emit(args, report, "n,exponent,coeff",
+          (f"{n},{e},{_csv_complex(c)}" for n in range(order + 1) for e, c in system.R[n].items()))
     return 0
 
 
 def cmd_ortho(args) -> int:
-    config, fmt, out = _options(args)
-    family = _load_family(args.family, config)
-    order = int(_pick(args.order, config, "K", 8))
-    contour_cfg = config.get("contour") or {}
-    radius = _pick(args.radius, contour_cfg, "radius", None)
-    nodes = int(_pick(args.nodes, contour_cfg, "nodes", 512))
-
+    order, radius, nodes = args.order, args.radius, args.nodes
     spec = ContourSpec(radius=float(radius), nodes=nodes) if radius is not None else None
     # the Gram matrix reads d_0..d_window; only the contour needs a long tail
     window = 2 * math.ceil(order / 2)
-    source = realize(family, window if spec is None else max(window, EVAL_ORDER))
+    source = realize(args.family, window if spec is None else max(window, EVAL_ORDER))
     system = build_system(source, order)
     moments = exact_moments(source, window)
     gram = gram_matrix(system, moments)
 
     offdiag = abs(gram - np.diag(np.diag(gram)))
     report = {
-        "command": "ortho",
-        "version": __version__,
-        "config": {"family": family.to_json(), "order": order, "format": fmt,
+        "config": {"family": args.family.to_json(), "order": order,
                    "contour": ({"radius": radius, "nodes": nodes}
                                if radius is not None else None)},
         "gram": [[_c2j(v) for v in row] for row in gram],
@@ -236,26 +225,23 @@ def cmd_ortho(args) -> int:
             raise UnrepresentableValue("route disagreement overflows a double")
         report["contour"] = {"radius": float(radius), "nodes": nodes,
                              "max_route_disagreement": worst}
-    _emit(report, "ortho", out, fmt)
+    _emit(args, report, "row,col,value",
+          (f"{i},{j},{_csv_complex(v)}" for i, row in enumerate(gram) for j, v in enumerate(row)))
     return 0
 
 
 def cmd_moments(args) -> int:
-    config, fmt, out = _options(args)
-    family = _load_family(args.family, config)
-    window = int(_pick(args.window, config, "window", 6))
-
-    source = realize(family, max(window, 1))
+    window = args.window
+    source = realize(args.family, max(window, 1))
     table = exact_moments(source, window)
     report = {
-        "command": "moments",
-        "version": __version__,
-        "config": {"family": family.to_json(), "window": window, "format": fmt},
+        "config": {"family": args.family.to_json(), "window": window},
         "ordering": "ascending m from -window to window",
         "moments": [[m, table[m].real, table[m].imag]
                     for m in range(-window, window + 1)],
     }
-    _emit(report, "moments", out, fmt)
+    _emit(args, report, "m,value",
+          (f"{m},{_csv_complex(table[m])}" for m in range(-window, window + 1)))
     return 0
 
 
@@ -267,11 +253,7 @@ def _sample_x(rng: np.random.Generator, radius: float) -> complex:
 
 
 def cmd_genfun(args) -> int:
-    config, fmt, out = _options(args)
-    family = _load_family(args.family, config)
-    samples = int(_pick(args.samples, config, "samples", 20))
-    terms = int(_pick(args.terms, config, "terms", 80))
-    seed = int(_pick(args.seed, config, "seed", 0))
+    family, samples, terms, seed = args.family, args.samples, args.terms, args.seed
     if not 1 <= samples <= MAX_ORDER:
         raise InvalidParams(f"samples must be in [1, MAX_ORDER = {MAX_ORDER}], got {samples}")
 
@@ -310,32 +292,30 @@ def cmd_genfun(args) -> int:
             rows.append(row)
 
     report = {
-        "command": "genfun-check",
-        "version": __version__,
         "config": {"family": family.to_json(), "samples": samples,
-                   "terms": terms, "seed": seed, "format": fmt},
+                   "terms": terms, "seed": seed},
         "samples": rows,
         "max_residual": max_residual,
         "all_passed": all_passed,
     }
-    _emit(report, "genfun-check", out, fmt)
+    _emit(args, report, "index,kind,residual,bound,passed",
+          (f"{r['index']},{r['kind']},{r['residual']:.17g},{r['bound']:.17g},{r['passed']}"
+           for r in rows))
     return 0 if all_passed else 3
 
 
 def cmd_finite(args) -> int:
-    config, fmt, out = _options(args)
-    ncap = int(_pick(args.ncap, config, "n_cap", 2))
-
     source = None
     if args.spec is not None:
+        if "flag" in (args.origin["ncap"], args.origin["family"]):
+            raise InvalidParams("--spec sets n_cap and the coefficients; drop --ncap and --family")
         fspec = FiniteSystemSpec.from_json(_load_json_arg(args.spec, "finite spec"))
-    elif args.family is not None or config.get("family") is not None:
-        family = _load_family(args.family, config)
-        source = realize(family, 4 * ncap)
-        fspec = FiniteSystemSpec.from_partial_sums(source, ncap)
+    elif args.origin["family"] != "default":
+        source = realize(args.family, 4 * args.ncap)
+        fspec = FiniteSystemSpec.from_partial_sums(source, args.ncap)
     else:
-        fspec = FiniteSystemSpec(n_cap=ncap)
-    level = int(_pick(args.level, config, "level", fspec.n_cap))
+        fspec = FiniteSystemSpec(n_cap=args.ncap)
+    level = fspec.n_cap if args.level is None else args.level
 
     Q = build_Q(fspec)
     table = solve_moments(fspec, 2 * fspec.n_cap)
@@ -353,9 +333,7 @@ def cmd_finite(args) -> int:
                   for k in range(min(2 * level, len(Q) - 1) + 1))
 
     report = {
-        "command": "finite",
-        "version": __version__,
-        "config": {"finite_spec": fspec.to_json(), "level": level, "format": fmt},
+        "config": {"finite_spec": fspec.to_json(), "level": level},
         "a": _c2j(solve.a),
         "s": [_c2j(v) for v in solve.s],
         "radius": measure.radius,
@@ -369,8 +347,18 @@ def cmd_finite(args) -> int:
         "moments": [[m, table[m].real, table[m].imag]
                     for m in range(-table.window, table.window + 1)],
     }
-    _emit(report, "finite", out, fmt)
+    _emit(args, report, "location,weight",
+          (f"{_csv_complex(z)},{w:.17g}" for z, w in measure.atoms))
     return 0
+
+
+COMMANDS = (
+    ("build", cmd_build, "construct R_0..R_K and recurrence data"),
+    ("ortho", cmd_ortho, "Gram matrix, optional contour cross-check"),
+    ("moments", cmd_moments, "exact moment table over [-window, window]"),
+    ("genfun-check", cmd_genfun, "residual checks of both identities"),
+    ("finite", cmd_finite, "finite-system moments and atomic measure"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -379,54 +367,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Orthogonal Laurent polynomials from power-series partial sums")
     p.add_argument("--version", action="version", version=f"olaurent {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--family", help="geometric | exponential | inline JSON | JSON file")
-        sp.add_argument("--config", help="JSON file with run options; flags override")
-        sp.add_argument("--out", help="report path (stdout when omitted)")
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
-
-    b = sub.add_parser("build", help="construct R_0..R_K and recurrence data")
-    common(b)
-    b.add_argument("--order", type=int, default=None, help="max index K")
-    b.set_defaults(func=cmd_build)
-
-    o = sub.add_parser("ortho", help="Gram matrix, optional contour cross-check")
-    common(o)
-    o.add_argument("--order", type=int, default=None, help="max index K")
-    o.add_argument("--radius", type=float, default=None, help="contour radius c")
-    o.add_argument("--nodes", type=int, default=None, help="quadrature nodes")
-    o.set_defaults(func=cmd_ortho)
-
-    m = sub.add_parser("moments", help="exact moment table over [-window, window]")
-    common(m)
-    m.add_argument("--window", type=int, default=None)
-    m.set_defaults(func=cmd_moments)
-
-    g = sub.add_parser("genfun-check", help="residual checks of both identities")
-    common(g)
-    g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--samples", type=int, default=None)
-    g.add_argument("--terms", type=int, default=None)
-    g.set_defaults(func=cmd_genfun)
-
-    f = sub.add_parser("finite", help="finite-system moments and atomic measure")
-    common(f)
-    f.add_argument("--spec", help="FiniteSystemSpec as inline JSON or a file")
-    f.add_argument("--ncap", type=int, default=None, help="system size n")
-    f.add_argument("--level", type=int, default=None,
-                   help="representation level (default: n)")
-    f.set_defaults(func=cmd_finite)
+    for name, func, command_help in COMMANDS:
+        sp = sub.add_parser(name, help=command_help)
+        sp.set_defaults(func=func)
+        for dest, _, kind, _, commands, flag_help in SETTINGS:
+            if commands == EVERY or name in commands.split():
+                sp.add_argument(f"--{dest}", help=flag_help, **(
+                    {"choices": kind} if isinstance(kind, tuple)
+                    else {"type": str if kind is FamilySpec else kind}))
     return p
 
 
+PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _resolve(args)
         return args.func(args)
     except OLaurentError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

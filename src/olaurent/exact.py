@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import InvalidParams, UnrepresentableValue
 
-__all__ = ["Gaussian", "split", "scaled", "to_complex"]
+__all__ = ["Gaussian", "split", "scaled", "to_complex", "as_int"]
 
 
 class Gaussian:
@@ -85,3 +85,14 @@ def to_complex(v, scale: int) -> complex:
         raise UnrepresentableValue(
             f"exact value of magnitude ~2**{max(abs(v.real), abs(v.imag)).bit_length() - scale} "
             "overflows a double") from exc
+
+
+def as_int(value, what: str) -> int:
+    """The int that the JSON number `value` is exactly: an int or an integral float.
+
+    A bool, a fraction, a non-finite float or any other type raises
+    InvalidParams naming `what`, rather than being cut down by ``int()``.
+    """
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise InvalidParams(f"{what} must be an integer, got {value!r}")

@@ -125,7 +125,8 @@ class FiniteSystemSpec:
                          for v in values)
 
         try:
-            return cls(n_cap=int(obj["n_cap"]), g=parse(obj.get("g", ())),
+            return cls(n_cap=exact.as_int(obj["n_cap"], "finite spec 'n_cap'"),
+                       g=parse(obj.get("g", ())),
                        f_rec=parse(obj.get("f_rec", ())))
         except (TypeError, ValueError, IndexError) as exc:
             raise InvalidParams(f"finite spec JSON: {exc}") from exc

@@ -216,6 +216,83 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     assert rep["config"]["order"] == 1
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("ortho", {"K": 2.5}),
+    ("ortho", {"contour": {"radius": 0.5, "nodes": 100.9}}),
+    ("genfun-check", {"samples": 1.9, "seed": 1.5}),
+    ("ortho", {"contour": {"radius": 10 ** 400}}),
+    ("build", {"output": {"path": 0}}),
+    *[(command, {section: bad}) for command, section in (("ortho", "contour"), ("build", "output"))
+      for bad in ([], 0, False, "")],
+], ids=["fractional-K", "fractional-nodes", "fractional-samples-seed",
+        "radius-beyond-double", "path-0",
+        "contour-list", "contour-0", "contour-false", "contour-empty",
+        "output-list", "output-0", "output-false", "output-empty"])
+def test_config_refuses_fractions_and_falsy_sections(tmp_path, capsys, command, doc):
+    # int() used to cut 2.5 to 2 and run, float() to raise OverflowError on
+    # 10**400; a falsy section or path passed as absent
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main([command, "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "InvalidParams" in err
+
+
+def test_config_takes_an_integral_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 4.0, "contour": {"radius": 0.8, "nodes": 64.0}}))
+    code, rep = run(tmp_path, "ortho", "--family", "exponential", "--config", str(cfg))
+    assert code == 0
+    assert rep["config"]["order"] == 4 and len(rep["gram"]) == 5
+    assert rep["contour"]["nodes"] == 64
+
+
+@pytest.mark.parametrize("n_cap", ["2.7", "true", '"3"'], ids=["fraction", "bool", "string"])
+def test_finite_spec_refuses_a_non_integer_n_cap(capsys, n_cap):
+    # int() used to run 2.7 as 2 and true as 1, and took the string "3"
+    code = main(["finite", "--spec", f'{{"n_cap": {n_cap}}}', "--level", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "'n_cap' must be an integer" in err
+
+
+@pytest.mark.parametrize("flags", [["--ncap", "5"], ["--family", "exponential"]],
+                         ids=["ncap", "family"])
+def test_finite_spec_refuses_ncap_and_family_flags(capsys, flags):
+    # both used to be ignored next to --spec, which sets n_cap and the coefficients
+    code = main(["finite", "--spec", '{"n_cap": 2}', "--level", "1", *flags])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "--spec" in err
+
+
+def test_finite_spec_overrides_config_ncap_and_family(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_cap": 3, "family": {"kind": "exponential"}}))
+    code, rep = run(tmp_path, "finite", "--config", str(cfg), "--spec", '{"n_cap": 2}',
+                    "--level", "1")
+    assert code == 0
+    assert rep["config"]["finite_spec"]["n_cap"] == 2
+    assert rep["exact_moment_deviation"] is None
+
+
+def test_repeated_calls_share_no_options(tmp_path, capsys):
+    # the parser is built once; no option of one call may leak into the next
+    assert main(["ortho", "--radius", "0.5", "--nodes", "64", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("row,col,value\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 3, "contour": {"radius": 0.8, "nodes": 32},
+                               "output": {"format": "csv"}}))
+    assert main(["ortho", "--family", "exponential", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("row,col,value\n")
+    assert main(["ortho"]) == 0
+    rep = strict_loads(capsys.readouterr().out)
+    assert rep["config"]["contour"] is None and "contour" not in rep
+    assert rep["config"]["order"] == 8 and rep["config"]["format"] == "json"
+    assert rep["config"]["family"] == {"kind": "geometric"}
+
+
 def test_csv_projections(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["build", "--family", "geometric", "--order", "1",
