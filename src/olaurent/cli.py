@@ -11,16 +11,21 @@ Each setting is named once, in :data:`SETTINGS`: its flag, its
 ``--config`` path, its type and its default.  A flag wins over the
 config entry, which wins over the default.  Every config entry is
 checked against its type; an integer setting takes an int or an
-integral float, never a fraction, a bool or a string.
+integral float, never a fraction, a bool or a string, and a float
+setting a finite int or float.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric-validation
 failure, 4 representation-condition failure.
 
-Reports are deterministic for a fixed configuration and seed: JSON uses
-sorted keys, complex values serialize as [re, im] pairs, Gram matrices
-as row-major nested arrays, and CSV cells use the textual "re+imi"
-form.  Every report embeds the command, the package version and the
-resolved configuration.
+Reports are deterministic for a fixed configuration and seed.  A JSON
+report is one compact line written by the C encoder: sorted keys, no
+whitespace, complex values as [re, im] pairs, Gram matrices as
+row-major nested arrays, and Laurent polynomials as [exponent, re, im]
+rows over their nonzero terms; ``python -m json.tool report.json``
+pretty-prints it.  It is strict JSON: a report holding a NaN or an
+infinity is not written, and the run exits 3 with UnrepresentableValue.
+CSV cells use the textual "re+imi" form.  Every report embeds the
+command, the package version and the resolved configuration.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidParams, OLaurentError, UnrepresentableValue
-from .exact import as_int
+from .exact import as_int, as_number
 from .families import MAX_ORDER, FamilySpec, realize
 from .finite import (
     SOLVE_GUARD_BITS,
@@ -76,13 +81,25 @@ SETTINGS = (
     ("ncap", "n_cap", int, 2, "finite", "system size n"),
     ("level", "level", int, None, "finite", "representation level (default: n)"),
 )
-KIND_NAMES = {float: "a finite number", str: "a string", FORMATS: "'json' or 'csv'",
+KIND_NAMES = {str: "a string", FORMATS: "'json' or 'csv'",
               FamilySpec: "a family JSON object"}
 
 
 def _c2j(z) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
+
+
+def _pairs(values) -> list:
+    """[re, im] pairs of the complex `values`, nested as they are, by one ``tolist()``."""
+    a = np.asarray(values, dtype=np.complex128)
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def _terms(p) -> list:
+    """[exponent, re, im] rows of the nonzero terms of the LaurentPoly `p`."""
+    nz = np.flatnonzero(p.coeffs)
+    return [[e, re, im] for e, (re, im) in zip((nz + p.lo).tolist(), _pairs(p.coeffs[nz]))]
 
 
 def _csv_complex(z) -> str:
@@ -119,8 +136,9 @@ def _config_entry(config: dict, path: str, kind):
         return None
     if kind is int:
         return as_int(value, f"config {path!r}")
-    if (kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max
-            or kind is str and isinstance(value, str)
+    if kind is float:
+        return as_number(value, f"config {path!r}")
+    if (kind is str and isinstance(value, str)
             or isinstance(kind, tuple) and value in kind):
         return value
     if kind is FamilySpec and isinstance(value, dict):
@@ -156,7 +174,12 @@ def _emit(args, report: dict, header: str, rows) -> None:
     report.update(command=args.command, version=__version__)
     report["config"]["format"] = args.format
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(report, sort_keys=True, separators=(",", ":"),
+                              allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise UnrepresentableValue(
+                "the report holds a NaN or an infinity, which strict JSON cannot write") from exc
     else:
         text = "\n".join([header, *rows]) + "\n"
     if args.out:
@@ -178,14 +201,13 @@ def cmd_build(args) -> int:
 
     report = {
         "config": {"family": args.family.to_json(), "order": order},
-        "R": [{"n": n, "coeffs": [[e, c.real, c.imag] for e, c in system.R[n].items()]}
-              for n in range(order + 1)],
+        "R": [{"n": n, "coeffs": _terms(system.R[n])} for n in range(order + 1)],
         "recurrence": {
-            "c": [_c2j(v) for v in rd.c],
-            "recur_lambda": [_c2j(v) for v in rd.recur_lambda],
-            "xi": [_c2j(v) for v in rd.xi],
-            "g": [_c2j(v) for v in rd.g],
-            "f_rec": [_c2j(v) for v in rd.f_rec],
+            "c": _pairs(rd.c),
+            "recur_lambda": _pairs(rd.recur_lambda),
+            "xi": _pairs(rd.xi),
+            "g": _pairs(rd.g),
+            "f_rec": _pairs(rd.f_rec),
             "index_note": "entry k holds the index-k coefficient; index 0 is unused",
         },
         "normalization": {
@@ -200,7 +222,7 @@ def cmd_build(args) -> int:
 
 def cmd_ortho(args) -> int:
     order, radius, nodes = args.order, args.radius, args.nodes
-    spec = ContourSpec(radius=float(radius), nodes=nodes) if radius is not None else None
+    spec = ContourSpec(radius=radius, nodes=nodes) if radius is not None else None
     # the Gram matrix reads d_0..d_window; only the contour needs a long tail
     window = 2 * math.ceil(order / 2)
     source = realize(args.family, window if spec is None else max(window, EVAL_ORDER))
@@ -213,8 +235,8 @@ def cmd_ortho(args) -> int:
         "config": {"family": args.family.to_json(), "order": order,
                    "contour": ({"radius": radius, "nodes": nodes}
                                if radius is not None else None)},
-        "gram": [[_c2j(v) for v in row] for row in gram],
-        "diag": [_c2j(v) for v in np.diag(gram)],
+        "gram": _pairs(gram),
+        "diag": _pairs(np.diag(gram)),
         "max_offdiag": float(offdiag.max()) if order > 0 else 0.0,
         "min_abs_diag": float(np.min(np.abs(np.diag(gram)))),
     }
@@ -223,7 +245,7 @@ def cmd_ortho(args) -> int:
         worst = float(np.max(np.abs(contour - gram) / (1 + np.abs(gram))))
         if not math.isfinite(worst):
             raise UnrepresentableValue("route disagreement overflows a double")
-        report["contour"] = {"radius": float(radius), "nodes": nodes,
+        report["contour"] = {"radius": radius, "nodes": nodes,
                              "max_route_disagreement": worst}
     _emit(args, report, "row,col,value",
           (f"{i},{j},{_csv_complex(v)}" for i, row in enumerate(gram) for j, v in enumerate(row)))
@@ -335,7 +357,7 @@ def cmd_finite(args) -> int:
     report = {
         "config": {"finite_spec": fspec.to_json(), "level": level},
         "a": _c2j(solve.a),
-        "s": [_c2j(v) for v in solve.s],
+        "s": _pairs(solve.s),
         "radius": measure.radius,
         "atoms": [[z.real, z.imag, w] for z, w in measure.atoms],
         "min_weight": min(w for _, w in measure.atoms),

@@ -12,9 +12,11 @@ and real inputs never leave ``int``.
 
 from __future__ import annotations
 
+import math
+
 from .errors import InvalidParams, UnrepresentableValue
 
-__all__ = ["Gaussian", "split", "scaled", "to_complex", "as_int"]
+__all__ = ["Gaussian", "split", "scaled", "to_complex", "as_int", "as_number"]
 
 
 class Gaussian:
@@ -96,3 +98,21 @@ def as_int(value, what: str) -> int:
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
     raise InvalidParams(f"{what} must be an integer, got {value!r}")
+
+
+def as_number(value, what: str, pair: bool = False) -> float | complex:
+    """The finite float that the JSON number `value` is: an int or a float.
+
+    With `pair`, a complex value: a number or an ``[re, im]`` pair of
+    numbers.  A bool, a string, a non-finite float, an int beyond the
+    double range or any other type raises InvalidParams naming `what`,
+    rather than being converted by ``float()`` or ``complex()``.
+    """
+    parts = value if pair and type(value) is list and len(value) == 2 else [value]
+    try:
+        if all(type(v) in (int, float) and math.isfinite(v) for v in parts):
+            return complex(*parts) if pair else float(value)
+    except OverflowError:  # an int beyond the double range
+        pass
+    raise InvalidParams(f"{what}: {value!r} is not a finite JSON number"
+                        + (" or an [re, im] pair of them" if pair else ""))

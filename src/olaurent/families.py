@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, UnrepresentableValue, UnsupportedFamily
+from .exact import as_number
 from .series import TruncatedPowerSeries
 
 __all__ = ["FamilySpec", "realize", "reciprocal_closed_form", "MAX_ORDER"]
@@ -98,22 +99,25 @@ class FamilySpec:
             return cls.exponential()
         if kind == "exp-binomial":
             try:
-                return cls.exp_binomial(obj.get("b", 0.0), obj["a"], obj["family_lambda"])
+                return cls.exp_binomial(
+                    as_number(obj.get("b", 0.0), "exp-binomial 'b'"),
+                    [as_number(v, "exp-binomial 'a'") for v in obj["a"]],
+                    [as_number(v, "exp-binomial 'family_lambda'") for v in obj["family_lambda"]])
             except KeyError as exc:
                 raise InvalidParams(f"exp-binomial family JSON missing {exc}") from exc
-            except (TypeError, ValueError) as exc:
+            except TypeError as exc:
                 raise InvalidParams(f"exp-binomial family JSON: {exc}") from exc
         if kind == "explicit":
             try:
-                coeffs = [complex(c[0], c[1]) if isinstance(c, list) else complex(c)
+                coeffs = [as_number(c, "explicit family needs finite coefficients", pair=True)
                           for c in obj["coeffs"]]
-                radius = obj.get("radius")
-                radius = math.inf if radius is None else float(radius)
             except KeyError as exc:
                 raise InvalidParams("explicit family JSON missing 'coeffs'") from exc
-            except (TypeError, ValueError, IndexError) as exc:
+            except TypeError as exc:
                 raise InvalidParams(f"explicit family JSON: {exc}") from exc
-            return cls.explicit(coeffs, radius)
+            radius = obj.get("radius")
+            return cls.explicit(coeffs, math.inf if radius is None
+                                else as_number(radius, "explicit family 'radius'"))
         raise InvalidParams(f"unknown family kind {kind!r}")
 
     def to_json(self) -> dict:

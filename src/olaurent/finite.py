@@ -121,14 +121,14 @@ class FiniteSystemSpec:
             raise InvalidParams("finite spec JSON needs 'n_cap'")
 
         def parse(values):
-            return tuple(complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+            return tuple(exact.as_number(v, "every g_k and f_k must be finite", pair=True)
                          for v in values)
 
         try:
             return cls(n_cap=exact.as_int(obj["n_cap"], "finite spec 'n_cap'"),
                        g=parse(obj.get("g", ())),
                        f_rec=parse(obj.get("f_rec", ())))
-        except (TypeError, ValueError, IndexError) as exc:
+        except TypeError as exc:
             raise InvalidParams(f"finite spec JSON: {exc}") from exc
 
     def to_json(self) -> dict:

@@ -3,14 +3,21 @@
 import contextlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import olaurent
+from olaurent import cli
 from olaurent.cli import main
 from olaurent.families import MAX_ORDER
+from olaurent.systems import NormalizationReport
 
 
 def run(tmp_path, *argv):
@@ -248,6 +255,16 @@ def test_config_takes_an_integral_float(tmp_path):
     assert rep["contour"]["nodes"] == 64
 
 
+def test_ortho_echoes_a_config_radius_as_a_float(tmp_path, capsys):
+    # an int radius used to be echoed as given next to the contour's 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"contour": {"radius": 1, "nodes": 32}}))
+    assert main(["ortho", "--family", "exponential", "--order", "2", "--config", str(cfg)]) == 0
+    rep = strict_loads(capsys.readouterr().out)
+    echoed = rep["config"]["contour"]["radius"]
+    assert type(echoed) is float and echoed == rep["contour"]["radius"] == 1.0
+
+
 @pytest.mark.parametrize("n_cap", ["2.7", "true", '"3"'], ids=["fraction", "bool", "string"])
 def test_finite_spec_refuses_a_non_integer_n_cap(capsys, n_cap):
     # int() used to run 2.7 as 2 and true as 1, and took the string "3"
@@ -255,6 +272,25 @@ def test_finite_spec_refuses_a_non_integer_n_cap(capsys, n_cap):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert "'n_cap' must be an integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite", "--spec", '{"n_cap": 1, "g": ["2"], "f_rec": [true]}', "--level", "1"],
+    ["finite", "--spec", '{"n_cap": 1, "g": [[1, 0, 0]]}', "--level", "1"],
+    ["moments", "--family", '{"kind": "exp-binomial", "a": ["0.5"], "family_lambda": [true]}'],
+    ["moments", "--family", '{"kind": "exp-binomial", "b": "1", "a": [0.5], "family_lambda": [1]}'],
+    ["moments", "--family", '{"kind": "explicit", "coeffs": [1, true]}'],
+    ["moments", "--family", '{"kind": "explicit", "coeffs": [1, 0.5], "radius": "2"}'],
+    ["moments", "--family", f'{{"kind": "explicit", "coeffs": [1, {10 ** 400}]}}'],
+], ids=["spec-string-and-bool", "spec-triple", "eb-string-and-bool", "eb-string-b",
+        "explicit-bool", "explicit-string-radius", "explicit-int-beyond-double"])
+def test_json_numbers_refuse_strings_and_bools(capsys, argv):
+    # float() and complex() used to take "2" and true (the spec ran with
+    # a = -2) and a 400-digit integer ended in an OverflowError traceback
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "is not a finite JSON number" in err
 
 
 @pytest.mark.parametrize("flags", [["--ncap", "5"], ["--family", "exponential"]],
@@ -320,6 +356,45 @@ def test_json_reports_are_deterministic(tmp_path):
         assert main(["ortho", "--family", "exponential", "--order", "6",
                      "--radius", "0.8", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "exponential", "--order", "3"],
+    ["ortho", "--family", "exponential", "--order", "4", "--radius", "0.8", "--nodes", "64"],
+    ["moments", "--window", "2"],
+    ["genfun-check", "--samples", "2", "--terms", "30"],
+    ["finite", "--level", "1"],
+], ids=lambda argv: argv[0])
+def test_json_report_is_one_compact_strict_line(capsys, argv):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    assert strict_loads(text)["command"] == argv[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+def test_non_finite_report_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, bad):
+    # strict JSON has no token for NaN or an infinity, so _emit refuses the report
+    monkeypatch.setattr(cli, "check_normalization",
+                        lambda system, rd: NormalizationReport((bad,), bad, rd.K))
+    out = tmp_path / "r.json"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["build", "--order", "2", *extra]) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: UnrepresentableValue: ")
+
+
+def test_module_entry_point_writes_one_strict_json_line():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "olaurent.cli", "moments", "--window", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert strict_loads(lines[0])["command"] == "moments"
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -1,11 +1,13 @@
-"""Exact dyadic arithmetic: the Gaussian integer type and the int-only real path."""
+"""Exact dyadic arithmetic: the Gaussian integer type, the int-only real path and
+the JSON number rules."""
 
 from fractions import Fraction
 
 import pytest
 
 from olaurent import FiniteSystemSpec, exact_moments, recurrence_data, solve_moments
-from olaurent.exact import Gaussian, scaled, split, to_complex
+from olaurent.errors import InvalidParams
+from olaurent.exact import Gaussian, as_number, scaled, split, to_complex
 from olaurent.systems import two_step
 
 
@@ -65,3 +67,20 @@ def test_real_inputs_never_leave_int(family, request):
     assert all(type(c) is int for _, q, _ in two_step(rd.g[1:], rd.f_rec[1:]) for c in q)
     table = solve_moments(FiniteSystemSpec.from_partial_sums(src, 4), 8)
     assert all(type(v) is int for v in table.values)
+
+
+@pytest.mark.parametrize("value, pair, expected", [
+    (2, False, 2.0), (-0.5, False, -0.5), (2, True, 2 + 0j), ([1, -0.5], True, 1 - 0.5j),
+])
+def test_as_number_takes_ints_floats_and_pairs(value, pair, expected):
+    got = as_number(value, "x", pair=pair)
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("value, pair", [
+    (True, False), ("0.5", False), (None, False), (float("nan"), False), (float("inf"), True),
+    (10 ** 400, False), ([1, 2], False), ([1, 2, 3], True), ([1, True], True), ([1, "2"], True),
+])
+def test_as_number_refuses_what_float_and_complex_would_convert(value, pair):
+    with pytest.raises(InvalidParams, match="not a finite JSON number"):
+        as_number(value, "x", pair=pair)
