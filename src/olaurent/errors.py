@@ -5,6 +5,26 @@ Every error carries an ``exit_code`` used by the command line front end:
 the representation condition a != 0 fails.
 """
 
+__all__ = [
+    "OLaurentError",
+    "InvalidParams",
+    "NonzeroCoefficientViolated",
+    "UnsupportedFamily",
+    "InsufficientOrder",
+    "ZeroCoefficient",
+    "MissingCoefficients",
+    "ZeroConstantTerm",
+    "EvalAtZero",
+    "WindowExceeded",
+    "RadiusInvalid",
+    "NearZeroDenominator",
+    "TailNotNegligible",
+    "DomainViolation",
+    "PoleProximity",
+    "UnrepresentableValue",
+    "RepresentationCondFailed",
+]
+
 
 class OLaurentError(Exception):
     """Base class for all package errors."""

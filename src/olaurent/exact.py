@@ -16,7 +16,8 @@ import math
 
 from .errors import InvalidParams, UnrepresentableValue
 
-__all__ = ["Gaussian", "split", "scaled", "to_complex", "as_int", "as_number"]
+__all__ = ["Gaussian", "split", "scaled", "to_complex", "as_int", "as_number",
+           "refuse_unknown_keys"]
 
 
 class Gaussian:
@@ -116,3 +117,10 @@ def as_number(value, what: str, pair: bool = False) -> float | complex:
         pass
     raise InvalidParams(f"{what}: {value!r} is not a finite JSON number"
                         + (" or an [re, im] pair of them" if pair else ""))
+
+
+def refuse_unknown_keys(keys, known, what: str) -> None:
+    """Raise InvalidParams naming each of the JSON object keys `keys` that is not in `known`."""
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise InvalidParams(f"{what}: unknown key {', '.join(map(repr, unknown))}")

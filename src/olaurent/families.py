@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, UnrepresentableValue, UnsupportedFamily
-from .exact import as_number
+from .exact import as_number, refuse_unknown_keys
 from .series import TruncatedPowerSeries
 
 __all__ = ["FamilySpec", "realize", "reciprocal_closed_form", "MAX_ORDER"]
@@ -90,16 +90,17 @@ class FamilySpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FamilySpec":
+        """The spec of a family JSON object; a key that ``to_json`` does not write is refused."""
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InvalidParams("family JSON needs a 'kind' field")
         kind = obj["kind"]
         if kind == "geometric":
-            return cls.geometric()
-        if kind == "exponential":
-            return cls.exponential()
-        if kind == "exp-binomial":
+            spec = cls.geometric()
+        elif kind == "exponential":
+            spec = cls.exponential()
+        elif kind == "exp-binomial":
             try:
-                return cls.exp_binomial(
+                spec = cls.exp_binomial(
                     as_number(obj.get("b", 0.0), "exp-binomial 'b'"),
                     [as_number(v, "exp-binomial 'a'") for v in obj["a"]],
                     [as_number(v, "exp-binomial 'family_lambda'") for v in obj["family_lambda"]])
@@ -107,7 +108,7 @@ class FamilySpec:
                 raise InvalidParams(f"exp-binomial family JSON missing {exc}") from exc
             except TypeError as exc:
                 raise InvalidParams(f"exp-binomial family JSON: {exc}") from exc
-        if kind == "explicit":
+        elif kind == "explicit":
             try:
                 coeffs = [as_number(c, "explicit family needs finite coefficients", pair=True)
                           for c in obj["coeffs"]]
@@ -116,9 +117,12 @@ class FamilySpec:
             except TypeError as exc:
                 raise InvalidParams(f"explicit family JSON: {exc}") from exc
             radius = obj.get("radius")
-            return cls.explicit(coeffs, math.inf if radius is None
+            spec = cls.explicit(coeffs, math.inf if radius is None
                                 else as_number(radius, "explicit family 'radius'"))
-        raise InvalidParams(f"unknown family kind {kind!r}")
+        else:
+            raise InvalidParams(f"unknown family kind {kind!r}")
+        refuse_unknown_keys(obj, spec.to_json(), f"{kind} family JSON")
+        return spec
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}

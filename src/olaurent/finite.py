@@ -125,11 +125,13 @@ class FiniteSystemSpec:
                          for v in values)
 
         try:
-            return cls(n_cap=exact.as_int(obj["n_cap"], "finite spec 'n_cap'"),
+            spec = cls(n_cap=exact.as_int(obj["n_cap"], "finite spec 'n_cap'"),
                        g=parse(obj.get("g", ())),
                        f_rec=parse(obj.get("f_rec", ())))
         except TypeError as exc:
             raise InvalidParams(f"finite spec JSON: {exc}") from exc
+        exact.refuse_unknown_keys(obj, spec.to_json(), "finite spec JSON")
+        return spec
 
     def to_json(self) -> dict:
         return {
@@ -148,7 +150,6 @@ class FiniteSystemSpec:
 class FunctionalSolve:
     """Normalized moment data at a given representation level."""
 
-    mu_table: MomentTable
     level: int
     a: complex
     s: tuple[complex, ...]
@@ -170,7 +171,7 @@ class FunctionalSolve:
             raise RepresentationCondFailed(f"|a| = |mu[-{level}]| = {abs(a):.3e} <= "
                                            f"2**-{SOLVE_GUARD_BITS}; no atomic representation")
         s = tuple(moments[k - level] / a for k in range(2 * level + 1))
-        return cls(mu_table=moments, level=level, a=a, s=s)
+        return cls(level=level, a=a, s=s)
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,11 @@ def _partial_values(source: TruncatedPowerSeries, x: complex, terms: int) -> np.
     return np.cumsum(source.coeffs[:terms + 1] * np.asarray(x, np.complex128) ** k)
 
 
+def _laurent_lhs(f, s, z):
+    """((s+1)/(s-z)) f(s z) + ((s-1)/(s+z)) f(-s z), in the arithmetic of s and z."""
+    return ((s + 1) / (s - z)) * f(s * z) + ((s - 1) / (s + z)) * f(-s * z)
+
+
 def check_partial_sum_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck:
     """Residual of f(xt)/(1-t) against sum_{n<=terms} f_n(x) t^n."""
     if sample.t is None:
@@ -123,8 +128,7 @@ def check_laurent_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck
         raise DomainViolation(f"|z| = {abs(z)} must be < |sqrt x| = {abs(s)}")
     if abs(s - z) < POLE_TOL or abs(s + z) < POLE_TOL:
         raise PoleProximity("z too close to +-sqrt(x)")
-    lhs = ((s + 1) / (s - z)) * system.source(s * z) \
-        + ((s - 1) / (s + z)) * system.source(-s * z)
+    lhs = _laurent_lhs(system.source, s, z)
     f_n = _partial_values(system.source, x, terms)
     # R_n(x) z^n = f_n(x) w_n with w_n = z^n / x^ceil(n/2); the w ladder
     # multiplies by z/x on odd steps and z on even ones, so |w_n| decays
@@ -147,9 +151,7 @@ def _lhs_spectrum(coeffs: bytes, x: complex, nodes: int) -> np.ndarray:
     d = np.frombuffer(coeffs, dtype=np.complex128)
     s = cmath.sqrt(x)
     z = kernels.circle_nodes_extended(abs(s) / 2, nodes)
-    se = kernels.QUAD_DTYPE(s)
-    lhs = ((se + 1) / (se - z)) * kernels.eval_poly_extended(d, se * z) \
-        + ((se - 1) / (se + z)) * kernels.eval_poly_extended(d, -se * z)
+    lhs = _laurent_lhs(lambda w: kernels.eval_poly_extended(d, w), kernels.QUAD_DTYPE(s), z)
     spectrum = kernels.circle_spectrum(lhs)
     spectrum.setflags(write=False)
     return spectrum

@@ -1,14 +1,17 @@
 """Numeric kernels, one numpy implementation each.
 
-On contiguous complex128 arrays:
+On contiguous complex arrays:
 
-* ``eval_poly(coeffs, pts)``      -- Horner evaluation, ascending coeffs
-* ``cauchy_product(a, b, n)``     -- truncated convolution, n output terms
-* ``reciprocal_coeffs(a)``        -- coefficients of 1/sum(a_k z^k)
+* ``eval_poly(coeffs, pts, dtype)`` -- the one Horner loop, ascending coeffs
+* ``cauchy_product(a, b, n)``       -- truncated convolution, n output terms
+* ``reciprocal_coeffs(a)``          -- coefficients of 1/sum(a_k z^k)
 
-and, for contour quadrature in the widest complex dtype available,
-``circle_nodes_extended``, ``eval_poly_extended``, ``circle_spectrum`` (the one
-sum over quadrature nodes, a single FFT) and ``circle_coefficients``.
+No CLI path multiplies or inverts a power series; the last two serve
+``TruncatedPowerSeries``, which tests and the benchmark's tracer use.  For
+contour quadrature in the widest complex dtype available:
+``circle_nodes_extended``, ``eval_poly_extended`` (``eval_poly`` in that
+dtype), ``circle_spectrum`` (the one sum over quadrature nodes, a single
+FFT) and ``circle_coefficients``.
 """
 
 import numpy as np
@@ -23,13 +26,13 @@ def backend() -> str:
     return "numpy"
 
 
-def eval_poly(coeffs: np.ndarray, pts):
-    """Horner evaluation at an ndarray of points or at one scalar point.
+def eval_poly(coeffs: np.ndarray, pts, dtype=np.complex128):
+    """Horner evaluation, accumulating in `dtype`, at an ndarray of points or at one scalar point.
 
     A scalar point runs in numpy scalar arithmetic, which rounds like
     Python's complex arithmetic, and gives a numpy complex scalar.
     """
-    acc = np.full(np.shape(pts), coeffs[-1], dtype=np.complex128)[()]
+    acc = np.full(np.shape(pts), coeffs[-1], dtype=dtype)[()]
     for k in range(coeffs.shape[0] - 2, -1, -1):
         acc = acc * pts + coeffs[k]
     return acc
@@ -68,11 +71,8 @@ def circle_nodes_extended(radius: float, count: int) -> np.ndarray:
 
 
 def eval_poly_extended(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Horner evaluation accumulating in ``QUAD_DTYPE``."""
-    acc = np.full(pts.shape, coeffs[-1], dtype=QUAD_DTYPE)
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        acc = acc * pts + coeffs[k]
-    return acc
+    """:func:`eval_poly` accumulating in ``QUAD_DTYPE``; the benchmark's tracer wraps this name."""
+    return eval_poly(coeffs, pts, QUAD_DTYPE)
 
 
 def circle_spectrum(values: np.ndarray) -> np.ndarray:

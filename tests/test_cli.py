@@ -313,6 +313,63 @@ def test_finite_spec_overrides_config_ncap_and_family(tmp_path):
     assert rep["exact_moment_deviation"] is None
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["moments", "--family",
+      '{"kind": "exp-binomial", "a": [0.5], "family_lambda": [1.0], "B": 3.0}'], "'B'"),
+    (["moments", "--family", '{"kind": "geometric", "radius": 0.1}'], "'radius'"),
+    (["finite", "--spec", '{"n_cap": 1, "g": [[2, 0]], "f": [[5, 0]]}', "--level", "1"], "'f'"),
+    (["ortho", "--config", '{"k": 20}'], "'k'"),
+    (["ortho", "--config", '{"contour": {"radius": 0.5, "nodez": 100}}'], "'contour.nodez'"),
+], ids=["eb-B", "geometric-radius", "spec-f", "config-k", "config-contour-nodez"])
+def test_unknown_json_keys_are_refused(capsys, argv, key):
+    # each used to run with the key ignored: b = 0, the stock geometric
+    # family, the default f_rec, K = 8 and 512 nodes
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"unknown key {key}" in err
+
+
+@pytest.mark.parametrize("family", ["geometric", "exponential",
+                                    '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], '
+                                    '"family_lambda": [1.0]}'])
+def test_genfun_samples_lie_in_their_ranges(tmp_path, family):
+    # t and z used to take their phase as cos(u1) + i sin(u2) with two
+    # angles, which put a quarter of them outside these magnitudes
+    for seed in range(8):
+        _, rep = run(tmp_path, "genfun-check", "--family", family, "--seed", str(seed),
+                     "--samples", "10", "--terms", "40")
+        for row in rep["samples"]:
+            x = complex(*row["x"])
+            if row["kind"] == "partial_sum":
+                assert 0.2 - 1e-12 <= abs(complex(*row["t"])) <= 0.7 + 1e-12, (seed, row)
+            elif row["index"] > 0:
+                ratio = abs(complex(*row["z"])) / abs(x) ** 0.5
+                assert 0.2 - 1e-12 <= ratio <= 0.6 + 1e-12, (seed, row)
+
+
+def test_failing_genfun_check_says_why_on_stderr(capsys, monkeypatch):
+    # exit 3 used to come with an empty stderr, which the benchmark counts as wrong
+    real = cli.check_laurent_genfun
+
+    def missed(system, sample):
+        check = real(system, sample)
+        return type(check)(residual=check.residual + 1.0, tail_bound=check.tail_bound,
+                           lhs=check.lhs)
+
+    monkeypatch.setattr(cli, "check_laurent_genfun", missed)
+    code = main(["genfun-check", "--family", "exponential", "--samples", "3", "--terms", "30"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    rep = strict_loads(out)
+    assert rep["all_passed"] is False
+    worst = max((r for r in rep["samples"] if not r["passed"]),
+                key=lambda r: r["residual"] / r["bound"])
+    assert err.splitlines() == [
+        f"error: genfun-check: 3 of 6 samples miss their bound; worst: sample "
+        f"{worst['index']} laurent, residual {worst['residual']:.3e} > bound {worst['bound']:.3e}"]
+
+
 def test_repeated_calls_share_no_options(tmp_path, capsys):
     # the parser is built once; no option of one call may leak into the next
     assert main(["ortho", "--radius", "0.5", "--nodes", "64", "--format", "csv"]) == 0

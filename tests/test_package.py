@@ -1,0 +1,69 @@
+"""The package surface, and the names the benchmark's tracer reaches into."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import olaurent
+from olaurent import cli, errors, families, finite, functional, genfun, kernels, series, systems
+
+BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+
+
+def _bench_trace():
+    """perfbench/bench_trace.py, loaded by path; it imports only the standard library."""
+    spec = importlib.util.spec_from_file_location("bench_trace", BENCH_TRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_package_surface_is_the_union_of_module_lists():
+    lists = [m.__all__ for m in (series, families, systems, functional, genfun, finite, errors)]
+    names = ["__version__", *(name for names in lists for name in names)]
+    assert olaurent.__all__ == names
+    assert len(set(names)) == len(names)
+    assert all(hasattr(olaurent, name) for name in names)
+    assert {"MAX_ORDER", "contour_moments", "rounded", "two_step"} <= set(names)
+
+
+def test_every_trace_target_resolves():
+    bench_trace = _bench_trace()
+    for _, modname, attr in bench_trace.TARGETS:
+        module = importlib.import_module(modname)
+        if "." in attr:
+            clsname, meth = attr.split(".")
+            assert meth in vars(getattr(module, clsname)), attr
+        else:
+            assert callable(getattr(module, attr)), attr
+
+
+def test_machine_facts_name_the_numpy_backend():
+    assert kernels.HAS_NUMBA is False
+    assert kernels.backend() == "numpy"
+
+
+def test_trace_hooks_read_what_the_program_builds():
+    bench_trace = _bench_trace()
+    tracer = bench_trace.Tracer()
+    s = [1.0, 0.5 + 0.25j, 0.125]
+    measure = finite.build_atomic_measure(s)
+    bench_trace._atomic(tracer, measure, s)
+    bench_trace._moment(tracer, None, measure, 1)
+    assert tracer.counts["finite.mp_dps"] == measure.precision
+    assert tracer.counts["finite.mp_terms"] == len(measure.atoms)
+    assert tracer.keys["finite.table_reuse_ratio"] == {
+        (measure.radius, measure.precision, measure.wide_weights)}
+
+
+def test_traced_contour_run_counts_extended_horner_steps(capsys):
+    bench_trace = _bench_trace()
+    tracer = bench_trace.Tracer()
+    with tracer.installed():
+        assert cli.main(["ortho", "--family", "exponential", "--order", "4",
+                         "--radius", "0.8", "--nodes", "64"]) == 0
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    assert metrics["kernels.eval_poly_extended.calls"] == 1
+    # 64 nodes times the 64 Horner steps of the order-64 contour source
+    assert metrics["kernels.eval_poly_extended.point_steps"] == 64 * 64
