@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from .series import TruncatedPowerSeries
 
 __all__ = ["FamilySpec", "realize", "reciprocal_closed_form", "MAX_ORDER"]
 
-KINDS = ("geometric", "exponential", "exp-binomial", "explicit")
+# each kind and its own fields; every other field stays at its default
+KINDS = {"geometric": (), "exponential": (), "exp-binomial": ("b", "a", "family_lambda"),
+         "explicit": ("coeffs", "radius")}
 
 # largest order or index K: the exact recurrence holds ~K^3 bits, so a
 # finite system at 4 n_cap = 512 takes ~250 MB and ~13 s (2-core Xeon)
@@ -36,9 +38,9 @@ MAX_ORDER = 512
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Declarative description of a coefficient family.
+    """A coefficient family: its kind and only that kind's own fields (:data:`KINDS`).
 
-    Use the classmethod constructors; they keep the field soup straight.
+    A stock kind's radius is derived: 1, infinite or min 1/a_j.
     """
 
     kind: str
@@ -49,8 +51,15 @@ class FamilySpec:
     radius: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        own = KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if own is None:
             raise InvalidParams(f"unknown family kind {self.kind!r}")
+        foreign = [f.name for f in fields(self)
+                   if f.name not in ("kind", *own) and getattr(self, f.name) != f.default]
+        if foreign:
+            raise InvalidParams(f"a {self.kind} family takes no {', '.join(foreign)}")
+        if self.kind == "geometric":
+            object.__setattr__(self, "radius", 1.0)
         if self.kind == "exp-binomial":
             if len(self.a) != len(self.family_lambda) or not self.a:
                 raise InvalidParams("exp-binomial needs matching non-empty a and family_lambda")
@@ -60,6 +69,7 @@ class FamilySpec:
                 raise InvalidParams("exp-binomial needs 0 < a_j < 1")
             if any(not 0 < lj < math.inf for lj in self.family_lambda):
                 raise InvalidParams("exp-binomial needs finite family_lambda_j > 0")
+            object.__setattr__(self, "radius", min(1.0 / aj for aj in self.a))
         if self.kind == "explicit":
             if not self.coeffs:
                 raise InvalidParams("explicit family needs coefficients")
@@ -68,7 +78,7 @@ class FamilySpec:
 
     @classmethod
     def geometric(cls) -> "FamilySpec":
-        return cls(kind="geometric", radius=1.0)
+        return cls(kind="geometric")
 
     @classmethod
     def exponential(cls) -> "FamilySpec":
@@ -76,10 +86,8 @@ class FamilySpec:
 
     @classmethod
     def exp_binomial(cls, b: float, a, family_lambda) -> "FamilySpec":
-        a = tuple(float(x) for x in a)
-        lam = tuple(float(x) for x in family_lambda)
-        return cls(kind="exp-binomial", b=float(b), a=a, family_lambda=lam,
-                   radius=min(1.0 / aj for aj in a) if a else math.inf)
+        return cls(kind="exp-binomial", b=float(b), a=tuple(float(x) for x in a),
+                   family_lambda=tuple(float(x) for x in family_lambda))
 
     @classmethod
     def explicit(cls, coeffs, radius: float) -> "FamilySpec":
@@ -94,45 +102,32 @@ class FamilySpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InvalidParams("family JSON needs a 'kind' field")
         kind = obj["kind"]
-        if kind == "geometric":
-            spec = cls.geometric()
-        elif kind == "exponential":
-            spec = cls.exponential()
-        elif kind == "exp-binomial":
-            try:
+        try:
+            if kind == "exp-binomial":
                 spec = cls.exp_binomial(
                     as_number(obj.get("b", 0.0), "exp-binomial 'b'"),
                     [as_number(v, "exp-binomial 'a'") for v in obj["a"]],
                     [as_number(v, "exp-binomial 'family_lambda'") for v in obj["family_lambda"]])
-            except KeyError as exc:
-                raise InvalidParams(f"exp-binomial family JSON missing {exc}") from exc
-            except TypeError as exc:
-                raise InvalidParams(f"exp-binomial family JSON: {exc}") from exc
-        elif kind == "explicit":
-            try:
-                coeffs = [as_number(c, "explicit family needs finite coefficients", pair=True)
-                          for c in obj["coeffs"]]
-            except KeyError as exc:
-                raise InvalidParams("explicit family JSON missing 'coeffs'") from exc
-            except TypeError as exc:
-                raise InvalidParams(f"explicit family JSON: {exc}") from exc
-            radius = obj.get("radius")
-            spec = cls.explicit(coeffs, math.inf if radius is None
-                                else as_number(radius, "explicit family 'radius'"))
-        else:
-            raise InvalidParams(f"unknown family kind {kind!r}")
+            elif kind == "explicit":
+                radius = obj.get("radius")
+                spec = cls.explicit(
+                    [as_number(c, "explicit family needs finite coefficients", pair=True)
+                     for c in obj["coeffs"]],
+                    math.inf if radius is None else as_number(radius, "explicit family 'radius'"))
+            else:
+                spec = cls(kind=kind)
+        except KeyError as exc:
+            raise InvalidParams(f"{kind} family JSON missing {exc}") from exc
+        except TypeError as exc:
+            raise InvalidParams(f"{kind} family JSON: {exc}") from exc
         refuse_unknown_keys(obj, spec.to_json(), f"{kind} family JSON")
         return spec
 
     def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "exp-binomial":
-            out["b"] = self.b
-            out["a"] = list(self.a)
-            out["family_lambda"] = list(self.family_lambda)
+        out = {"kind": self.kind, **{name: getattr(self, name) for name in KINDS[self.kind]}}
         if self.kind == "explicit":
-            out["coeffs"] = [[c.real, c.imag] for c in self.coeffs]
-            out["radius"] = None if math.isinf(self.radius) else self.radius
+            out.update(coeffs=[[c.real, c.imag] for c in self.coeffs],
+                       radius=None if math.isinf(self.radius) else self.radius)
         return out
 
 
@@ -194,21 +189,17 @@ def reciprocal_closed_form(spec: FamilySpec, order: int) -> TruncatedPowerSeries
     """
     if order < 0:
         raise InvalidParams("order must be >= 0")
-    if spec.kind == "geometric":
-        e = np.zeros(order + 1, dtype=np.complex128)
-        e[0] = 1.0
-        if order >= 1:
-            e[1] = -1.0
-        return TruncatedPowerSeries(e, 1.0)
-    if spec.kind == "exponential":
-        e = np.zeros(order + 1, dtype=np.complex128)
-        e[0] = 1.0
-        for k in range(order):
-            e[k + 1] = -e[k] / (k + 1)
-        return TruncatedPowerSeries(e, math.inf)
+    if spec.kind == "explicit":
+        raise UnsupportedFamily("explicit families have no closed-form reciprocal")
     if spec.kind == "exp-binomial":
         # 1/f = exp(-b z) * prod_j (1 - a_j z)^(+family_lambda_j)
         e = _exp_binomial_coeffs(-spec.b, spec.a,
                                  tuple(-l for l in spec.family_lambda), order)
-        return TruncatedPowerSeries(e, spec.radius)
-    raise UnsupportedFamily("explicit families have no closed-form reciprocal")
+    else:
+        e = np.zeros(order + 1, dtype=np.complex128)
+        e[0] = 1.0
+        e[1:2] = -1.0       # e_1 of both; geometric stops there
+        if spec.kind == "exponential":
+            for k in range(order):
+                e[k + 1] = -e[k] / (k + 1)
+    return TruncatedPowerSeries(e, spec.radius)

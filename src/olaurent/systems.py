@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +64,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OLPSystem:
-    """Laurent system R_0..R_K and the source it came from."""
+    """Laurent system R_0..R_K of the partial sums of `source`; R is built on first use."""
 
     source: TruncatedPowerSeries
-    R: tuple[LaurentPoly, ...]
     K: int
+
+    def __post_init__(self):
+        _validate_source(self.source, self.K)
+
+    @cached_property
+    def R(self) -> tuple[LaurentPoly, ...]:
+        return tuple(LaurentPoly.from_coeffs(-math.ceil(n / 2), self.source.coeffs[:n + 1])
+                     for n in range(self.K + 1))
 
 
 @dataclass(frozen=True)
@@ -99,6 +107,8 @@ class NormalizationReport:
 
 
 def _validate_source(source: TruncatedPowerSeries, K: int) -> None:
+    if K < 0:
+        raise InvalidParams("K must be >= 0")
     if source.order < K:
         raise InsufficientOrder(f"source order {source.order} < requested K = {K}")
     if source.coeffs[0] != 1:
@@ -109,13 +119,8 @@ def _validate_source(source: TruncatedPowerSeries, K: int) -> None:
 
 
 def build_system(source: TruncatedPowerSeries, K: int) -> OLPSystem:
-    """Build R_0..R_K directly from the partial sums."""
-    if K < 0:
-        raise InvalidParams("K must be >= 0")
-    _validate_source(source, K)
-    R = tuple(LaurentPoly.from_coeffs(-math.ceil(n / 2), source.coeffs[:n + 1])
-              for n in range(K + 1))
-    return OLPSystem(source=source, R=R, K=K)
+    """The system R_0..R_K of `source`, built directly from the partial sums."""
+    return OLPSystem(source, K)
 
 
 def recurrence_data(source: TruncatedPowerSeries, K: int) -> RecurrenceData:
@@ -125,8 +130,6 @@ def recurrence_data(source: TruncatedPowerSeries, K: int) -> RecurrenceData:
     underflows to zero in doubles (xi_k = 1/d_k for the exponential family
     at k = 171); the recurrence needs every one finite and nonzero.
     """
-    if K < 0:
-        raise InvalidParams("K must be >= 0")
     _validate_source(source, K)
     d = [complex(v) for v in source.coeffs[:K + 1]]
     c = [1.0 + 0j] + [-d[k - 1] / d[k] for k in range(1, K + 1)]

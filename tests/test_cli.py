@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import olaurent
-from olaurent import cli
+from olaurent import FamilySpec, LaurentPoly, cli, realize
 from olaurent.cli import main
 from olaurent.families import MAX_ORDER
 from olaurent.systems import NormalizationReport
@@ -591,3 +592,84 @@ def test_cli_fuzz_exits_documented_codes_with_strict_json(config_dir, argv):
     text = out.getvalue()
     if code == 0 or text:
         strict_loads(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ortho", "--family", "exponential", "--order", "40"],
+    ["ortho", "--family", "geometric", "--order", "8", "--radius", "0.5"],
+    ["genfun-check", "--family", "exponential", "--samples", "3", "--terms", "40"],
+], ids=["ortho", "ortho-contour", "genfun-check"])
+def test_ortho_and_genfun_build_no_laurent_polynomials(capsys, monkeypatch, argv):
+    # both read only the source and K; they used to build R_0..R_K
+    calls = []
+    real = LaurentPoly.from_coeffs.__func__
+
+    def counted(cls, lo, coeffs):
+        calls.append(lo)
+        return real(cls, lo, coeffs)
+
+    monkeypatch.setattr(LaurentPoly, "from_coeffs", classmethod(counted))
+    assert main(argv) == 0
+    strict_loads(capsys.readouterr().out)
+    assert calls == []
+
+
+def test_build_reports_the_partial_sums(capsys):
+    K = 7
+    family = '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}'
+    assert main(["build", "--family", family, "--order", str(K)]) == 0
+    rep = strict_loads(capsys.readouterr().out)
+    d = realize(FamilySpec.from_json(json.loads(family)), K).coeffs
+    assert [r["n"] for r in rep["R"]] == list(range(K + 1))
+    for n, row in enumerate(rep["R"]):
+        lo = -math.ceil(n / 2)
+        assert row["coeffs"] == [[lo + k, d[k].real, d[k].imag] for k in range(n + 1)]
+
+
+B_HUGE = '{"kind": "exp-binomial", "b": 1e200, "a": [0.5], "family_lambda": [1.0]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", B_HUGE],
+    ["ortho", "--family", B_HUGE],
+    ["moments", "--family", B_HUGE],
+    ["genfun-check", "--family", B_HUGE],
+    ["finite", "--family", B_HUGE],
+    ["finite", "--family", "exponential", "--ncap", "2", "--level", "5"],
+    ["moments", "--family", '{"kind": "geometric", "radius": 0.5}'],
+], ids=["build-b-1e200", "ortho-b-1e200", "moments-b-1e200", "genfun-check-b-1e200",
+        "finite-b-1e200", "finite-level-5", "unknown-family-key"])
+def test_a_refusal_is_one_error_line(argv):
+    # b = 1e200 used to print numpy's overflow warnings before its error
+    # line; a warning would reach stderr outside pytest, so none may be issued
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (2, 3, 4)
+    assert [str(w.message) for w in caught] == []
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("level", ["0", "5", "-1"])
+def test_finite_level_outside_its_range_is_a_config_error(capsys, level):
+    # --level 5 at n_cap 2 used to exit 3 with WindowExceeded after the solve
+    assert main(["finite", "--family", "exponential", "--ncap", "2", "--level", level]) == 2
+    assert f"level must be in [1, 2 n_cap = 4], got {level}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, terms, rho", [
+    ('{"kind": "exp-binomial", "b": 1.0, "a": [0.1], "family_lambda": [1.0]}', "40", 3.0),
+    ('{"kind": "explicit", "coeffs": [1, 0.5, 0.25, 0.125], "radius": 1e300}', "3", 3.0),
+    ('{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}', "40", 2.0),
+], ids=["radius-10", "radius-1e300", "radius-2"])
+def test_genfun_draws_x_within_min_radius_3(capsys, family, terms, rho):
+    # x used to scale with any finite radius: |x| up to 5.9 at radius 10,
+    # and an overflowing tail estimate at radius 1e300
+    assert main(["genfun-check", "--family", family, "--samples", "10", "--terms", terms]) == 0
+    rep = strict_loads(capsys.readouterr().out)
+    assert all(0.2 * rho - 1e-12 <= abs(complex(*r["x"])) <= 0.6 * rho + 1e-12
+               for r in rep["samples"])

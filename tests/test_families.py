@@ -148,3 +148,38 @@ def test_from_json_diagnostics():
         FamilySpec.from_json({"kind": "exp-binomial", "a": [0.5]})
     with pytest.raises(InvalidParams):
         FamilySpec.from_json({"kind": "explicit"})
+
+
+@pytest.mark.parametrize("spec, factory", [
+    (FamilySpec(kind="geometric"), FamilySpec.geometric),
+    (FamilySpec(kind="exponential"), FamilySpec.exponential),
+    (FamilySpec(kind="exp-binomial", b=1.0, a=(0.5, 0.25), family_lambda=(1.0, 2.0)),
+     lambda: FamilySpec.exp_binomial(1, [0.5, 0.25], [1, 2])),
+], ids=["geometric", "exponential", "exp-binomial"])
+def test_stock_spec_is_the_classmethod_spec_and_round_trips(spec, factory):
+    # FamilySpec(kind="geometric") used to carry radius inf against the
+    # classmethod's 1, so the two differed and neither survived JSON alike
+    assert spec == factory()
+    assert FamilySpec.from_json(spec.to_json()) == spec
+
+
+def test_stock_radius_follows_from_the_parameters():
+    assert FamilySpec(kind="geometric").radius == 1.0
+    assert math.isinf(FamilySpec(kind="exponential").radius)
+    assert FamilySpec.exp_binomial(1.0, (0.5, 0.8), (1.0, 1.0)).radius == 1.25
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("geometric", {"b": 3.0}),
+    ("geometric", {"b": 3.0, "coeffs": (1, 2)}),
+    ("geometric", {"radius": 1.0}),
+    ("exponential", {"a": (0.5,)}),
+    ("exponential", {"radius": 2.0}),
+    ("exp-binomial", {"b": 1.0, "a": (0.5,), "family_lambda": (1.0,), "radius": 50.0}),
+    ("exp-binomial", {"a": (0.5,), "family_lambda": (1.0,), "coeffs": (1, 2)}),
+    ("explicit", {"coeffs": (1, 2), "radius": 1.0, "b": 0.5}),
+    ("explicit", {"coeffs": (1, 2), "a": (0.5,), "family_lambda": (1.0,)}),
+])
+def test_a_field_of_another_kind_is_refused(kind, fields):
+    with pytest.raises(InvalidParams, match=f"a {kind} family takes no"):
+        FamilySpec(kind=kind, **fields)

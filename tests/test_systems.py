@@ -9,6 +9,7 @@ import pytest
 from olaurent import (
     FamilySpec,
     LaurentPoly,
+    OLPSystem,
     RecurrenceData,
     TruncatedPowerSeries,
     build_by_recurrence,
@@ -17,7 +18,7 @@ from olaurent import (
     realize,
     recurrence_data,
 )
-from olaurent.errors import InsufficientOrder, MissingCoefficients, ZeroCoefficient
+from olaurent.errors import InsufficientOrder, InvalidParams, MissingCoefficients, ZeroCoefficient
 
 
 def test_geometric_first_three(geometric):
@@ -77,6 +78,17 @@ def test_build_requires_enough_coefficients():
     short = TruncatedPowerSeries.source([1, 1, 1], radius=1.0)
     with pytest.raises(InsufficientOrder):
         build_system(short, 3)
+
+
+def test_a_system_is_checked_when_it_is_made():
+    # OLPSystem used to take R as given; with a short source, a gram_matrix
+    # or check_normalization call then ended in a bare IndexError
+    short = TruncatedPowerSeries.source([1, 1, 1], radius=1.0)
+    with pytest.raises(InsufficientOrder):
+        OLPSystem(short, 3)
+    with pytest.raises(InvalidParams):
+        OLPSystem(short, -1)
+    assert OLPSystem(short, 2) == build_system(short, 2)
 
 
 def test_build_rejects_zero_coefficient():
