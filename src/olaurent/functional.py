@@ -17,9 +17,15 @@ An independent route evaluates the defining contour integral
 by the trapezoid rule on equispaced nodes, which converges geometrically
 for analytic integrands.  The rule is linear in p, so the contour route is
 apply_L on quadrature moments mu~_m, the Cauchy coefficients -2m of
-1/f(y^2) read from one FFT: it differs from the exact route only in where
-its moments come from.  On the system R_0..R_K these give
-L(R_0) = 1 and L(R_n) = 0 for n >= 1, and the Gram matrix
+1/f(y^2): it differs from the exact route only in where its moments come
+from.  The integrand depends on y only through w = y^2, and squaring maps
+the N nodes of |y| = c onto the N' = N / gcd(N, 2) nodes of |w| = c^2
+(twice each for even N; for odd N it permutes them).  So the N-node rule
+on |y| = c is the N'-node rule on |w| = c^2, and mu~_m is the Cauchy
+coefficient -m of 1/f(w) there, read from one FFT of N' values of f.
+For a real f those values come in conjugate pairs, so every mu~_m is
+real and the table keeps integer numerators.  On the system R_0..R_K
+these give L(R_0) = 1 and L(R_n) = 0 for n >= 1, and the Gram matrix
 G[n, m] = L(R_n R_m) is diagonal with G[2n, 2n] = d_{2n} and
 G[2n+1, 2n+1] = -d_{2n+2}.  The entries are sums of products d_i d_j e_q
 that cancel by about 3^K against values as small as 1/K!, so
@@ -98,7 +104,12 @@ class MomentTable:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Circle |y| = radius sampled at ``nodes`` equispaced points, 16 to ``MAX_NODES``."""
+    """Circle |y| = radius sampled at ``nodes`` equispaced points, 16 to ``MAX_NODES``.
+
+    The contour integrands are functions of w = y^2, and the N points on
+    |y| are N / gcd(N, 2) distinct points on |w| = radius^2, so an odd
+    count is as exact a rule as an even one.
+    """
 
     radius: float
     nodes: int = 512
@@ -152,8 +163,10 @@ def apply_L(p: LaurentPoly, moments: MomentTable) -> complex:
 
 def contour_moments(source: TruncatedPowerSeries, spec: ContourSpec,
                     window: int) -> MomentTable:
-    """Quadrature moments mu~_m, |m| <= window: coefficient -2m of 1/f(y^2) on |y| = c.
+    """Quadrature moments mu~_m, |m| <= window: coefficient -m of 1/f(w) on |w| = c^2.
 
+    This is the N-node rule on |y| = c (see the module docstring).  A real
+    source gives an ``int`` table, a complex one a ``Gaussian`` table.
     Requires the contour radius c to satisfy c^2 < radius(f), the
     truncated f to carry a negligible tail on the contour, and |f| to
     stay clear of zero on the nodes.
@@ -166,21 +179,32 @@ def contour_moments(source: TruncatedPowerSeries, spec: ContourSpec,
     if not tail <= MAX_TAIL:
         raise TailNotNegligible(
             f"truncation tail estimate {tail:.3e} exceeds {MAX_TAIL:.0e} at |z| = {c * c}")
-    y = kernels.circle_nodes_extended(c, spec.nodes)
-    f_vals = kernels.eval_poly_extended(source.coeffs, y * y)
+    f_vals = kernels.eval_poly_extended(source.coeffs, _w_nodes(spec))
     m = float(np.min(np.abs(f_vals)))
     if m <= MIN_DENOMINATOR:
         raise NearZeroDenominator(f"min |f| on contour = {m:.3e}")
-    return _quadrature_table(kernels.circle_spectrum(1 / f_vals), c, window)
+    return _quadrature_table(kernels.circle_spectrum(1 / f_vals), c * c, window,
+                             real=not source.coeffs.imag.any())
 
 
-def _quadrature_table(spectrum: np.ndarray, radius: float, window: int) -> MomentTable:
-    """Coefficients -2m, |m| <= window, of a node spectrum on |y| = radius, each rounded once."""
+def _w_nodes(spec: ContourSpec) -> np.ndarray:
+    """The N / gcd(N, 2) distinct values of w = y^2 on the N nodes of ``spec``, on |w| = c^2."""
+    return kernels.circle_nodes_extended(spec.radius * spec.radius,
+                                         spec.nodes // math.gcd(spec.nodes, 2))
+
+
+def _quadrature_table(spectrum: np.ndarray, radius: float, window: int,
+                      real: bool) -> MomentTable:
+    """Coefficients -m, |m| <= window, of a node spectrum on |w| = radius, each rounded once.
+
+    A `real` table keeps the real parts: the imaginary parts of a
+    conjugate-symmetric integrand's moments are rounding noise.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        mu = kernels.circle_coefficients(spectrum, radius, range(2 * window, -2 * window - 1, -2))
+        mu = kernels.circle_coefficients(spectrum, radius, range(window, -window - 1, -1))
     if not np.isfinite(mu).all():
         raise UnrepresentableValue(f"a quadrature moment on radius {radius} overflows a double")
-    values, scale = exact.scaled(mu)
+    values, scale = exact.scaled(mu.real if real else mu)
     return MomentTable(window=window, values=tuple(values), scale=scale)
 
 
@@ -240,15 +264,15 @@ def specialized_L_exp_binomial(p: LaurentPoly, spec: FamilySpec,
     For the exp-binomial family 1/f(y^2) = exp(-b y^2) prod_j
     (1 - a_j y^2)^(family_lambda_j), analytic on |y| = 1 because every
     a_j < 1; the principal branch is single-valued there since
-    Re(1 - a_j y^2) > 0.
+    Re(1 - a_j y^2) > 0.  Like :func:`contour_moments` it evaluates the
+    weight once per distinct w = y^2; the weight is real on the real
+    axis, so its moments are real.
     """
     if spec.kind != "exp-binomial":
         raise UnsupportedFamily(f"specialized route needs exp-binomial, got {spec.kind!r}")
-    circle = ContourSpec(radius=1.0, nodes=nodes)
-    y = kernels.circle_nodes_extended(circle.radius, circle.nodes).astype(np.complex128)
-    w = y * y
+    w = _w_nodes(ContourSpec(radius=1.0, nodes=nodes)).astype(np.complex128)
     weight = np.exp(-spec.b * w)
     for aj, lj in zip(spec.a, spec.family_lambda):
         weight = weight * np.power(1.0 - aj * w, lj)
     window = max(-p.min_exponent, p.max_exponent, 0) if p else 0
-    return apply_L(p, _quadrature_table(kernels.circle_spectrum(weight), 1.0, window))
+    return apply_L(p, _quadrature_table(kernels.circle_spectrum(weight), 1.0, window, real=True))

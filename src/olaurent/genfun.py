@@ -11,6 +11,15 @@ choice of branch.  Truncation residuals are compared against geometric
 tail estimates.  The second identity's left side does not depend on n, so
 one FFT of it on |z| = |s|/2 gives every R_n(x) as a Taylor coefficient.
 
+That FFT needs one kernel, not two.  With g(z) = f(s z) / (s - z) the
+left side is (s+1) g(z) + (s-1) g(-z), whose coefficient n is
+(s+1) g_n + (-1)^n (s-1) g_n: 2 s g_n for even n and 2 g_n for odd n.
+Expanding 1/(s - z) gives g_n = s^(-n-1) f_n(x), so
+
+    R_n(x) = s g_n  (n even),    R_n(x) = g_n  (n odd),
+
+and one Horner pass of f over the nodes serves every n.
+
 Evaluations of f go through the truncated source series, so points are
 required to sit inside the convergence disc with a fixed safety margin.
 """
@@ -88,11 +97,6 @@ def _partial_values(source: TruncatedPowerSeries, x: complex, terms: int) -> np.
     return np.cumsum(source.coeffs[:terms + 1] * np.asarray(x, np.complex128) ** k)
 
 
-def _laurent_lhs(f, s, z):
-    """((s+1)/(s-z)) f(s z) + ((s-1)/(s+z)) f(-s z), in the arithmetic of s and z."""
-    return ((s + 1) / (s - z)) * f(s * z) + ((s - 1) / (s + z)) * f(-s * z)
-
-
 def check_partial_sum_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck:
     """Residual of f(xt)/(1-t) against sum_{n<=terms} f_n(x) t^n."""
     if sample.t is None:
@@ -128,7 +132,8 @@ def check_laurent_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck
         raise DomainViolation(f"|z| = {abs(z)} must be < |sqrt x| = {abs(s)}")
     if abs(s - z) < POLE_TOL or abs(s + z) < POLE_TOL:
         raise PoleProximity("z too close to +-sqrt(x)")
-    lhs = _laurent_lhs(system.source, s, z)
+    f = system.source
+    lhs = ((s + 1) / (s - z)) * f(s * z) + ((s - 1) / (s + z)) * f(-s * z)
     f_n = _partial_values(system.source, x, terms)
     # R_n(x) z^n = f_n(x) w_n with w_n = z^n / x^ceil(n/2); the w ladder
     # multiplies by z/x on odd steps and z on even ones, so |w_n| decays
@@ -147,12 +152,16 @@ def check_laurent_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck
 
 @functools.lru_cache(maxsize=8)
 def _lhs_spectrum(coeffs: bytes, x: complex, nodes: int) -> np.ndarray:
-    """Read-only spectrum of the left side on |z| = |sqrt x|/2, unscaled: r**-k can overflow."""
+    """Read-only R_n spectrum on |z| = |sqrt x|/2: g's spectrum with the even entries times s.
+
+    Unscaled, because r**-k can overflow; entry n < nodes is R_n(x) r^n.
+    """
     d = np.frombuffer(coeffs, dtype=np.complex128)
     s = cmath.sqrt(x)
     z = kernels.circle_nodes_extended(abs(s) / 2, nodes)
-    lhs = _laurent_lhs(lambda w: kernels.eval_poly_extended(d, w), kernels.QUAD_DTYPE(s), z)
-    spectrum = kernels.circle_spectrum(lhs)
+    se = kernels.QUAD_DTYPE(s)
+    spectrum = kernels.circle_spectrum(kernels.eval_poly_extended(d, se * z) / (se - z))
+    spectrum[::2] *= se
     spectrum.setflags(write=False)
     return spectrum
 
@@ -161,8 +170,9 @@ def rn_all_by_contour(source: TruncatedPowerSeries, x: complex, n_max: int,
                       nodes: int = 512) -> np.ndarray:
     """R_0(x)..R_n_max(x) for n_max < nodes and n_max <= source order, from one FFT.
 
-    That side does not depend on n: its spectrum on |z| = |sqrt x|/2 is memoized per
-    (coefficients, x, nodes), and R_n(x) is half its Taylor coefficient n.
+    The Laurent identity's left side does not depend on n: the spectrum of
+    g(z) = f(s z) / (s - z) on |z| = |sqrt x|/2 is memoized per (coefficients,
+    x, nodes), and R_n(x) is its Taylor coefficient n, times s for even n.
     """
     if not 0 <= n_max < nodes:
         raise InvalidParams(f"need 0 <= n < nodes, got n = {n_max}, nodes = {nodes}")
@@ -172,7 +182,7 @@ def rn_all_by_contour(source: TruncatedPowerSeries, x: complex, n_max: int,
         raise DomainViolation(f"need 0 < |x| < radius, got |x| = {abs(x)}")
     circle = ContourSpec(radius=abs(cmath.sqrt(x)) / 2, nodes=nodes)
     spectrum = _lhs_spectrum(source.coeffs.tobytes(), complex(x), circle.nodes)
-    return kernels.circle_coefficients(spectrum, circle.radius, np.arange(n_max + 1)) / 2
+    return kernels.circle_coefficients(spectrum, circle.radius, np.arange(n_max + 1))
 
 
 def rn_by_contour(source: TruncatedPowerSeries, n: int, x: complex, nodes: int = 512) -> complex:

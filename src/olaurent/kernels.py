@@ -2,7 +2,8 @@
 
 On contiguous complex arrays:
 
-* ``eval_poly(coeffs, pts, dtype)`` -- the one Horner loop, ascending coeffs
+* ``eval_poly(coeffs, pts, dtype)`` -- the one Horner loop, ascending coeffs;
+  a scalar point runs in Python complex arithmetic
 * ``cauchy_product(a, b, n)``       -- truncated convolution, n output terms
 * ``reciprocal_coeffs(a)``          -- coefficients of 1/sum(a_k z^k)
 
@@ -11,7 +12,10 @@ No CLI path multiplies or inverts a power series; the last two serve
 contour quadrature in the widest complex dtype available:
 ``circle_nodes_extended``, ``eval_poly_extended`` (``eval_poly`` in that
 dtype), ``circle_spectrum`` (the one sum over quadrature nodes, a single
-FFT) and ``circle_coefficients``.
+FFT) and ``circle_coefficients``.  The contour routes call
+``eval_poly_extended`` once per table, on distinct points only: the
+N / gcd(N, 2) values of y^2 for a moment table, and the N nodes of one
+kernel for the R_n(x) spectrum.
 """
 
 import numpy as np
@@ -29,12 +33,18 @@ def backend() -> str:
 def eval_poly(coeffs: np.ndarray, pts, dtype=np.complex128):
     """Horner evaluation, accumulating in `dtype`, at an ndarray of points or at one scalar point.
 
-    A scalar point runs in numpy scalar arithmetic, which rounds like
-    Python's complex arithmetic, and gives a numpy complex scalar.
+    The coefficients enter as Python numbers, which numpy adds in the
+    array's dtype.  A point that is not an ndarray is a scalar: in the
+    default dtype it runs in Python complex arithmetic, which rounds like
+    numpy's complex128 scalars at about half their cost, and gives a
+    ``complex``.
     """
-    acc = np.full(np.shape(pts), coeffs[-1], dtype=dtype)[()]
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        acc = acc * pts + coeffs[k]
+    if isinstance(pts, np.ndarray):
+        acc = np.full(pts.shape, coeffs[-1], dtype=dtype)
+    else:
+        acc = dtype(coeffs[-1]).item()
+    for c in coeffs[-2::-1].tolist():
+        acc = acc * pts + c
     return acc
 
 

@@ -19,6 +19,7 @@ from olaurent import (
     realize,
     specialized_L_exp_binomial,
 )
+from olaurent import cli, exact, kernels
 from olaurent.errors import (
     InsufficientOrder,
     InvalidParams,
@@ -114,6 +115,76 @@ def test_contour_gram_matches_exact_gram_geometric(geometric):
     exact = gram_matrix(system, exact_moments(geometric, 20))
     quad = gram_matrix(system, contour_moments(geometric, ContourSpec(radius=0.5, nodes=512), 20))
     assert np.max(np.abs(quad - exact)) <= 1e-8
+
+
+def y_node_moments(source, radius, nodes, window):
+    """mu~_{-window}..mu~_window by the rule as written on |y| = radius: f at y^2 on every node."""
+    y = kernels.circle_nodes_extended(radius, nodes)
+    spectrum = kernels.circle_spectrum(1 / kernels.eval_poly_extended(source.coeffs, y * y))
+    return kernels.circle_coefficients(spectrum, radius, range(2 * window, -2 * window - 1, -2))
+
+
+@pytest.mark.parametrize("nodes", [17, 63, 64, 65])
+def test_w_node_rule_is_the_y_node_rule_for_either_parity(exponential, exp_binomial, nodes):
+    for src, c in ((exponential, 0.5), (exp_binomial, 0.7)):
+        table = contour_moments(src, ContourSpec(radius=c, nodes=nodes), 6)
+        ref = y_node_moments(src, c, nodes, 6)
+        for m in range(-6, 7):
+            assert abs(table[m] - ref[m + 6]) <= 1e-15 * (1 + abs(ref[m + 6]))
+    # squaring permutes the 17 odd-count nodes, so the rule's aliasing
+    # survives: mu~_6 picks up e_11 r^17 on |w| = r = 0.25
+    mu6 = contour_moments(exponential, ContourSpec(radius=0.5, nodes=17), 6)[6]
+    assert mu6 == pytest.approx(-0.25 ** 17 / math.factorial(11), rel=1e-9)
+
+
+@pytest.mark.parametrize("nodes, points", [(64, 32), (63, 63)])
+def test_f_is_evaluated_once_per_distinct_square(monkeypatch, capsys, nodes, points):
+    seen = []
+    horner = kernels.eval_poly_extended
+    monkeypatch.setattr(kernels, "eval_poly_extended",
+                        lambda c, p: seen.append(p.size) or horner(c, p))
+    assert cli.main(["ortho", "--family", "exponential", "--order", "4",
+                     "--radius", "0.8", "--nodes", str(nodes)]) == 0
+    capsys.readouterr()
+    assert seen == [points]
+
+
+def test_a_real_source_keeps_an_integer_table(geometric, exponential, exp_binomial):
+    for src, c in ((geometric, 0.5), (exponential, 0.8), (exp_binomial, 0.7)):
+        table = contour_moments(src, ContourSpec(radius=c), 20)
+        assert all(type(v) is int for v in table.values)
+
+
+def test_a_complex_source_keeps_a_gaussian_table():
+    rng = np.random.default_rng(7)
+    moduli = rng.uniform(0.5, 1.5, 41) * 0.5 ** np.arange(41)
+    coeffs = moduli * np.exp(2j * np.pi * rng.uniform(size=41))
+    coeffs[0] = 1
+    src = realize(FamilySpec.explicit(coeffs, 2.0), 40)
+    table = contour_moments(src, ContourSpec(radius=0.8), 12)
+    assert all(isinstance(v, exact.Gaussian) for v in table.values if v)
+    mu = exact_moments(src, 12)
+    ref = y_node_moments(src, 0.8, 512, 12)
+    err = max(abs(table[m] - mu[m]) / (1 + abs(mu[m])) for m in range(-12, 13))
+    ref_err = max(abs(ref[m + 12] - mu[m]) / (1 + abs(mu[m])) for m in range(-12, 13))
+    assert err <= ref_err
+
+
+def test_specialized_route_weighs_each_distinct_square_once(exp_binomial_spec, exp_binomial,
+                                                             monkeypatch):
+    lengths = []
+    spectrum = kernels.circle_spectrum
+    monkeypatch.setattr(kernels, "circle_spectrum", lambda v: lengths.append(len(v)) or spectrum(v))
+    # acceptance criterion 2's check: all R_n R_m, n, m <= 12, at 512 nodes
+    system = build_system(exp_binomial, 12)
+    moments = exact_moments(exp_binomial, 12)
+    for n in range(13):
+        for m in range(n, 13):
+            p = system.R[n] * system.R[m]
+            ex = apply_L(p, moments)
+            quad = specialized_L_exp_binomial(p, exp_binomial_spec, nodes=512)
+            assert abs(quad - ex) <= 1e-9 * (1 + abs(ex))
+    assert set(lengths) == {256}
 
 
 def test_contour_agrees_with_moments_for_empty_polynomial(geometric):

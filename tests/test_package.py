@@ -65,5 +65,6 @@ def test_traced_contour_run_counts_extended_horner_steps(capsys):
     capsys.readouterr()
     metrics = tracer.metrics()
     assert metrics["kernels.eval_poly_extended.calls"] == 1
-    # 64 nodes times the 64 Horner steps of the order-64 contour source
-    assert metrics["kernels.eval_poly_extended.point_steps"] == 64 * 64
+    # the 64 nodes on |y| are 32 distinct values of y^2, times the 64
+    # Horner steps of the order-64 contour source
+    assert metrics["kernels.eval_poly_extended.point_steps"] == 32 * 64
