@@ -362,6 +362,7 @@ def cmd_finite(args) -> int:
         "atoms": [[z.real, z.imag, w] for z, w in measure.atoms],
         "min_weight": min(w for _, w in measure.atoms),
         "moment_residual_max": moment_res,
+        "moment_error_bound": measure.error_bound,
         "representation_residual_max": rep_res,
         "solve_amplification_log2": table.scale - SOLVE_GUARD_BITS,
         "exact_moment_deviation": exact_dev,

@@ -75,7 +75,7 @@ class WindowExceeded(OLaurentError):
 
 
 class RadiusInvalid(OLaurentError):
-    """Contour radius incompatible with the series' disc of convergence."""
+    """A contour radius outside the series' disc, or an atom circle that must pass 2**120."""
 
 
 class NearZeroDenominator(OLaurentError):

@@ -16,7 +16,7 @@ import math
 
 from .errors import InvalidParams, UnrepresentableValue
 
-__all__ = ["Gaussian", "split", "scaled", "to_complex", "as_int", "as_number",
+__all__ = ["Gaussian", "split", "scaled", "to_complex", "ratio", "as_int", "as_number",
            "refuse_unknown_keys"]
 
 
@@ -87,6 +87,17 @@ def to_complex(v, scale: int) -> complex:
     except OverflowError as exc:
         raise UnrepresentableValue(
             f"exact value of magnitude ~2**{max(abs(v.real), abs(v.imag)).bit_length() - scale} "
+            "overflows a double") from exc
+
+
+def ratio(v, den: int) -> complex:
+    """v / den for any int den > 0, each part correctly rounded to a double."""
+    try:
+        return complex(v.real / den, v.imag / den)
+    except OverflowError as exc:
+        raise UnrepresentableValue(
+            f"exact value of magnitude "
+            f"~2**{max(abs(v.real), abs(v.imag)).bit_length() - den.bit_length()} "
             "overflows a double") from exc
 
 

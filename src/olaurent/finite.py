@@ -32,11 +32,21 @@ one dot product of the coefficients with the measure's moment table.
 The moment identity is exact algebra, but a weight held to precision
 eps can only pin moment k down to r^k * eps; the doubling search
 routinely lands at r = 16 or 32, where no hardware float is wide
-enough.  Weights and the moment table M_0..M_N are therefore computed
-once, as mpmath values with the working precision scaled to r^N, and
-only rounded to doubles at the reporting boundary (the ``atoms``
-field).  Construction stays O(N^2) on a handful of atoms, so the cost
-is irrelevant.
+enough.  Every input is exact, though: r = 2**e, and each s_k is a
+double, so t_k = s_k r^{-k} is a dyadic rational.  Only the roots of
+unity are irrational, and :func:`build_atomic_measure` holds them in
+fixed point, each rounded once to F = ceil(dps log2 10) bits (dps, in
+decimal digits, grows with r^N), from one mpmath evaluation of the
+primitive root.  The weights, the moment table M_0..M_N and every L(Q)
+are then exact integer sums over those roots, each rounded to a double
+once, at the reporting boundary.  Rounded roots are the only error, and
+they move each moment by at most
+
+    |M_k - s_k| <= 2**(1-F) r^N (1 + 2 sum_k |t_k|)
+
+including the final rounding to a double (derivation in
+:func:`build_atomic_measure`, which adds |s_0 - 1| for an s_0 that is
+not exactly 1); the report states it as ``moment_error_bound``.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ import numpy as np
 from .errors import (
     InvalidParams,
     MissingCoefficients,
+    RadiusInvalid,
     RepresentationCondFailed,
     WindowExceeded,
 )
@@ -178,12 +189,16 @@ class FunctionalSolve:
 class AtomicMeasure:
     """Atoms (location, weight) whose moments match s_0..s_N.
 
-    ``atoms`` holds display-precision copies; the authoritative weights
-    live in ``wide_weights`` together with the decimal precision they
-    were built at, and ``wide_moments`` holds their moments M_0..M_N at
-    that precision.  ``moment`` and :func:`represent_functional` read
-    that table, so residuals stay far below any float tolerance even for
-    large radii.
+    ``atoms`` holds each location and weight correctly rounded to
+    doubles.  The exact values behind them are integer numerators over
+    the one ``denominator``, M 2**(S + 2F) for M atoms, F fixed-point bits
+    and s_k r^{-k} over 2**S: ``wide_weights`` holds the M weights as
+    ints, and ``wide_moments`` the moments M_0..M_N as ints, or
+    :class:`~olaurent.exact.Gaussian` numerators when complex.
+    ``precision`` is the decimal precision dps that F = ceil(dps log2 10)
+    comes from, and ``error_bound`` bounds |moment(k) - s_k| for every k.
+    ``moment`` and :func:`represent_functional` sum over those numerators
+    exactly and round once.
     """
 
     atoms: tuple[tuple[complex, float], ...]
@@ -192,16 +207,18 @@ class AtomicMeasure:
     wide_weights: tuple = field(repr=False, default=())
     precision: int = field(repr=False, default=50)
     wide_moments: tuple = field(repr=False, default=())
+    denominator: int = field(repr=False, default=1)
+    error_bound: float = field(repr=False, default=0.0)
 
     @property
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms], dtype=np.float64)
 
     def moment(self, k: int) -> complex:
-        """M_k = sum_j w_j z_j^k for 0 <= k <= moment_window."""
+        """M_k = sum_j w_j z_j^k for 0 <= k <= moment_window, each part rounded once."""
         if not 0 <= k <= self.moment_window:
             raise WindowExceeded(f"moment {k} outside [0, {self.moment_window}]")
-        return complex(self.wide_moments[k])
+        return exact.ratio(self.wide_moments[k], self.denominator)
 
 
 def build_Q(spec: FiniteSystemSpec) -> tuple[LaurentPoly, ...]:
@@ -263,12 +280,67 @@ def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
                        scale=P)
 
 
+def _unit_roots(m: int, bits: int) -> list[tuple[int, int]]:
+    """round(2**bits exp(2 pi i q / m)) for q = 0..m-1, as (re, im) int pairs.
+
+    One mpmath evaluation gives z, the primitive root in fixed point over
+    2**B with B = bits + 2 bitlen(m) + 8, each part within 1/2 + 2**-8 of
+    exact.  Each power z^q, q <= m/2, is exact in Gaussian integers and is
+    rounded once to `bits`: its error, about q |z 2**-B - omega| <
+    2**(bitlen(m) - 1 - B) <= 2**(-bits - 11), leaves each part within
+    1/2 + 2**-10 of 2**bits omega^q, so it is correctly rounded unless the
+    exact value lies within 2**-10 of a half-integer, and never off by
+    more than one.
+    omega^(m-q) = conj(omega^q) makes the upper half the mirror image.
+    """
+    B = bits + 2 * m.bit_length() + 8
+    with mpmath.workprec(B + 16):
+        omega = mpmath.expjpi(mpmath.mpf(2) / m)
+        z = exact.Gaussian(int(mpmath.nint(mpmath.ldexp(omega.real, B))),
+                           int(mpmath.nint(mpmath.ldexp(omega.imag, B))))
+    half = [(1 << bits, 0)]
+    power = 1
+    for q in range(1, m // 2 + 1):
+        power *= z
+        shift = q * B - bits
+        bias = 1 << (shift - 1)
+        half.append(((power.real + bias) >> shift, (power.imag + bias) >> shift))
+    return half + [(half[m - q][0], -half[m - q][1]) for q in range(m // 2 + 1, m)]
+
+
 def build_atomic_measure(s) -> AtomicMeasure:
     """Equal-angle atoms on a circle matching the moments s_0..s_N.
 
-    The radius search doubles from 1 until the positivity bound
+    The radius search doubles r from 1 until the positivity bound
     2 sum |s_k| r^{-k} <= 1/2 holds, which caps the weight fluctuation
-    and keeps every w_j >= 1/(2M).
+    and keeps every w_j >= 1/(2M); if that still fails at r = 2**120,
+    :class:`RadiusInvalid` carries the sum.
+
+    In fixed point: r = 2**e, t_k = s_k r^{-k} = T_k / 2**S exactly, and
+    the roots are R_q = 2**F (omega^q + eps_q) from :func:`_unit_roots`.
+    Then the weights and moments
+
+        w_j = (2**(S+F) + 2 sum_k Re(T_k conj R_{jk})) / (M 2**(S+F)),
+        M_k = r^k sum_j w_j R_{jk} / 2**F
+
+    are exact integer numerators over M 2**(S+F) and M 2**(S+2F), and
+    ``atoms`` rounds each weight and r R_j / 2**F once.
+
+    Error bound.  Each part of eps_q is within (1/2 + 2**-10) 2**-F, so
+    |eps_q| <= u = 0.709 2**-F.  With T = sum_k |t_k| <= 1/4, each weight
+    moves by at most (2/M) u T from its exact value, and the weights,
+    positive, sum to at most 1 + 2uT.  The exact measure has moments s_k,
+    and M_k - s_k = r^k (sum_j (w_j - exact w_j) omega^{jk}
+    + sum_j w_j eps_{jk}), so |M_k - s_k| <= r^k u (1 + 2T(1 + u)).
+    Rounding M_k to the nearest double at most doubles a part's distance
+    from the double s_k.  So every |moment(k) - s_k| is at most
+
+        2**(1-F) r^N (1 + 2T) + |s_0 - 1|,
+
+    the ``error_bound``, evaluated in doubles and rounded up; the exact
+    bound is under 0.71 of the first term, which absorbs the rounding of
+    T.  The last term is there because the weights are built for s_0 = 1,
+    which an s_0 computed as a / a in complex doubles can miss by an ulp.
     """
     s_arr = np.asarray(s, dtype=np.complex128)
     if s_arr.ndim != 1 or s_arr.shape[0] == 0:
@@ -279,34 +351,53 @@ def build_atomic_measure(s) -> AtomicMeasure:
     m = 2 * n + 1
     mags = np.abs(s_arr[1:])
     r = 1.0
-    while n > 0 and 2.0 * float(np.sum(mags * r ** -np.arange(1, n + 1))) > 0.5:
+    while (fluct := 2.0 * float(np.sum(mags * r ** -np.arange(1, n + 1)))) > 0.5:
+        if r == 2.0 ** 120:
+            raise RadiusInvalid(
+                f"runaway radius search: positivity sum 2 sum |s_k| r^-k = {fluct:.3e} "
+                f"> 1/2 at r = 2**120; the moments grow too fast for atoms on a circle")
         r *= 2.0
-        if r > 2.0 ** 120:
-            raise InvalidParams("runaway radius search; moments grow too fast")
-    # working precision: enough headroom that r^N cancellation still leaves
-    # the moments pinned to ~30 digits
+    # precision in decimal digits, and its F bits: enough headroom that r^N
+    # cancellation still leaves the moments pinned to ~30 digits
     top = float(np.max(mags)) if n > 0 else 0.0
-    dps = 36 + math.ceil(n * math.log10(max(r, 1.0))) + math.ceil(math.log10(top + 2.0))
-    with mpmath.workdps(dps):
-        roots = mpmath.unitroots(m)
-        rmp = mpmath.mpf(r)
-        scaled = [mpmath.mpc(complex(s_arr[k])) * rmp ** (-k) for k in range(n + 1)]
-        wide = []
-        for j in range(m):
-            acc = mpmath.mpf(1)
-            for k in range(1, n + 1):
-                acc += 2 * (scaled[k] * roots[(-j * k) % m]).real
-            wide.append(acc / m)
-        atoms = tuple((complex(rmp * roots[j]), float(wide[j])) for j in range(m))
-        moments = tuple(rmp ** k * mpmath.fdot(wide, [roots[(j * k) % m] for j in range(m)])
-                        for k in range(n + 1))
-    return AtomicMeasure(atoms=atoms, moment_window=n, radius=r, wide_weights=tuple(wide),
-                         precision=dps, wide_moments=moments)
+    dps = 36 + math.ceil(n * math.log10(r)) + math.ceil(math.log10(top + 2.0))
+    F = math.ceil(dps * math.log2(10))
+    e = math.frexp(r)[1] - 1
+    roots = _unit_roots(m, F)
+    cos, sin = [re for re, _ in roots], [im for _, im in roots]
+    parts = [exact.split(v) for v in s_arr[1:].tolist()]
+    S = max((scale + e * k for k, (_, scale) in enumerate(parts, 1)), default=0)
+    t = [v << (S - scale - e * k) for k, (v, scale) in enumerate(parts, 1)]
+    t_re, t_im = [v.real for v in t], [v.imag for v in t]
+    one = 1 << (S + F)
+    weights = []
+    for j in range(m):
+        jk = [j * k % m for k in range(1, n + 1)]
+        weights.append(one + 2 * (sum(map(mul, t_re, [cos[q] for q in jk]))
+                                  + sum(map(mul, t_im, [sin[q] for q in jk]))))
+    moments = []
+    for k in range(n + 1):
+        jk = [j * k % m for j in range(m)]
+        re = sum(map(mul, weights, [cos[q] for q in jk])) << e * k
+        im = sum(map(mul, weights, [sin[q] for q in jk])) << e * k
+        moments.append(exact.Gaussian(re, im) if im else re)
+    den = m << (S + F)
+    atoms = tuple((exact.to_complex(exact.Gaussian(*root), F - e), w / den)
+                  for root, w in zip(roots, weights))
+    bound = math.ldexp(1.0 + fluct, 1 - F + e * n)      # fluct = 2T
+    return AtomicMeasure(atoms=atoms, moment_window=n, radius=r,
+                         wide_weights=tuple(w << F for w in weights), precision=dps,
+                         wide_moments=tuple(moments), denominator=den << F,
+                         error_bound=math.nextafter(bound + abs(s_arr[0] - 1.0), math.inf))
 
 
 def represent_functional(solve: FunctionalSolve, measure: AtomicMeasure,
                          p: LaurentPoly) -> complex:
-    """L(p) = a sum_e c_e M_{e+level} for p supported in [-level, level]."""
+    """L(p) = a sum_e c_e M_{e+level} for p supported in [-level, level].
+
+    The sum runs exactly on the measure's moment numerators and the
+    dyadic a and c_e, and each part is rounded once.
+    """
     if abs(solve.a) == 0:
         raise RepresentationCondFailed("a = 0; representation undefined")
     level = solve.level
@@ -319,7 +410,7 @@ def represent_functional(solve: FunctionalSolve, measure: AtomicMeasure,
     if measure.moment_window < 2 * level:
         raise InvalidParams(
             f"measure covers moments to {measure.moment_window}, need {2 * level}")
-    with mpmath.workdps(measure.precision):
-        span = measure.wide_moments[lo + level:hi + level + 1]
-        total = mpmath.fdot(map(complex, p.coeffs), span)
-        return complex(total * mpmath.mpc(complex(solve.a)))
+    c, cs = exact.scaled(p.coeffs.tolist())
+    a, scale = exact.split(solve.a)
+    total = a * sum(map(mul, c, measure.wide_moments[lo + level:hi + level + 1]))
+    return exact.ratio(total, measure.denominator << (cs + scale))

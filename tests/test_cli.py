@@ -654,6 +654,21 @@ def test_a_refusal_is_one_error_line(argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+@pytest.mark.parametrize("spec", [
+    '{"n_cap":1,"g":[[1e-19,0],[1e-40,0]]}',
+    '{"n_cap":1,"g":[[1,0],[1,0]],"f_rec":[[-1,0],[-1e80,0]]}',
+], ids=["tiny-g", "huge-f"])
+def test_runaway_radius_search_is_a_numerical_guard(spec):
+    # valid specs whose moments outgrow every radius up to 2**120 used to exit 2
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["finite", "--spec", spec]) == 3
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: RadiusInvalid: "), lines
+    assert "> 1/2 at r = 2**120" in lines[0]
+
+
 @pytest.mark.parametrize("level", ["0", "5", "-1"])
 def test_finite_level_outside_its_range_is_a_config_error(capsys, level):
     # --level 5 at n_cap 2 used to exit 3 with WindowExceeded after the solve

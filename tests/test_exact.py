@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from olaurent import FiniteSystemSpec, exact_moments, recurrence_data, solve_moments
-from olaurent.errors import InvalidParams
-from olaurent.exact import Gaussian, as_number, scaled, split, to_complex
+from olaurent.errors import InvalidParams, UnrepresentableValue
+from olaurent.exact import Gaussian, as_number, ratio, scaled, split, to_complex
 from olaurent.systems import two_step
 
 
@@ -47,6 +47,14 @@ def test_gaussian_arithmetic_matches_fraction_pairs(a, b):
     for scale in (0, 3, 200):
         re, im = mul(x, y)
         assert to_complex(a * b, scale) == complex(float(re / 2 ** scale), float(im / 2 ** scale))
+    for den in (3, 33 << 200):
+        re, im = mul(x, y)
+        assert ratio(a * b, den) == complex(float(re / den), float(im / den))
+
+
+def test_ratio_refuses_what_overflows_a_double():
+    with pytest.raises(UnrepresentableValue, match=r"~2\*\*1030 "):
+        ratio(Gaussian(1, 3 << 1030), 3)
 
 
 @pytest.mark.parametrize("z", [0.1, -3.0, complex(0.1, -0.3), complex(2.5, -0.0), 1j, 0j])

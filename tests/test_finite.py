@@ -1,7 +1,14 @@
 """Finite recurrence systems, triangular moment solves, atomic measures."""
 
+import contextlib
+import importlib.util
+import io
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,10 +27,12 @@ from olaurent import (
     represent_functional,
     solve_moments,
 )
+from olaurent import cli, finite
 from olaurent.finite import SOLVE_GUARD_BITS
 from olaurent.errors import (
     InvalidParams,
     MissingCoefficients,
+    RadiusInvalid,
     RepresentationCondFailed,
     WindowExceeded,
 )
@@ -314,3 +323,141 @@ def test_build_q_rounds_the_exact_recurrence_once():
     exact = Fraction(0.1) + Fraction(0.2) - Fraction(0.3)
     assert q[2].coeff(0) == float(exact)
     assert q[2].coeff(1) == float(Fraction(0.1) * Fraction(0.2))
+
+
+# -- the atomic measure in fixed point ---------------------------------------
+
+BENCH_JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "bench_jobs.py"
+
+
+def _bench_jobs():
+    """perfbench/bench_jobs.py, loaded by path; it imports only olaurent and the standard library."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", BENCH_JOBS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("bench_jobs", module)   # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _finite_report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("bits", [64, 200, 600])
+def test_unit_roots_are_the_per_root_rounding(bits):
+    # each root alone, 64 bits past the target, rounded to the nearest int
+    worst = 0
+    for m in range(3, 66):
+        with mpmath.workprec(bits + 64):
+            ref = [mpmath.expjpi(mpmath.mpf(2 * q) / m) for q in range(m)]
+            ref = [(int(mpmath.nint(mpmath.ldexp(z.real, bits))),
+                    int(mpmath.nint(mpmath.ldexp(z.imag, bits)))) for z in ref]
+        got = finite._unit_roots(m, bits)
+        worst = max(worst, *(max(abs(a - c), abs(b - d)) for (a, b), (c, d) in zip(got, ref)))
+    assert worst <= 1
+
+
+def _mpmath_atoms(s, radius, dps):
+    """The equal-angle atoms of s, summed in mpmath at `dps` digits."""
+    n, m = len(s) - 1, 2 * len(s) - 1
+    with mpmath.workdps(dps):
+        roots = mpmath.unitroots(m)
+        r = mpmath.mpf(radius)
+        t = [mpmath.mpc(s[k]) * r ** -k for k in range(n + 1)]
+        weights = [(1 + 2 * mpmath.fsum((t[k] * roots[-j * k % m]).real
+                                        for k in range(1, n + 1))) / m for j in range(m)]
+        return [(complex(r * roots[j]), float(weights[j])) for j in range(m)]
+
+
+def _bits(atoms):
+    return [(z.real.hex(), z.imag.hex(), w.hex()) for z, w in atoms]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_atoms_are_bitwise_those_of_a_wide_mpmath_construction(n):
+    rng = np.random.default_rng(n)
+    s = [1.0] + [complex(*rng.uniform(-1, 1, 2)) for _ in range(n)]
+    measure = build_atomic_measure(s)
+    assert _bits(measure.atoms) == _bits(_mpmath_atoms(s, measure.radius, 2 * measure.precision))
+
+
+def _complex_fraction(v, den=1):
+    return Fraction(v.real) / den, Fraction(v.imag) / den
+
+
+@pytest.mark.parametrize("family, level", [(FamilySpec.exponential(), 3), (RATIONAL, 2)])
+def test_representation_is_the_exact_sum_rounded_once(family, level):
+    solve = FunctionalSolve.from_moments(exact_moments(realize(family, 24), 2 * level), level)
+    measure = build_atomic_measure(solve.s)
+    moments = [_complex_fraction(v, measure.denominator) for v in measure.wide_moments]
+    a_re, a_im = _complex_fraction(solve.a)
+    rng = np.random.default_rng(level)
+    for _ in range(20):
+        p = LaurentPoly({int(e): complex(*rng.normal(size=2))
+                         for e in rng.integers(-level, level + 1, size=4)})
+        re = im = Fraction(0)
+        for e, c in zip(range(p.min_exponent, p.max_exponent + 1), p.coeffs.tolist()):
+            m_re, m_im = moments[e + level]
+            c_re, c_im = Fraction(c.real), Fraction(c.imag)
+            re += c_re * m_re - c_im * m_im
+            im += c_re * m_im + c_im * m_re
+        expect = complex(float(a_re * re - a_im * im), float(a_re * im + a_im * re))
+        assert represent_functional(solve, measure, p) == expect
+
+
+def test_the_finite_command_needs_no_mpmath_sum(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath summation called")
+
+    for name in ("fdot", "workdps", "unitroots"):
+        monkeypatch.setattr(mpmath, name, refuse)
+    assert cli.main(["finite", "--family", "exponential", "--ncap", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["moment_residual_max"] <= 1e-30
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103])
+def test_moment_residual_is_within_the_stated_bound(seed):
+    bench_jobs = _bench_jobs()
+    deck = next(bench_jobs.decks("finite", seed))
+    for job in deck:
+        rep = _finite_report(bench_jobs.cli_argv(job))
+        assert 0 < rep["moment_error_bound"] <= 1e-30
+        assert rep["moment_residual_max"] <= rep["moment_error_bound"], job
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bound_holds_for_radii_up_to_2_96(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    rho = 2.0 ** rng.uniform(1, 94)
+    s = [1.0] + [complex(*rng.uniform(-1, 1, 2)) * rho ** k for k in range(1, n + 1)]
+    measure = build_atomic_measure(s)
+    assert 2.0 ** 3 <= measure.radius <= 2.0 ** 96
+    worst = max(abs(measure.moment(k) - s[k]) for k in range(n + 1))
+    assert worst <= measure.error_bound
+
+
+def test_the_bound_counts_an_s_0_that_misses_one():
+    # a / a in complex doubles is 1 - 4.0e-17j here; the weights are built
+    # for s_0 = 1, so moment 0 misses s_0 by that much
+    rng = np.random.default_rng(77)
+    g = tuple(1 + 0.05 * complex(*rng.uniform(-1, 1, 2)) for _ in range(12))
+    f = tuple(-1 + 0.05 * complex(*rng.uniform(-1, 1, 2)) for _ in range(12))
+    solve = FunctionalSolve.from_moments(solve_moments(FiniteSystemSpec(3, g, f), 6), 3)
+    measure = build_atomic_measure(solve.s)
+    assert solve.s[0] != 1
+    assert max(abs(measure.moment(k) - solve.s[k]) for k in range(7)) <= measure.error_bound
+
+
+def test_a_spec_whose_radius_search_lands_at_2_96():
+    rep = _finite_report(["finite", "--spec", '{"n_cap":1,"g":[[1e-19,0],[1e-19,0]]}'])
+    assert rep["radius"] == 2.0 ** 96
+    assert rep["moment_residual_max"] <= rep["moment_error_bound"]
+
+
+def test_runaway_radius_search_states_its_sum():
+    with pytest.raises(RadiusInvalid, match=r"= 1\.500e\+00 > 1/2 at r = 2\*\*120"):
+        build_atomic_measure([1.0, 0.75 * 2.0 ** 120])
