@@ -35,6 +35,13 @@ class Gaussian:
     def __bool__(self) -> bool:
         return bool(self.real or self.imag)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (int, Gaussian)):
+            return NotImplemented
+        return self.real == other.real and self.imag == other.imag
+
+    __hash__ = None
+
     def __neg__(self) -> Gaussian:
         return Gaussian(-self.real, -self.imag)
 

@@ -45,8 +45,8 @@ they move each moment by at most
     |M_k - s_k| <= 2**(1-F) r^N (1 + 2 sum_k |t_k|)
 
 including the final rounding to a double (derivation in
-:func:`build_atomic_measure`, which adds |s_0 - 1| for an s_0 that is
-not exactly 1); the report states it as ``moment_error_bound``.
+:func:`build_atomic_measure`, which adds |s_0 - 1| for a direct caller's
+s_0 that is not exactly 1); the report states it as ``moment_error_bound``.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class FunctionalSolve:
 
     @classmethod
     def from_moments(cls, moments: MomentTable, level: int) -> "FunctionalSolve":
-        """Normalize by a = mu_{-level}; s_k = mu_{k-level}/a for k <= 2 level.
+        """Normalize by a = mu_{-level}: s_0 = 1 exactly, s_k = mu_{k-level}/a for 0 < k <= 2 level.
 
         Raises :class:`RepresentationCondFailed` when |a| is within
         2**-SOLVE_GUARD_BITS of zero, the absolute error that
@@ -181,7 +181,7 @@ class FunctionalSolve:
         if abs(a) <= 2.0 ** -SOLVE_GUARD_BITS:
             raise RepresentationCondFailed(f"|a| = |mu[-{level}]| = {abs(a):.3e} <= "
                                            f"2**-{SOLVE_GUARD_BITS}; no atomic representation")
-        s = tuple(moments[k - level] / a for k in range(2 * level + 1))
+        s = (1 + 0j, *(moments[k - level] / a for k in range(1, 2 * level + 1)))
         return cls(level=level, a=a, s=s)
 
 
@@ -340,7 +340,8 @@ def build_atomic_measure(s) -> AtomicMeasure:
     the ``error_bound``, evaluated in doubles and rounded up; the exact
     bound is under 0.71 of the first term, which absorbs the rounding of
     T.  The last term is there because the weights are built for s_0 = 1,
-    which an s_0 computed as a / a in complex doubles can miss by an ulp.
+    which a direct caller's s_0 may miss by up to 1e-12; it reads 0 for
+    :meth:`FunctionalSolve.from_moments`, which sets s_0 = 1 exactly.
     """
     s_arr = np.asarray(s, dtype=np.complex128)
     if s_arr.ndim != 1 or s_arr.shape[0] == 0:

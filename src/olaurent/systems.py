@@ -28,6 +28,15 @@ exactly on the double g_k and f^rec_k (see :mod:`olaurent.exact`).
 :func:`build_by_recurrence` rounds each coefficient of each Q_n to a
 double once; the finite systems of :mod:`olaurent.finite` run the same
 loop and solve for their moments on its exact output.
+
+On a source's own data, f^rec_k = -g_k, a step never changes a
+coefficient it was handed: coefficient i of the exact Q_n is g_1 ... g_i
+for every n >= i.  For Q_k is x^{-1} Q_{k-1} (odd k) or Q_{k-1} (even k)
+plus g_k times the bracket Q_{k-1} - Q_{k-2} or x Q_{k-1} - Q_{k-2},
+and the bracket is the one term that step k-1 added.  So
+:func:`check_normalization` rounds one new coefficient per step, and
+checks on the exact integer numerators that every carried one is
+unchanged.
 """
 
 from __future__ import annotations
@@ -193,16 +202,38 @@ def build_by_recurrence(rd: RecurrenceData, K: int) -> tuple[LaurentPoly, ...]:
 def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationReport:
     """Compare the recurrence route Q_n against the direct route R_n.
 
-    xi_n d_n = 1, so Q_n = R_n up to the rounding of the g_k and f^rec_k.
     Deviation for index n is max over exponents of |Q_n - R_n| divided by
-    the largest coefficient magnitude of R_n.  Real coefficients of Q_n
-    and R_n agree within a factor of 2, so their difference is exact.
+    the largest coefficient magnitude of R_n.
+
+    With f^rec_k = -g_k, coefficient i of the exact Q_n (power i of f_n)
+    is g_1 ... g_i for every n >= i, so each step rounds only its new
+    coefficient q_n[n].  Proof, by induction on k: the odd step reads
+    Q_k = x^{-1} Q_{k-1} + g_k (Q_{k-1} - Q_{k-2}) and the even step
+    Q_k = Q_{k-1} + g_k (x Q_{k-1} - Q_{k-2}); in both the first term is
+    f_{k-1} / x^ceil(k/2) and the bracket is the one term g_1 ... g_{k-1}
+    x^{k-1} / x^(ceil(k/2) - 1).  The invariant is checked, not assumed:
+    at every step q_n[i] = q_{n-1}[i] 2**(scale_n - scale_{n-1}) for
+    i < n on the exact numerators, real and imaginary parts as ints, and
+    Q_n starts at exponent -ceil(n/2).  Recurrence data that is not a
+    source's own (f^rec_k != -g_k at some k >= 2) fails the check and
+    raises :class:`InvalidParams`; f^rec_1 multiplies Q_{-1} = 0 and is
+    free.
     """
     K = min(system.K, rd.K)
-    Q = build_by_recurrence(rd, K)
-    per: list[float] = []
-    for n in range(K + 1):
-        dev = np.max(np.abs((Q[n] - system.R[n]).coeffs), initial=0.0)
-        per.append(float(dev / np.max(np.abs(system.R[n].coeffs))))
-    return NormalizationReport(per_index=tuple(per),
-                               max_rel_deviation=max(per, default=0.0), K=K)
+    new = np.ones(K + 1, dtype=np.complex128)
+    q1, s1 = [1], 0
+    for n, (lo, q, scale) in enumerate(two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]), start=1):
+        if lo != -math.ceil(n / 2):
+            raise InvalidParams(f"Q_{n} starts at exponent {lo}, not -ceil({n}/2)")
+        shift = scale - s1
+        for i, (a, b) in enumerate(zip(q1, q)):
+            if a.real << shift != b.real or a.imag << shift != b.imag:
+                raise InvalidParams(f"Q_{n} changes coefficient {i} of Q_{n - 1}; "
+                                    "the recurrence data needs f^rec_k = -g_k for k >= 2")
+        new[n] = exact.to_complex(q[n], scale)
+        q1, s1 = q, scale
+    d = system.source.coeffs[:K + 1]
+    # np.abs, not abs(): the two differ in the last ulp of some complex values
+    per = np.maximum.accumulate(np.abs(new - d)) / np.maximum.accumulate(np.abs(d))
+    return NormalizationReport(per_index=tuple(per.tolist()),
+                               max_rel_deviation=float(per.max()), K=K)

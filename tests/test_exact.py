@@ -52,6 +52,15 @@ def test_gaussian_arithmetic_matches_fraction_pairs(a, b):
         assert ratio(a * b, den) == complex(float(re / den), float(im / den))
 
 
+def test_gaussian_equality_compares_both_parts():
+    assert Gaussian(1, 2) == Gaussian(1, 2) and not Gaussian(1, 2) != Gaussian(1, 2)
+    assert Gaussian(3, 0) == 3 and 3 == Gaussian(3, 0)
+    assert Gaussian(3, 1) != 3 and 3 != Gaussian(3, 1) and Gaussian(4, 0) != 3
+    assert Gaussian(1, 2) != Gaussian(0, 2) and Gaussian(1, 2) != Gaussian(1, -2)
+    with pytest.raises(TypeError):
+        hash(Gaussian(1, 2))
+
+
 def test_ratio_refuses_what_overflows_a_double():
     with pytest.raises(UnrepresentableValue, match=r"~2\*\*1030 "):
         ratio(Gaussian(1, 3 << 1030), 3)

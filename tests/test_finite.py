@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -441,15 +442,22 @@ def test_bound_holds_for_radii_up_to_2_96(seed):
 
 
 def test_the_bound_counts_an_s_0_that_misses_one():
-    # a / a in complex doubles is 1 - 4.0e-17j here; the weights are built
-    # for s_0 = 1, so moment 0 misses s_0 by that much
+    # criterion 7's complex spec 0: a / a in complex doubles is 1 - 3.97e-17j,
+    # so from_moments sets s_0 = 1 exactly and the |s_0 - 1| term reads 0;
+    # a direct caller's s_0 may still miss 1, and the bound then counts it
     rng = np.random.default_rng(77)
     g = tuple(1 + 0.05 * complex(*rng.uniform(-1, 1, 2)) for _ in range(12))
     f = tuple(-1 + 0.05 * complex(*rng.uniform(-1, 1, 2)) for _ in range(12))
-    solve = FunctionalSolve.from_moments(solve_moments(FiniteSystemSpec(3, g, f), 6), 3)
-    measure = build_atomic_measure(solve.s)
-    assert solve.s[0] != 1
-    assert max(abs(measure.moment(k) - solve.s[k]) for k in range(7)) <= measure.error_bound
+    table = solve_moments(FiniteSystemSpec(3, g, f), 6)
+    solve = FunctionalSolve.from_moments(table, 3)
+    assert table[-3] / solve.a != 1
+    assert solve.s[0] == 1 and math.copysign(1.0, solve.s[0].imag) == 1.0
+    exact_s0 = build_atomic_measure(solve.s)
+    assert exact_s0.error_bound < 1e-38
+    missed = (table[-3] / solve.a, *solve.s[1:])
+    measure = build_atomic_measure(missed)
+    assert measure.error_bound >= abs(missed[0] - 1)
+    assert max(abs(measure.moment(k) - missed[k]) for k in range(7)) <= measure.error_bound
 
 
 def test_a_spec_whose_radius_search_lands_at_2_96():

@@ -1,10 +1,13 @@
 """Laurent system construction and the two-step recurrence route."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olaurent import (
     FamilySpec,
@@ -18,7 +21,9 @@ from olaurent import (
     realize,
     recurrence_data,
 )
+from olaurent import systems
 from olaurent.errors import InsufficientOrder, InvalidParams, MissingCoefficients, ZeroCoefficient
+from olaurent.exact import to_complex
 
 
 def test_geometric_first_three(geometric):
@@ -181,6 +186,59 @@ def test_normalization_report(family):
     assert report.per_index[0] == 0.0
 
 
+def _elementwise_normalization(system, rd):
+    """per_index by the elementwise route: Q_n - R_n on every coefficient of every n."""
+    Q = build_by_recurrence(rd, system.K)
+    per = [float(np.max(np.abs((Q[n] - system.R[n]).coeffs), initial=0.0)
+                 / np.max(np.abs(system.R[n].coeffs)))
+           for n in range(system.K + 1)]
+    return per, max(per)
+
+
+def _random_explicit(seed, K):
+    rng = np.random.default_rng(seed)
+    return FamilySpec.explicit([1] + list(rng.normal(size=K) + 1j * rng.normal(size=K)), 1.0)
+
+
+@pytest.mark.parametrize("K", [20, 40, 80])
+@pytest.mark.parametrize("spec", [*FAMILIES.values(), *(_random_explicit(s, 80) for s in range(4))],
+                         ids=[*FAMILIES, *(f"random{s}" for s in range(4))])
+def test_normalization_is_bitwise_the_elementwise_route(spec, K):
+    src = realize(spec, K)
+    system = build_system(src, K)
+    report = check_normalization(system, recurrence_data(src, K))
+    per, worst = _elementwise_normalization(system, recurrence_data(src, K))
+    assert [v.hex() for v in report.per_index] == [v.hex() for v in per]
+    assert report.max_rel_deviation.hex() == worst.hex()
+
+
+def test_normalization_rounds_one_coefficient_per_step(monkeypatch):
+    src = realize(_random_explicit(7, 30), 30)
+    system, rd = build_system(src, 30), recurrence_data(src, 30)
+    want = check_normalization(system, rd)
+    rounded = []
+    monkeypatch.setattr(systems.exact, "to_complex",
+                        lambda v, scale: rounded.append(scale) or to_complex(v, scale))
+    monkeypatch.setattr(systems, "build_by_recurrence", None)
+    monkeypatch.setattr(LaurentPoly, "from_coeffs", None)
+    assert check_normalization(build_system(src, 30), rd) == want
+    assert len(rounded) == 30
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_normalization_refuses_data_that_is_not_the_sources_own(k):
+    src = realize(_random_explicit(3, 12), 12)
+    rd = recurrence_data(src, 12)
+    f_rec = list(rd.f_rec)
+    f_rec[k] += 2.0 ** -40
+    with pytest.raises(InvalidParams, match=rf"Q_{k} changes coefficient 1 of Q_{k - 1};"):
+        check_normalization(build_system(src, 12), dataclasses.replace(rd, f_rec=tuple(f_rec)))
+    # f^rec_1 multiplies Q_{-1} = 0, so any value is the source's own
+    free = dataclasses.replace(rd, f_rec=(0j, 7.5 - 2j, *rd.f_rec[2:]))
+    assert check_normalization(build_system(src, 12), free) == \
+        check_normalization(build_system(src, 12), rd)
+
+
 def test_recurrence_substitution_leaves_zero_residual(exp_binomial):
     # odd step: Q_{2n+1} - (x^{-1} + g) Q_{2n} - f Q_{2n-1} = 0
     # even step: Q_{2n+2} - (1 + g x) Q_{2n+1} - f Q_{2n} = 0
@@ -208,12 +266,13 @@ def _gaussian(z):
     return Fraction(z.real), Fraction(z.imag)
 
 
+def _gaussian_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
 def _exact_recurrence(g, f_rec):
     """Q_0..Q_K over Gaussian rationals, as {exponent: (re, im)}."""
     one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
-
-    def mul(a, b):
-        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
     def add(p, e, c):
         a = p.get(e, zero)
@@ -225,9 +284,9 @@ def _exact_recurrence(g, f_rec):
         step = {}
         for e, c in cur.items():
             add(step, e - 1 if k % 2 == 1 else e, c)
-            add(step, e if k % 2 == 1 else e + 1, mul(gk, c))
+            add(step, e if k % 2 == 1 else e + 1, _gaussian_mul(gk, c))
         for e, c in prev.items():
-            add(step, e, mul(fk, c))
+            add(step, e, _gaussian_mul(fk, c))
         prev, cur = cur, step
         out.append(step)
     return out
@@ -253,3 +312,22 @@ def test_complex_recurrence_rounds_the_exact_values_once():
     # the cancelling constant term of Q_2 is where the float loop is off
     assert q[2].coeff(0) == complex(float(Fraction(0.1) + Fraction(0.2) - Fraction(0.3)),
                                     float(Fraction(0.1) + Fraction(0.2) - Fraction(0.3)))
+
+
+parts = st.floats(min_value=-8, max_value=8, allow_nan=False)
+
+
+@given(st.one_of(st.lists(parts, max_size=12),
+                 st.lists(st.builds(complex, parts, parts), max_size=12)),
+       st.builds(complex, parts, parts))
+@settings(max_examples=60, deadline=None)
+def test_two_step_on_a_sources_own_data_carries_every_coefficient(g, f1):
+    # f^rec_k = -g_k for k >= 2: coefficient i of Q_n is g_1 ... g_i for every n >= i
+    f_rec = [f1] + [-v for v in g[1:]]
+    products = [(Fraction(1), Fraction(0))]
+    for v in g:
+        products.append(_gaussian_mul(products[-1], _gaussian(complex(v))))
+    for n, (lo, q, scale) in enumerate(systems.two_step(g, f_rec), start=1):
+        assert lo == -math.ceil(n / 2) and len(q) == n + 1
+        assert [(Fraction(c.real, 2 ** scale), Fraction(c.imag, 2 ** scale)) for c in q] \
+            == products[:n + 1]
