@@ -91,10 +91,14 @@ def _pairs(values) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _terms(p) -> list:
-    """[exponent, re, im] rows of the nonzero terms of the LaurentPoly `p`."""
-    nz = np.flatnonzero(p.coeffs)
-    return [[e, re, im] for e, (re, im) in zip((nz + p.lo).tolist(), _pairs(p.coeffs[nz]))]
+def _system_rows(coeffs) -> list:
+    """[exponent, re, im] rows of R_0..R_K from d_0..d_K.
+
+    R_n is d_k x^(k - ceil(n/2)) for k = 0..n, and every d_k of a system
+    is nonzero, so these are exactly its nonzero terms.
+    """
+    d = _pairs(coeffs)
+    return [[[k - (n + 1) // 2, *d[k]] for k in range(n + 1)] for n in range(len(d))]
 
 
 def _moment_rows(table) -> list:
@@ -204,10 +208,11 @@ def cmd_build(args) -> int:
     system = build_system(source, order)
     rd = recurrence_data(source, order)
     norm = check_normalization(system, rd)
+    R = _system_rows(source.coeffs[:order + 1])
 
     report = {
         "config": {"family": args.family.to_json(), "order": order},
-        "R": [{"n": n, "coeffs": _terms(system.R[n])} for n in range(order + 1)],
+        "R": [{"n": n, "coeffs": rows} for n, rows in enumerate(R)],
         "recurrence": {
             "c": _pairs(rd.c),
             "recur_lambda": _pairs(rd.recur_lambda),
@@ -222,7 +227,8 @@ def cmd_build(args) -> int:
         },
     }
     _emit(args, report, "n,exponent,coeff",
-          (f"{n},{e},{_csv_complex(c)}" for n in range(order + 1) for e, c in system.R[n].items()))
+          (f"{n},{e},{_csv_complex(complex(re, im))}"
+           for n, rows in enumerate(R) for e, re, im in rows))
     return 0
 
 

@@ -30,13 +30,20 @@ G[n, m] = L(R_n R_m) is diagonal with G[2n, 2n] = d_{2n} and
 G[2n+1, 2n+1] = -d_{2n+2}.  The entries are sums of products d_i d_j e_q
 that cancel by about 3^K against values as small as 1/K!, so
 :func:`gram_matrix` evaluates each L(R_n R_m) exactly from the double
-coefficients and the exact moments and rounds it once.
+coefficients and the exact moments and rounds it once.  Entry (n, m)
+reads the partial moments P_m[u] = sum_{j <= m} d_j mu_{j-u} only on a
+window W_n around u = ceil(m/2), and the windows nest (W_n holds
+W_{n-1}).  So once a window holds only exact zeros, so do all smaller
+ones, and their entries are empty sums: exact zeros that need no work.
+On the exact table P_m[u] = (d * e)_u = delta_{u0} for u <= m, as e is
+the reciprocal series of d, so only the diagonal is summed and rounded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -83,18 +90,27 @@ class MomentTable:
     coefficients; :func:`~olaurent.finite.solve_moments` with its
     fixed-point solution; :func:`contour_moments` with the trapezoid
     rule's moments as doubles.  ``mu`` maps m to that value rounded once
-    to a double.
+    to a double, on first read: the exact consumers (:func:`apply_L`,
+    :func:`gram_matrix`) read only ``values``.
     """
 
     window: int
     values: tuple = field(repr=False)
     scale: int
-    mu: dict[int, complex] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", {
-            m: exact.to_complex(self.values[m + self.window], self.scale)
-            for m in range(-self.window, self.window + 1)})
+        # a numerator of at most 1023 + scale bits is below 2**1023 once
+        # scaled; round only longer ones now, to refuse a moment that
+        # overflows a double when the table is made, not when it is read
+        limit = 1023 + self.scale
+        for v in self.values:
+            if max(abs(v.real), abs(v.imag)).bit_length() > limit:
+                exact.to_complex(v, self.scale)
+
+    @cached_property
+    def mu(self) -> dict[int, complex]:
+        return {m: exact.to_complex(self.values[m + self.window], self.scale)
+                for m in range(-self.window, self.window + 1)}
 
     def __getitem__(self, m: int) -> complex:
         if abs(m) > self.window:
@@ -117,6 +133,9 @@ class ContourSpec:
     def __post_init__(self):
         if not self.radius > 0:
             raise InvalidParams("contour radius must be positive")
+        if self.radius * self.radius == 0:
+            raise InvalidParams(f"contour radius c = {self.radius} has c^2 = 0 in doubles, "
+                                "which collapses every node on |w| = c^2 to 0")
         if not 16 <= self.nodes <= MAX_NODES:
             raise InvalidParams(f"contour needs 16 to {MAX_NODES} nodes, got {self.nodes}")
 
@@ -227,7 +246,16 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
     t_n = t_{n-1}, so R_n = R_{n-1} + d_n x^{n/2} adds one term to the
     previous entry; only odd n start a new sum.  Both sums run exactly
     over the double coefficients d_k and the table's integer moments;
-    each entry is rounded to a double once.
+    each nonzero entry is rounded to a double once.
+
+    Entry (n, m) reads P_m[u] on the window W_n = [t_m - floor(n/2),
+    t_m + ceil(n/2)], and W_n is W_{n-1} plus one end, so the windows
+    nest.  Below the first n whose window holds a nonzero P_m[u], every
+    entry is an empty exact sum, 0, which the zero-filled G already
+    holds bitwise; the loop over n starts there.  A dense (quadrature)
+    table starts at n = 0.  On an exact table, mu_q = 0 for q > 0 makes
+    P_m[u] = (d * e)_u = delta_{u0} for u <= m, so the loop starts at
+    n = m and sums and rounds only the diagonal.
     """
     K = system.K
     need = 2 * math.ceil(K / 2)
@@ -246,15 +274,26 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
             P[u] += dm * mu[m - u + w]
         rev = P[::-1]
         tm = (m + 1) // 2
-        g = 0   # L(R_{-1} R_m)
-        for n in range(m + 1):
+        g = 0   # the entry before the first window holding a nonzero: exactly 0
+        for n in range(_first_nonzero_window(P, tm, m), m + 1):
             lo = need - (n + 1) // 2 - tm   # reversed index of u = t_n + t_m
             if n % 2:
                 g = sum(map(mul, d, rev[lo:lo + n + 1]))
             else:
                 g += d[n] * rev[lo + n]
-            G[n, m] = G[m, n] = exact.to_complex(g, scale)
+            if g:
+                G[n, m] = G[m, n] = exact.to_complex(g, scale)
     return G
+
+
+def _first_nonzero_window(P: list, tm: int, m: int) -> int:
+    """The least n <= m whose window W_n holds a nonzero P[u], else m + 1.
+
+    W_0 = {tm}, and W_n adds to W_{n-1} the one index tm + (n+1)//2 for
+    odd n and tm - n//2 for even n.
+    """
+    return next((n for n in range(m + 1) if P[tm + (n + 1) // 2 if n % 2 else tm - n // 2]),
+                m + 1)
 
 
 def specialized_L_exp_binomial(p: LaurentPoly, spec: FamilySpec,

@@ -654,6 +654,23 @@ def test_a_refusal_is_one_error_line(argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+def test_a_contour_radius_whose_square_underflows_is_a_config_error():
+    # c = 1e-200 has c^2 = 0, which put every w-node at 0; the run used to
+    # exit 3 with a quadrature moment "on radius 0.0" that overflows
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["ortho", "--order", "3", "--radius", "1e-200"]) == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: InvalidParams: "), lines
+    assert "c = 1e-200" in lines[0]
+    # a subnormal c^2 = 1e-320 is no collapse: it keeps the numeric guard
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["ortho", "--order", "3", "--radius", "1e-160"]) == 3
+    assert err.getvalue().startswith("error: UnrepresentableValue: ")
+
+
 @pytest.mark.parametrize("spec", [
     '{"n_cap":1,"g":[[1e-19,0],[1e-40,0]]}',
     '{"n_cap":1,"g":[[1,0],[1,0]],"f_rec":[[-1,0],[-1e80,0]]}',

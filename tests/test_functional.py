@@ -30,7 +30,7 @@ from olaurent.errors import (
     UnsupportedFamily,
     WindowExceeded,
 )
-from olaurent.functional import MAX_NODES, contour_moments
+from olaurent.functional import MAX_NODES, MomentTable, contour_moments
 
 
 def test_moment_values_geometric(geometric):
@@ -155,12 +155,16 @@ def test_a_real_source_keeps_an_integer_table(geometric, exponential, exp_binomi
         assert all(type(v) is int for v in table.values)
 
 
-def test_a_complex_source_keeps_a_gaussian_table():
-    rng = np.random.default_rng(7)
-    moduli = rng.uniform(0.5, 1.5, 41) * 0.5 ** np.arange(41)
-    coeffs = moduli * np.exp(2j * np.pi * rng.uniform(size=41))
+def _complex_source(rng, order):
+    """An explicit source with d_0 = 1 and d_k of random phase and modulus ~ 2**-k."""
+    moduli = rng.uniform(0.5, 1.5, order + 1) * 0.5 ** np.arange(order + 1)
+    coeffs = moduli * np.exp(2j * np.pi * rng.uniform(size=order + 1))
     coeffs[0] = 1
-    src = realize(FamilySpec.explicit(coeffs, 2.0), 40)
+    return realize(FamilySpec.explicit(coeffs, 2.0), order)
+
+
+def test_a_complex_source_keeps_a_gaussian_table():
+    src = _complex_source(np.random.default_rng(7), 40)
     table = contour_moments(src, ContourSpec(radius=0.8), 12)
     assert all(isinstance(v, exact.Gaussian) for v in table.values if v)
     mu = exact_moments(src, 12)
@@ -212,6 +216,9 @@ def test_contour_rejects_denominator_near_zero():
 def test_contour_spec_validation():
     with pytest.raises(InvalidParams):
         ContourSpec(radius=0.0)
+    with pytest.raises(InvalidParams, match=r"c = 1e-200 has c\^2 = 0"):
+        ContourSpec(radius=1e-200)
+    assert ContourSpec(radius=1e-160).radius ** 2 > 0   # subnormal, not zero
     with pytest.raises(InvalidParams):
         ContourSpec(radius=0.5, nodes=8)
     assert ContourSpec(radius=0.5, nodes=MAX_NODES).nodes == MAX_NODES
@@ -326,3 +333,95 @@ def test_exact_values_that_overflow_a_double_are_refused():
     src = TruncatedPowerSeries.source([1.0, 1e300, 1.0], radius=1.0)
     with pytest.raises(UnrepresentableValue):
         exact_moments(src, 2)
+
+
+def _dense_gram(system, moments):
+    """The Gram by the loop that sums and rounds every entry n <= m, zero or not."""
+    K = system.K
+    need = 2 * math.ceil(K / 2)
+    d, ds = exact.scaled(system.source.coeffs[:K + 1])
+    w, mu = moments.window, moments.values
+    scale = 2 * ds + moments.scale
+    P = [0] * (need + 1)
+    G = np.zeros((K + 1, K + 1), dtype=np.complex128)
+    for m in range(K + 1):
+        for u in range(need + 1):
+            P[u] += d[m] * mu[m - u + w]
+        tm = (m + 1) // 2
+        g = 0
+        for n in range(m + 1):
+            tn = (n + 1) // 2
+            if n % 2:
+                g = sum(d[i] * P[tn + tm - i] for i in range(n + 1))
+            else:
+                g += d[n] * P[tn + tm - n]
+            G[n, m] = G[m, n] = exact.to_complex(g, scale)
+    return G
+
+
+STOCK = (FamilySpec.geometric(), FamilySpec.exponential(),
+         FamilySpec.exp_binomial(1.0, (0.5,), (1.0,)))
+
+
+def _assert_bitwise_dense(src, K, moments):
+    system = build_system(src, K)
+    assert gram_matrix(system, moments).tobytes() == _dense_gram(system, moments).tobytes(), K
+
+
+def test_gram_is_bitwise_the_dense_loop_on_exact_tables():
+    for spec in STOCK:
+        src = realize(spec, 80)
+        for K in (*range(41), 80):
+            _assert_bitwise_dense(src, K, exact_moments(src, 2 * math.ceil(K / 2)))
+    rng = np.random.default_rng(17)
+    for K in (0, 1, 2, 5, 12, 25, 40):
+        src = _complex_source(rng, 40)
+        moments = exact_moments(src, 2 * math.ceil(K / 2))
+        assert K == 0 or any(isinstance(v, exact.Gaussian) for v in moments.values)
+        _assert_bitwise_dense(src, K, moments)
+
+
+def test_gram_is_bitwise_the_dense_loop_on_contour_tables(geometric, exponential, exp_binomial):
+    complex_src = _complex_source(np.random.default_rng(18), 64)
+    for src, c in ((geometric, 0.5), (exponential, 0.8), (exp_binomial, 0.7), (complex_src, 0.8)):
+        for K in (8, 12, 20):
+            _assert_bitwise_dense(src, K, contour_moments(src, ContourSpec(radius=c), K))
+
+
+def _roundings(monkeypatch, thunk):
+    """thunk() and the number of values it rounds by exact.to_complex."""
+    calls = []
+    to_complex = exact.to_complex
+    monkeypatch.setattr(exact, "to_complex", lambda v, s: calls.append(v) or to_complex(v, s))
+    result = thunk()
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+def test_an_exact_gram_rounds_only_its_diagonal(monkeypatch):
+    # on an exact table P_m[u] = (d * e)_u = delta_{u0} for u <= m, so every
+    # window W_n with n < m reads zeros only; the table rounds no moment
+    for spec in STOCK:
+        src = realize(spec, 80)
+        system = build_system(src, 80)
+        _, count = _roundings(monkeypatch, lambda: gram_matrix(system, exact_moments(src, 80)))
+        assert count == 81, spec.kind
+
+
+def test_a_contour_gram_rounds_every_nonzero_entry(monkeypatch, exponential, exp_binomial):
+    # L~(R_0 R_1) = mu~_{-1} + mu~_0 can be an exact 0 on the quadrature table too
+    for src, c in ((exponential, 0.8), (exp_binomial, 0.7)):
+        table = contour_moments(src, ContourSpec(radius=c), 20)
+        G, count = _roundings(monkeypatch, lambda: gram_matrix(build_system(src, 20), table))
+        # a dense table: all but a few of the 231 entries n <= m are nonzero
+        assert count == np.count_nonzero(np.triu(G)) >= 21 * 22 // 2 - 5
+
+
+def test_an_entry_that_cancels_to_zero_is_not_rounded(monkeypatch, geometric):
+    # mu_{-2..2} = -2, 1, 0, 0, 0: G[1, 1], G[1, 2] and G[2, 2] read nonzero
+    # windows whose exact sums cancel; G[0, 0] reads the zero window {mu_0}
+    table = MomentTable(window=2, values=(-2, 1, 0, 0, 0), scale=0)
+    G, count = _roundings(monkeypatch, lambda: gram_matrix(build_system(geometric, 2), table))
+    assert G.tobytes() == _dense_gram(build_system(geometric, 2), table).tobytes()
+    assert np.array_equal(G, [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    assert count == 2
