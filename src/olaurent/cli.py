@@ -370,7 +370,7 @@ def cmd_finite(args) -> int:
         "moment_residual_max": moment_res,
         "moment_error_bound": measure.error_bound,
         "representation_residual_max": rep_res,
-        "solve_amplification_log2": table.scale - SOLVE_GUARD_BITS,
+        "solve_amplification_log2": table.denominator.bit_length() - 1 - SOLVE_GUARD_BITS,
         "exact_moment_deviation": exact_dev,
         "a_relative_deviation": a_rel,
         "moments": _moment_rows(table),

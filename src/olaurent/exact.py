@@ -1,13 +1,14 @@
 """Exact arithmetic on double inputs.
 
-Every finite double is a dyadic rational n / 2**s, so sums and products
-of complex doubles are Gaussian dyadic rationals, carried without loss
-as an integer numerator over 2**scale and rounded to a double once, at
-the end, by correctly rounded integer division.  A real numerator is a
-plain ``int`` and a complex one a :class:`Gaussian`, which mixes with
-``int`` the way ``complex`` mixes with ``float``; both have ``.real``,
-``.imag`` and ``.conjugate()``, so each exact algorithm is written once
-and real inputs never leave ``int``.
+An exact value is an integer numerator over a positive int denominator,
+rounded to a double once, at the end, by :func:`to_complex`.  A finite
+double is n / 2**s, so sums and products of complex doubles are Gaussian
+dyadic rationals: :func:`split` and :func:`scaled` give the numerators
+and the exponent s that the dyadic kernels shift by, and their results
+are over 2**s.  A real numerator is a plain ``int`` and a complex one a
+:class:`Gaussian`, which mixes with ``int`` the way ``complex`` mixes
+with ``float``; both have ``.real``, ``.imag`` and ``.conjugate()``, so
+each exact algorithm is written once and real inputs never leave ``int``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 from .errors import InvalidParams, UnrepresentableValue
 
-__all__ = ["Gaussian", "split", "scaled", "to_complex", "ratio", "as_int", "as_number",
+__all__ = ["Gaussian", "split", "scaled", "to_complex", "as_int", "as_number",
            "refuse_unknown_keys"]
 
 
@@ -86,25 +87,13 @@ def scaled(values) -> tuple[list, int]:
     return [v << (scale - s) for v, s in parts], scale
 
 
-def to_complex(v, scale: int) -> complex:
-    """v / 2**scale with the real and imaginary parts each correctly rounded to a double."""
-    den = 1 << scale
+def to_complex(v, den: int) -> complex:
+    """v / den for any int den > 0, the real and imaginary parts each correctly rounded."""
     try:
         return complex(v.real / den, v.imag / den)
     except OverflowError as exc:
         raise UnrepresentableValue(
-            f"exact value of magnitude ~2**{max(abs(v.real), abs(v.imag)).bit_length() - scale} "
-            "overflows a double") from exc
-
-
-def ratio(v, den: int) -> complex:
-    """v / den for any int den > 0, each part correctly rounded to a double."""
-    try:
-        return complex(v.real / den, v.imag / den)
-    except OverflowError as exc:
-        raise UnrepresentableValue(
-            f"exact value of magnitude "
-            f"~2**{max(abs(v.real), abs(v.imag)).bit_length() - den.bit_length()} "
+            f"exact value of magnitude ~2**{(max(abs(v.real), abs(v.imag)) // den).bit_length()} "
             "overflows a double") from exc
 
 

@@ -191,24 +191,25 @@ class AtomicMeasure:
 
     ``atoms`` holds each location and weight correctly rounded to
     doubles.  The exact values behind them are integer numerators over
-    the one ``denominator``, M 2**(S + 2F) for M atoms, F fixed-point bits
-    and s_k r^{-k} over 2**S: ``wide_weights`` holds the M weights as
-    ints, and ``wide_moments`` the moments M_0..M_N as ints, or
-    :class:`~olaurent.exact.Gaussian` numerators when complex.
-    ``precision`` is the decimal precision dps that F = ceil(dps log2 10)
-    comes from, and ``error_bound`` bounds |moment(k) - s_k| for every k.
-    ``moment`` and :func:`represent_functional` sum over those numerators
-    exactly and round once.
+    the one int ``denominator``, M 2**(S + 2F) for M atoms, F fixed-point
+    bits and s_k r^{-k} over 2**S (odd M: not a power of two unless M = 1):
+    ``wide_weights`` holds the M weights as ints, and ``wide_moments`` the
+    moments M_0..M_N as ints, or :class:`~olaurent.exact.Gaussian`
+    numerators when complex.  ``precision`` is the decimal precision dps
+    that F = ceil(dps log2 10) comes from, and ``error_bound`` bounds
+    |moment(k) - s_k| for every k.  ``moment`` and
+    :func:`represent_functional` sum over those numerators exactly and
+    round once.
     """
 
     atoms: tuple[tuple[complex, float], ...]
     moment_window: int
     radius: float
-    wide_weights: tuple = field(repr=False, default=())
-    precision: int = field(repr=False, default=50)
-    wide_moments: tuple = field(repr=False, default=())
-    denominator: int = field(repr=False, default=1)
-    error_bound: float = field(repr=False, default=0.0)
+    wide_weights: tuple = field(repr=False)
+    precision: int = field(repr=False)
+    wide_moments: tuple = field(repr=False)
+    denominator: int = field(repr=False)
+    error_bound: float = field(repr=False)
 
     @property
     def weights(self) -> np.ndarray:
@@ -218,7 +219,7 @@ class AtomicMeasure:
         """M_k = sum_j w_j z_j^k for 0 <= k <= moment_window, each part rounded once."""
         if not 0 <= k <= self.moment_window:
             raise WindowExceeded(f"moment {k} outside [0, {self.moment_window}]")
-        return exact.ratio(self.wide_moments[k], self.denominator)
+        return exact.to_complex(self.wide_moments[k], self.denominator)
 
 
 def build_Q(spec: FiniteSystemSpec) -> tuple[LaurentPoly, ...]:
@@ -241,10 +242,11 @@ def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
 
     The Q_k are the exact ones of :func:`~olaurent.systems.two_step`,
     integer numerators (``int`` or :class:`~olaurent.exact.Gaussian`)
-    over 2**scale.  The solve runs in fixed point over 2**P on Python
-    integers: every product and sum is exact, and each division by a
-    pivot, as num * conj(pivot) over the integer |pivot|^2, rounds each
-    part once to the nearest multiple of 2**-P.  A division
+    over a denominator that cancels in each row.  The solve runs in fixed
+    point over 2**P, the table's ``denominator``, on Python integers:
+    every product and sum is exact, and each division by a pivot, as
+    num * conj(pivot) over the integer |pivot|^2, rounds each part once
+    to the nearest multiple of 2**-P.  A division
     error spreads to later moments by the factor sum |c_e| / |pivot| of
     each row that uses it; P - SOLVE_GUARD_BITS is the log2 of the
     largest propagated factor, rounded up, so every solved moment lies
@@ -277,7 +279,7 @@ def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
         # mu_new = -sum_e c_e mu_e / pivot, with 1/pivot = conj(pivot) / |pivot|^2
         mu[new] = _round_div(-sum(map(mul, c, [mu[e] for e in exps])) * pivot.conjugate(), norm)
     return MomentTable(window=window, values=tuple(mu[m] for m in range(-window, window + 1)),
-                       scale=P)
+                       denominator=1 << P)
 
 
 def _unit_roots(m: int, bits: int) -> list[tuple[int, int]]:
@@ -346,7 +348,10 @@ def build_atomic_measure(s) -> AtomicMeasure:
     s_arr = np.asarray(s, dtype=np.complex128)
     if s_arr.ndim != 1 or s_arr.shape[0] == 0:
         raise InvalidParams("s must be a non-empty 1-d sequence")
-    if abs(s_arr[0] - 1.0) > 1e-12:
+    for k, v in enumerate(s_arr.tolist()):
+        if not cmath.isfinite(v):
+            raise InvalidParams(f"s_{k} = {v} is not finite")
+    if not abs(s_arr[0] - 1.0) <= 1e-12:
         raise InvalidParams(f"s_0 must be 1, got {s_arr[0]}")
     n = s_arr.shape[0] - 1
     m = 2 * n + 1
@@ -383,7 +388,8 @@ def build_atomic_measure(s) -> AtomicMeasure:
         im = sum(map(mul, weights, [sin[q] for q in jk])) << e * k
         moments.append(exact.Gaussian(re, im) if im else re)
     den = m << (S + F)
-    atoms = tuple((exact.to_complex(exact.Gaussian(*root), F - e), w / den)
+    atoms = tuple((exact.to_complex(exact.Gaussian(*root), 1 << (F - e)),
+                   exact.to_complex(w, den).real)
                   for root, w in zip(roots, weights))
     bound = math.ldexp(1.0 + fluct, 1 - F + e * n)      # fluct = 2T
     return AtomicMeasure(atoms=atoms, moment_window=n, radius=r,
@@ -414,4 +420,4 @@ def represent_functional(solve: FunctionalSolve, measure: AtomicMeasure,
     c, cs = exact.scaled(p.coeffs.tolist())
     a, scale = exact.split(solve.a)
     total = a * sum(map(mul, c, measure.wide_moments[lo + level:hi + level + 1]))
-    return exact.ratio(total, measure.denominator << (cs + scale))
+    return exact.to_complex(total, measure.denominator << (cs + scale))

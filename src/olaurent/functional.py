@@ -84,32 +84,32 @@ class MomentTable:
     """Moments mu_m for |m| <= window.
 
     ``values`` holds mu_{-window}..mu_{window} in ascending m as integer
-    numerators over the common denominator 2**scale: ``int``, or
+    numerators over the one positive int ``denominator``: ``int``, or
     :class:`~olaurent.exact.Gaussian` where complex inputs make them so.
     :func:`exact_moments` fills them with the exact moments of the double
     coefficients; :func:`~olaurent.finite.solve_moments` with its
     fixed-point solution; :func:`contour_moments` with the trapezoid
-    rule's moments as doubles.  ``mu`` maps m to that value rounded once
-    to a double, on first read: the exact consumers (:func:`apply_L`,
-    :func:`gram_matrix`) read only ``values``.
+    rule's moments as doubles, each over a power of two.  ``mu`` maps m to
+    that value rounded once to a double, on first read: the exact
+    consumers (:func:`apply_L`, :func:`gram_matrix`) read only ``values``.
     """
 
     window: int
     values: tuple = field(repr=False)
-    scale: int
+    denominator: int
 
     def __post_init__(self):
-        # a numerator of at most 1023 + scale bits is below 2**1023 once
-        # scaled; round only longer ones now, to refuse a moment that
+        # a numerator below 2**(1022 + bitlen(den)) is below 2**1023 once
+        # divided; round only longer ones now, to refuse a moment that
         # overflows a double when the table is made, not when it is read
-        limit = 1023 + self.scale
+        limit = 1022 + self.denominator.bit_length()
         for v in self.values:
             if max(abs(v.real), abs(v.imag)).bit_length() > limit:
-                exact.to_complex(v, self.scale)
+                exact.to_complex(v, self.denominator)
 
     @cached_property
     def mu(self) -> dict[int, complex]:
-        return {m: exact.to_complex(self.values[m + self.window], self.scale)
+        return {m: exact.to_complex(self.values[m + self.window], self.denominator)
                 for m in range(-self.window, self.window + 1)}
 
     def __getitem__(self, m: int) -> complex:
@@ -164,7 +164,7 @@ def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
     # ascending m: mu_{-window}..mu_{-1} = e_window..e_1, mu_0 = 1, then
     # the structural zeros
     values = tuple(e[k] << (scale - T[k]) for k in range(window, -1, -1)) + (0,) * window
-    return MomentTable(window=window, values=values, scale=scale)
+    return MomentTable(window=window, values=values, denominator=1 << scale)
 
 
 def apply_L(p: LaurentPoly, moments: MomentTable) -> complex:
@@ -177,7 +177,7 @@ def apply_L(p: LaurentPoly, moments: MomentTable) -> complex:
             f"support [{lo}, {hi}] exceeds moment window [-{moments.window}, {moments.window}]")
     c, cs = exact.scaled(p.coeffs)
     mu = moments.values[lo + moments.window:hi + moments.window + 1]
-    return exact.to_complex(sum(map(mul, c, mu)), cs + moments.scale)
+    return exact.to_complex(sum(map(mul, c, mu)), moments.denominator << cs)
 
 
 def contour_moments(source: TruncatedPowerSeries, spec: ContourSpec,
@@ -224,7 +224,7 @@ def _quadrature_table(spectrum: np.ndarray, radius: float, window: int,
     if not np.isfinite(mu).all():
         raise UnrepresentableValue(f"a quadrature moment on radius {radius} overflows a double")
     values, scale = exact.scaled(mu.real if real else mu)
-    return MomentTable(window=window, values=tuple(values), scale=scale)
+    return MomentTable(window=window, values=tuple(values), denominator=1 << scale)
 
 
 def contour_L(p: LaurentPoly, source: TruncatedPowerSeries,
@@ -264,7 +264,7 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
                              f"have {moments.window}")
     d, ds = exact.scaled(system.source.coeffs[:K + 1])
     w, mu = moments.window, moments.values
-    scale = 2 * ds + moments.scale
+    den = moments.denominator << 2 * ds
     # P_m[u] for u = 0..need; n <= m keeps every read at u >= 0
     P = [0] * (need + 1)
     G = np.zeros((K + 1, K + 1), dtype=np.complex128)
@@ -282,7 +282,7 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
             else:
                 g += d[n] * rev[lo + n]
             if g:
-                G[n, m] = G[m, n] = exact.to_complex(g, scale)
+                G[n, m] = G[m, n] = exact.to_complex(g, den)
     return G
 
 

@@ -158,9 +158,10 @@ def recurrence_data(source: TruncatedPowerSeries, K: int) -> RecurrenceData:
 def two_step(g, f_rec):
     """Yield the exact Q_1, Q_2, ... of the recurrence; g[k-1], f_rec[k-1] hold g_k, f_k.
 
-    Q_k is (lo, coeffs, scale), read-only: coefficient i is coeffs[i] /
-    2**scale at exponent lo + i, where coeffs[i] is an ``int`` or an
-    :class:`~olaurent.exact.Gaussian`, and always an ``int`` for real inputs.
+    Q_k is (lo, coeffs, den), read-only: coefficient i is coeffs[i] / den
+    at exponent lo + i, where coeffs[i] is an ``int`` or an
+    :class:`~olaurent.exact.Gaussian`, and always an ``int`` for real
+    inputs.  den is a power of two that never shrinks from step to step.
     """
     steps = [(exact.split(a), exact.split(b)) for a, b in zip(g, f_rec)]
     lo0, q0, s0 = 0, [], 0      # Q_{-1} = 0
@@ -176,15 +177,15 @@ def two_step(g, f_rec):
             q[i] += (gk * a) << v
         for i, a in enumerate(q0, start=lo0 - lo):
             q[i] += (fk * a) << w
-        yield lo, q, scale
+        yield lo, q, 1 << scale
         lo0, q0, s0 = lo1, q1, s1
         lo1, q1, s1 = lo, q, scale
 
 
 def rounded(q) -> LaurentPoly:
-    """One exact :func:`two_step` polynomial (lo, coeffs, scale), each coefficient rounded once."""
-    lo, coeffs, scale = q
-    return LaurentPoly.from_coeffs(lo, [exact.to_complex(c, scale) for c in coeffs])
+    """One exact :func:`two_step` polynomial (lo, coeffs, den), each coefficient rounded once."""
+    lo, coeffs, den = q
+    return LaurentPoly.from_coeffs(lo, [exact.to_complex(c, den) for c in coeffs])
 
 
 def build_by_recurrence(rd: RecurrenceData, K: int) -> tuple[LaurentPoly, ...]:
@@ -212,8 +213,9 @@ def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationR
     Q_k = Q_{k-1} + g_k (x Q_{k-1} - Q_{k-2}); in both the first term is
     f_{k-1} / x^ceil(k/2) and the bracket is the one term g_1 ... g_{k-1}
     x^{k-1} / x^(ceil(k/2) - 1).  The invariant is checked, not assumed:
-    at every step q_n[i] = q_{n-1}[i] 2**(scale_n - scale_{n-1}) for
-    i < n on the exact numerators, real and imaginary parts as ints, and
+    at every step q_n[i] = q_{n-1}[i] den_n / den_{n-1} for i < n on the
+    exact numerators, real and imaginary parts as ints (the ratio is an
+    int, as a step never shrinks the denominator), and
     Q_n starts at exponent -ceil(n/2).  Recurrence data that is not a
     source's own (f^rec_k != -g_k at some k >= 2) fails the check and
     raises :class:`InvalidParams`; f^rec_1 multiplies Q_{-1} = 0 and is
@@ -221,17 +223,17 @@ def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationR
     """
     K = min(system.K, rd.K)
     new = np.ones(K + 1, dtype=np.complex128)
-    q1, s1 = [1], 0
-    for n, (lo, q, scale) in enumerate(two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]), start=1):
+    q1, den1 = [1], 1
+    for n, (lo, q, den) in enumerate(two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]), start=1):
         if lo != -math.ceil(n / 2):
             raise InvalidParams(f"Q_{n} starts at exponent {lo}, not -ceil({n}/2)")
-        shift = scale - s1
+        f = den // den1
         for i, (a, b) in enumerate(zip(q1, q)):
-            if a.real << shift != b.real or a.imag << shift != b.imag:
+            if a.real * f != b.real or a.imag * f != b.imag:
                 raise InvalidParams(f"Q_{n} changes coefficient {i} of Q_{n - 1}; "
                                     "the recurrence data needs f^rec_k = -g_k for k >= 2")
-        new[n] = exact.to_complex(q[n], scale)
-        q1, s1 = q, scale
+        new[n] = exact.to_complex(q[n], den)
+        q1, den1 = q, den
     d = system.source.coeffs[:K + 1]
     # np.abs, not abs(): the two differ in the last ulp of some complex values
     per = np.maximum.accumulate(np.abs(new - d)) / np.maximum.accumulate(np.abs(d))

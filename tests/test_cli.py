@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -705,3 +707,25 @@ def test_genfun_draws_x_within_min_radius_3(capsys, family, terms, rho):
     rep = strict_loads(capsys.readouterr().out)
     assert all(0.2 * rho - 1e-12 <= abs(complex(*r["x"])) <= 0.6 * rho + 1e-12
                for r in rep["samples"])
+
+
+def _readme_examples():
+    """Each ``olaurent ...`` line of the sh block under README's ``## CLI``, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, re.S | re.M).group(1)
+    return [line.strip() for line in block.replace("\\\n", " ").splitlines()
+            if line.strip().startswith("olaurent ")]
+
+
+def test_readme_cli_examples_run_and_report_strict_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert {shlex.split(line)[1] for line in examples} == {name for name, *_ in cli.COMMANDS}
+    for line in examples:
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        out = capsys.readouterr().out
+        if "--out" in argv:
+            assert out == "", line
+            out = Path(argv[argv.index("--out") + 1]).read_text()
+        strict_loads(out)

@@ -1,13 +1,15 @@
-"""Exact dyadic arithmetic: the Gaussian integer type, the int-only real path and
-the JSON number rules."""
+"""Exact arithmetic: the Gaussian integer type, the one rounding of a numerator over
+a denominator, the int-only real path and the JSON number rules."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from olaurent import FiniteSystemSpec, exact_moments, recurrence_data, solve_moments
 from olaurent.errors import InvalidParams, UnrepresentableValue
-from olaurent.exact import Gaussian, as_number, ratio, scaled, split, to_complex
+from olaurent.exact import Gaussian, as_number, scaled, split, to_complex
 from olaurent.systems import two_step
 
 
@@ -44,12 +46,9 @@ def test_gaussian_arithmetic_matches_fraction_pairs(a, b):
     # solve_moments skips zero coefficients, so a zero sum must be falsy
     assert bool(total) == any(add(x, y))
     assert pair(sum([a, b, a])) == add(add(x, y), x)
-    for scale in (0, 3, 200):
-        re, im = mul(x, y)
-        assert to_complex(a * b, scale) == complex(float(re / 2 ** scale), float(im / 2 ** scale))
-    for den in (3, 33 << 200):
-        re, im = mul(x, y)
-        assert ratio(a * b, den) == complex(float(re / den), float(im / den))
+    re, im = mul(x, y)
+    for den in (1, 8, 1 << 200, 3, 33 << 200):
+        assert to_complex(a * b, den) == complex(float(re / den), float(im / den))
 
 
 def test_gaussian_equality_compares_both_parts():
@@ -61,9 +60,44 @@ def test_gaussian_equality_compares_both_parts():
         hash(Gaussian(1, 2))
 
 
-def test_ratio_refuses_what_overflows_a_double():
-    with pytest.raises(UnrepresentableValue, match=r"~2\*\*1030 "):
-        ratio(Gaussian(1, 3 << 1030), 3)
+def test_to_complex_refuses_what_overflows_a_double():
+    # the message names the bit length of |part| // den: 2**1030 has 1031 bits
+    with pytest.raises(UnrepresentableValue, match=r"~2\*\*1031 "):
+        to_complex(Gaussian(1, 3 << 1030), 3)
+
+
+def _sized(bits: int):
+    """Non-negative ints below 2**bits of every bit length: a length, then a value of it."""
+    return st.integers(0, bits).flatmap(lambda b: st.integers(0, (1 << b) - 1))
+
+
+_parts = st.builds(lambda m, neg: -m if neg else m, _sized(1100), st.booleans())
+_odd = _sized(300).map(lambda k: 2 * k + 1)
+# a power of two, an odd int, and an odd int times a power of two
+_dens = st.one_of(st.integers(0, 1200).map(lambda e: 1 << e), _odd,
+                  st.builds(lambda k, e: k << e, _odd, st.integers(1, 1200)))
+
+
+@given(v=st.one_of(_parts, st.builds(Gaussian, _parts, _parts)), den=_dens)
+def test_to_complex_rounds_each_part_as_fraction_does(v, den):
+    try:
+        want = complex(float(Fraction(v.real, den)), float(Fraction(v.imag, den)))
+    except OverflowError:
+        bits = (max(abs(v.real), abs(v.imag)) // den).bit_length()
+        with pytest.raises(UnrepresentableValue, match=rf"~2\*\*{bits} overflows a double"):
+            to_complex(v, den)
+    else:
+        assert to_complex(v, den) == want
+
+
+@given(q=st.integers(1 << 1024, 1 << 1100), r=_sized(1500), den=_dens,
+       neg=st.booleans(), imag=st.booleans())
+def test_to_complex_refuses_an_overflow_naming_its_magnitude(q, r, den, neg, imag):
+    part = q * den + r % den    # |part| // den = q >= 2**1024
+    part = -part if neg else part
+    v = Gaussian(1, part) if imag else part
+    with pytest.raises(UnrepresentableValue, match=rf"~2\*\*{q.bit_length()} overflows a double"):
+        to_complex(v, den)
 
 
 @pytest.mark.parametrize("z", [0.1, -3.0, complex(0.1, -0.3), complex(2.5, -0.0), 1j, 0j])
@@ -71,9 +105,9 @@ def test_split_is_exact_and_real_values_stay_int(z):
     v, s = split(z)
     assert (type(v) is int) == (complex(z).imag == 0)
     assert pair(v) == (Fraction(complex(z).real) * 2 ** s, Fraction(complex(z).imag) * 2 ** s)
-    assert to_complex(v, s) == z
+    assert to_complex(v, 1 << s) == z
     values, scale = scaled([z, 0.75, 1e-30])
-    assert [to_complex(w, scale) for w in values] == [z, 0.75, 1e-30]
+    assert [to_complex(w, 1 << scale) for w in values] == [z, 0.75, 1e-30]
 
 
 @pytest.mark.parametrize("family", ["geometric", "exponential", "exp_binomial"])

@@ -1,6 +1,7 @@
 """Finite recurrence systems, triangular moment solves, atomic measures."""
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 
 from olaurent import (
-    AtomicMeasure,
     FamilySpec,
     FiniteSystemSpec,
     FunctionalSolve,
@@ -197,6 +197,16 @@ def test_measure_input_validation():
         build_atomic_measure([2.0, 0.5])
     with pytest.raises(InvalidParams):
         build_atomic_measure([])
+    # NaN fails every comparison, so a bare |s_0 - 1| > tol check would pass it
+    for s, k in (([math.nan, 0.5], 0), ([1.0, math.nan], 1), ([1.0, math.inf], 1)):
+        with pytest.raises(InvalidParams, match=rf"s_{k} = .* is not finite"):
+            build_atomic_measure(s)
+
+
+def test_a_measure_needs_every_field():
+    # a measure without its exact numerators used to fail on first read
+    with pytest.raises(TypeError, match="missing 5 required"):
+        finite.AtomicMeasure(atoms=((1 + 0j, 1.0),), moment_window=1, radius=1.0)
 
 
 def test_representation_reproduces_normalizing_moment(geometric):
@@ -239,7 +249,7 @@ def test_representation_window_guards(geometric):
     measure = build_atomic_measure(solve.s)
     with pytest.raises(WindowExceeded):
         represent_functional(solve, measure, LaurentPoly.monomial(2))
-    narrow = AtomicMeasure(atoms=measure.atoms[:1], moment_window=1, radius=measure.radius)
+    narrow = dataclasses.replace(measure, moment_window=1)
     with pytest.raises(InvalidParams):
         represent_functional(solve, narrow, LaurentPoly.one())
     assert represent_functional(solve, measure, LaurentPoly.zero()) == 0j
@@ -313,8 +323,8 @@ def test_solve_is_within_guard_of_the_exact_rational_solution(seed):
     tol = Fraction(1, 2 ** SOLVE_GUARD_BITS)
     for m in range(-6, 7):
         re, im = exact[m]
-        assert abs(Fraction(table.values[m + 6].real, 2 ** table.scale) - re) <= tol
-        assert abs(Fraction(table.values[m + 6].imag, 2 ** table.scale) - im) <= tol
+        assert abs(Fraction(table.values[m + 6].real, table.denominator) - re) <= tol
+        assert abs(Fraction(table.values[m + 6].imag, table.denominator) - im) <= tol
 
 
 def test_build_q_rounds_the_exact_recurrence_once():

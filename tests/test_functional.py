@@ -341,7 +341,7 @@ def _dense_gram(system, moments):
     need = 2 * math.ceil(K / 2)
     d, ds = exact.scaled(system.source.coeffs[:K + 1])
     w, mu = moments.window, moments.values
-    scale = 2 * ds + moments.scale
+    den = moments.denominator << 2 * ds
     P = [0] * (need + 1)
     G = np.zeros((K + 1, K + 1), dtype=np.complex128)
     for m in range(K + 1):
@@ -355,7 +355,7 @@ def _dense_gram(system, moments):
                 g = sum(d[i] * P[tn + tm - i] for i in range(n + 1))
             else:
                 g += d[n] * P[tn + tm - n]
-            G[n, m] = G[m, n] = exact.to_complex(g, scale)
+            G[n, m] = G[m, n] = exact.to_complex(g, den)
     return G
 
 
@@ -392,7 +392,7 @@ def _roundings(monkeypatch, thunk):
     """thunk() and the number of values it rounds by exact.to_complex."""
     calls = []
     to_complex = exact.to_complex
-    monkeypatch.setattr(exact, "to_complex", lambda v, s: calls.append(v) or to_complex(v, s))
+    monkeypatch.setattr(exact, "to_complex", lambda v, den: calls.append(v) or to_complex(v, den))
     result = thunk()
     monkeypatch.undo()
     return result, len(calls)
@@ -420,7 +420,7 @@ def test_a_contour_gram_rounds_every_nonzero_entry(monkeypatch, exponential, exp
 def test_an_entry_that_cancels_to_zero_is_not_rounded(monkeypatch, geometric):
     # mu_{-2..2} = -2, 1, 0, 0, 0: G[1, 1], G[1, 2] and G[2, 2] read nonzero
     # windows whose exact sums cancel; G[0, 0] reads the zero window {mu_0}
-    table = MomentTable(window=2, values=(-2, 1, 0, 0, 0), scale=0)
+    table = MomentTable(window=2, values=(-2, 1, 0, 0, 0), denominator=1)
     G, count = _roundings(monkeypatch, lambda: gram_matrix(build_system(geometric, 2), table))
     assert G.tobytes() == _dense_gram(build_system(geometric, 2), table).tobytes()
     assert np.array_equal(G, [[0, 1, 1], [1, 0, 0], [1, 0, 0]])

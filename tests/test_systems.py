@@ -218,7 +218,7 @@ def test_normalization_rounds_one_coefficient_per_step(monkeypatch):
     want = check_normalization(system, rd)
     rounded = []
     monkeypatch.setattr(systems.exact, "to_complex",
-                        lambda v, scale: rounded.append(scale) or to_complex(v, scale))
+                        lambda v, den: rounded.append(den) or to_complex(v, den))
     monkeypatch.setattr(systems, "build_by_recurrence", None)
     monkeypatch.setattr(LaurentPoly, "from_coeffs", None)
     assert check_normalization(build_system(src, 30), rd) == want
@@ -327,7 +327,7 @@ def test_two_step_on_a_sources_own_data_carries_every_coefficient(g, f1):
     products = [(Fraction(1), Fraction(0))]
     for v in g:
         products.append(_gaussian_mul(products[-1], _gaussian(complex(v))))
-    for n, (lo, q, scale) in enumerate(systems.two_step(g, f_rec), start=1):
+    for n, (lo, q, den) in enumerate(systems.two_step(g, f_rec), start=1):
         assert lo == -math.ceil(n / 2) and len(q) == n + 1
-        assert [(Fraction(c.real, 2 ** scale), Fraction(c.imag, 2 ** scale)) for c in q] \
+        assert [(Fraction(c.real, den), Fraction(c.imag, den)) for c in q] \
             == products[:n + 1]
