@@ -202,6 +202,12 @@ def _emit(args, report: dict, header: str, rows) -> None:
         sys.stdout.write(text)
 
 
+def _series_order(family: FamilySpec, reads: int) -> int:
+    """Order for a route reading d_0..d_reads that evaluates f: EVAL_ORDER where it is given."""
+    given = EVAL_ORDER if family.kind != "explicit" else len(family.coeffs) - 1
+    return max(reads, min(EVAL_ORDER, given))
+
+
 def cmd_build(args) -> int:
     order = args.order
     source = realize(args.family, max(order, 1))
@@ -235,9 +241,9 @@ def cmd_build(args) -> int:
 def cmd_ortho(args) -> int:
     order, radius, nodes = args.order, args.radius, args.nodes
     spec = ContourSpec(radius=radius, nodes=nodes) if radius is not None else None
-    # the Gram matrix reads d_0..d_window; only the contour needs a long tail
+    # the Gram matrix reads d_0..d_window; only the contour evaluates f
     window = 2 * math.ceil(order / 2)
-    source = realize(args.family, window if spec is None else max(window, EVAL_ORDER))
+    source = realize(args.family, window if spec is None else _series_order(args.family, window))
     system = build_system(source, order)
     moments = exact_moments(source, window)
     gram = gram_matrix(system, moments)
@@ -289,8 +295,7 @@ def cmd_genfun(args) -> int:
     if not 1 <= samples <= MAX_ORDER:
         raise InvalidParams(f"samples must be in [1, MAX_ORDER = {MAX_ORDER}], got {samples}")
 
-    source = realize(family, max(terms, 1))
-    system = build_system(source, terms)
+    system = build_system(realize(family, _series_order(family, terms)), terms)
     rng = np.random.default_rng(seed)
 
     rows = []
@@ -301,9 +306,10 @@ def cmd_genfun(args) -> int:
         # every run should hit; later samples move away from it.
         z = 0j if i == 0 else s * rng.uniform(0.2, 0.6) * _phase(rng)
         t = rng.uniform(0.2, 0.7) * _phase(rng)
+        sample = GenfunSample(x=x, terms=terms, t=t, z=z)
         for kind, key, value, check in (("partial_sum", "t", t, check_partial_sum_genfun),
                                         ("laurent", "z", z, check_laurent_genfun)):
-            result = check(system, GenfunSample(x=x, terms=terms, **{key: value}))
+            result = check(system, sample)
             allowed = result.tail_bound + GENFUN_FLOOR * (1 + abs(result.lhs))
             rows.append({"index": i, "kind": kind, "x": [x.real, x.imag],
                          key: [value.real, value.imag],

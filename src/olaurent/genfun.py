@@ -7,9 +7,14 @@ Two identities are checked against truncated sums:
                        = 2 sum_n R_n(x) z^n                (|z| < |s|)
 
 where s is either square root of x; the left side is invariant under the
-choice of branch.  Truncation residuals are compared against geometric
-tail estimates.  The second identity's left side does not depend on n, so
-one FFT of it on |z| = |s|/2 gives every R_n(x) as a Taylor coefficient.
+choice of branch.  Both are one truncated sum, sum_{n<=terms} f_n(x) w_n
+with w_n = t^n or 2 z^n / x^ceil(n/2), against a left side evaluated on
+the realized d_0..d_T; so every |f_n(x)| is at most the majorant
+sum_{k<=T} |d_k| |x|^k, which bounds the dropped terms for any T >= terms
+(the CLI realizes T as its contour route does: max(terms, 64) for a stock
+family, an explicit one's own coefficients up to 64).  The second
+identity's left side does not depend on n, so one FFT of it on
+|z| = |s|/2 gives every R_n(x) as a Taylor coefficient.
 
 That FFT needs one kernel, not two.  With g(z) = f(s z) / (s - z) the
 left side is (s+1) g(z) + (s-1) g(-z), whose coefficient n is
@@ -40,14 +45,8 @@ from .functional import ContourSpec
 from .series import TruncatedPowerSeries
 from .systems import OLPSystem
 
-__all__ = [
-    "GenfunSample",
-    "GenfunCheck",
-    "check_partial_sum_genfun",
-    "check_laurent_genfun",
-    "rn_all_by_contour",
-    "rn_by_contour",
-]
+__all__ = ["GenfunSample", "GenfunCheck", "check_partial_sum_genfun", "check_laurent_genfun",
+           "rn_all_by_contour", "rn_by_contour"]
 
 RADIUS_MARGIN = 0.95
 POLE_TOL = 1e-6
@@ -91,63 +90,55 @@ class GenfunCheck:
             raise TailNotNegligible(f"tail estimate {self.tail_bound} is not finite")
 
 
-def _partial_values(source: TruncatedPowerSeries, x: complex, terms: int) -> np.ndarray:
-    """f_0(x)..f_terms(x) by cumulative summation of d_k x^k."""
-    k = np.arange(terms + 1)
-    return np.cumsum(source.coeffs[:terms + 1] * np.asarray(x, np.complex128) ** k)
+def _truncated_check(system: OLPSystem, sample: GenfunSample, lhs: complex, weights,
+                     ratio: float, scale: float, lhs_tail: float) -> GenfunCheck:
+    """Residual of `lhs` against sum_{n<=terms} f_n(x) weights(n), next to its bound.
+
+    |w_n| <= scale ratio^n, ratio < 1; `lhs_tail` bounds the left side's own truncation.
+    """
+    if sample.terms > system.K:
+        raise InsufficientOrder(f"system built to K = {system.K}, need {sample.terms}")
+    d = system.source.coeffs
+    a = d * np.asarray(sample.x, np.complex128) ** np.arange(d.shape[0])  # d_k x^k, k <= T
+    n = np.arange(sample.terms + 1)
+    rhs = complex(np.dot(np.cumsum(a[:n.shape[0]]), weights(n)))
+    bound = scale * float(np.sum(np.abs(a))) * ratio ** n.shape[0] / (1 - ratio) + lhs_tail
+    return GenfunCheck(residual=abs(lhs - rhs), tail_bound=bound, lhs=lhs)
 
 
 def check_partial_sum_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck:
     """Residual of f(xt)/(1-t) against sum_{n<=terms} f_n(x) t^n."""
     if sample.t is None:
         raise InvalidParams("partial-sum check needs sample.t")
-    if sample.terms > system.K:
-        raise InsufficientOrder(f"system built to K = {system.K}, need {sample.terms}")
-    x, t, terms = sample.x, sample.t, sample.terms
-    rho = system.source.radius
+    x, t, f = sample.x, sample.t, system.source
     if abs(t) >= 1:
         raise DomainViolation(f"|t| = {abs(t)} must be < 1")
-    if not abs(x) <= RADIUS_MARGIN * rho:
+    if not abs(x) <= RADIUS_MARGIN * f.radius:
         raise DomainViolation(f"|x| = {abs(x)} outside margin {RADIUS_MARGIN} * radius")
-    f_n = _partial_values(system.source, x, terms)
-    rhs = complex(np.dot(f_n, t ** np.arange(terms + 1)))
-    lhs = system.source(x * t) / (1 - t)
-    cmax = float(np.max(np.abs(f_n)))
-    bound = (cmax * abs(t) ** (terms + 1) / (1 - abs(t))
-             + system.source.tail_bound(abs(x * t)) / abs(1 - t))
-    return GenfunCheck(residual=abs(lhs - rhs), tail_bound=bound, lhs=lhs)
+    return _truncated_check(system, sample, f(x * t) / (1 - t), lambda n: t ** n,
+                            abs(t), 1.0, f.tail_bound(abs(x * t)) / abs(1 - t))
 
 
 def check_laurent_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck:
     """Residual of the two-kernel identity against 2 sum R_n(x) z^n."""
     if sample.z is None:
         raise InvalidParams("Laurent check needs sample.z")
-    if sample.terms > system.K:
-        raise InsufficientOrder(f"system built to K = {system.K}, need {sample.terms}")
-    x, z, s, terms = sample.x, sample.z, sample.sqrt_x, sample.terms
-    rho = system.source.radius
-    if x == 0 or not abs(x) <= RADIUS_MARGIN * rho:
+    x, z, s, f = sample.x, sample.z, sample.sqrt_x, system.source
+    if x == 0 or not abs(x) <= RADIUS_MARGIN * f.radius:
         raise DomainViolation(f"need 0 < |x| <= {RADIUS_MARGIN} * radius, got |x| = {abs(x)}")
     if not abs(z) < abs(s):
         raise DomainViolation(f"|z| = {abs(z)} must be < |sqrt x| = {abs(s)}")
     if abs(s - z) < POLE_TOL or abs(s + z) < POLE_TOL:
         raise PoleProximity("z too close to +-sqrt(x)")
-    f = system.source
     lhs = ((s + 1) / (s - z)) * f(s * z) + ((s - 1) / (s + z)) * f(-s * z)
-    f_n = _partial_values(system.source, x, terms)
-    # R_n(x) z^n = f_n(x) w_n with w_n = z^n / x^ceil(n/2); the w ladder
-    # multiplies by z/x on odd steps and z on even ones, so |w_n| decays
-    # like (|z|/|s|)^n and never overflows
-    n = np.arange(1, terms + 1)
-    factors = np.where(n % 2 == 1, z / x, z).astype(np.complex128)
-    w = np.concatenate(([1.0 + 0j], np.cumprod(factors)))
-    rhs = 2.0 * complex(np.dot(f_n, w))
-    ratio = abs(z) / abs(s)
-    cmax = 2.0 * float(np.max(np.abs(f_n))) * max(1.0, 1.0 / abs(s))
+
+    def ladder(n):
+        # 2 R_n(x) z^n = f_n(x) w_n: steps z/x (odd n) and z (even n) never overflow
+        return np.cumprod(np.where(n == 0, 2.0, np.where(n % 2, z / x, z)))
+
     prefac = abs((s + 1) / (s - z)) + abs((s - 1) / (s + z))
-    bound = (cmax * ratio ** (terms + 1) / (1 - ratio)
-             + prefac * system.source.tail_bound(abs(s * z)))
-    return GenfunCheck(residual=abs(lhs - rhs), tail_bound=bound, lhs=lhs)
+    return _truncated_check(system, sample, lhs, ladder, abs(z) / abs(s),
+                            2.0 * max(1.0, 1.0 / abs(s)), prefac * f.tail_bound(abs(s * z)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -112,7 +112,7 @@ def test_ortho_refuses_contour_node_counts(capsys, nodes):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_ortho_without_contour_needs_only_the_window(tmp_path, order):
+def test_ortho_without_contour_needs_only_the_window(tmp_path, capsys, order):
     # the Gram matrix reads d_0..d_window (window = 2, as G_11 = -d_2), so
     # three coefficients suffice when no contour asks for a long tail
     family = json.dumps({"kind": "explicit", "coeffs": [1, 2, 3]})
@@ -120,7 +120,12 @@ def test_ortho_without_contour_needs_only_the_window(tmp_path, order):
     assert code == 0
     assert rep["diag"] == [[1.0, 0.0], [-3.0, 0.0], [3.0, 0.0]][:order + 1]
     assert rep["max_offdiag"] == 0.0
-    assert main(["ortho", "--family", family, "--order", str(order), "--radius", "0.5"]) == 2
+    # the contour reads the three coefficients the family gives, and the
+    # tail guard, not a demand for order 64, refuses them
+    capsys.readouterr()
+    assert main(["ortho", "--family", family, "--order", str(order), "--radius", "0.5"]) == 3
+    err = capsys.readouterr().err
+    assert "TailNotNegligible" in err and "order 64" not in err
 
 
 def test_genfun_check_fixed_point_and_determinism(tmp_path):
@@ -149,6 +154,22 @@ def test_genfun_check_refuses_an_infinite_tail_estimate(capsys):
     assert code == 3
     assert out == "" or strict_loads(out)
     assert "TailNotNegligible" in err
+
+
+@pytest.mark.parametrize("family", [
+    "geometric", "exponential",
+    '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}',
+], ids=["geometric", "exponential", "exp-binomial"])
+def test_genfun_check_passes_at_small_terms(capsys, family):
+    # the series was realized to max(terms, 1), so the tail estimate read at
+    # most terms + 1 coefficients and was infinite at most exponential and
+    # exp-binomial seeds; and at terms 0 the bound missed geometric rows
+    for terms in range(7):
+        for seed in range(3):
+            assert main(["genfun-check", "--family", family, "--terms", str(terms),
+                         "--seed", str(seed)]) == 0, (terms, seed)
+            rep = strict_loads(capsys.readouterr().out)
+            assert all(r["residual"] <= r["bound"] for r in rep["samples"])
 
 
 def test_finite_defaults_hit_representation_condition(tmp_path, capsys):
