@@ -210,11 +210,11 @@ def _series_order(family: FamilySpec, reads: int) -> int:
 
 def cmd_build(args) -> int:
     order = args.order
-    source = realize(args.family, max(order, 1))
+    source = realize(args.family, order)
     system = build_system(source, order)
     rd = recurrence_data(source, order)
     norm = check_normalization(system, rd)
-    R = _system_rows(source.coeffs[:order + 1])
+    R = _system_rows(source.coeffs)
 
     report = {
         "config": {"family": args.family.to_json(), "order": order},
@@ -248,14 +248,13 @@ def cmd_ortho(args) -> int:
     moments = exact_moments(source, window)
     gram = gram_matrix(system, moments)
 
-    offdiag = abs(gram - np.diag(np.diag(gram)))
     report = {
         "config": {"family": args.family.to_json(), "order": order,
                    "contour": ({"radius": radius, "nodes": nodes}
                                if radius is not None else None)},
         "gram": _pairs(gram),
         "diag": _pairs(np.diag(gram)),
-        "max_offdiag": float(offdiag.max()) if order > 0 else 0.0,
+        "max_offdiag": float(np.max(abs(gram - np.diag(np.diag(gram))))),
         "min_abs_diag": float(np.min(np.abs(np.diag(gram)))),
     }
     if spec is not None:
@@ -272,8 +271,7 @@ def cmd_ortho(args) -> int:
 
 def cmd_moments(args) -> int:
     window = args.window
-    source = realize(args.family, max(window, 1))
-    table = exact_moments(source, window)
+    table = exact_moments(realize(args.family, window), window)
     report = {
         "config": {"family": args.family.to_json(), "window": window},
         "ordering": "ascending m from -window to window",
@@ -294,6 +292,8 @@ def cmd_genfun(args) -> int:
     family, samples, terms, seed = args.family, args.samples, args.terms, args.seed
     if not 1 <= samples <= MAX_ORDER:
         raise InvalidParams(f"samples must be in [1, MAX_ORDER = {MAX_ORDER}], got {samples}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed}")
 
     system = build_system(realize(family, _series_order(family, terms)), terms)
     rng = np.random.default_rng(seed)
@@ -364,7 +364,7 @@ def cmd_finite(args) -> int:
     moment_res = max(abs(measure.moment(k) - solve.s[k])
                      for k in range(measure.moment_window + 1))
     rep_res = max(abs(represent_functional(solve, measure, Q[k]) - apply_L(Q[k], table))
-                  for k in range(min(2 * level, len(Q) - 1) + 1))
+                  for k in range(2 * level + 1))
 
     report = {
         "config": {"finite_spec": fspec.to_json(), "level": level},

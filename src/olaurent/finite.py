@@ -71,7 +71,7 @@ from . import exact
 from .families import MAX_ORDER
 from .functional import MomentTable
 from .series import LaurentPoly, TruncatedPowerSeries
-from .systems import recurrence_data, rounded, two_step
+from .systems import _own_steps, _validate_source, rounded, two_step
 
 __all__ = [
     "FiniteSystemSpec",
@@ -122,9 +122,9 @@ class FiniteSystemSpec:
 
     @classmethod
     def from_partial_sums(cls, source: TruncatedPowerSeries, n_cap: int) -> "FiniteSystemSpec":
-        """Coefficients of the source's own recurrence, out to index 4n."""
-        rd = recurrence_data(source, 4 * n_cap)
-        return cls(n_cap=n_cap, g=rd.g[1:], f_rec=rd.f_rec[1:])
+        """Coefficients of the source's own recurrence, out to index 4n; only a g_k is refused."""
+        g, f_rec = _own_steps(_validate_source(source, 4 * n_cap))
+        return cls(n_cap=n_cap, g=g[1:], f_rec=f_rec[1:])
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteSystemSpec":

@@ -55,7 +55,6 @@ from .errors import (
     NearZeroDenominator,
     RadiusInvalid,
     TailNotNegligible,
-    UnrepresentableValue,
     UnsupportedFamily,
     WindowExceeded,
 )
@@ -90,22 +89,13 @@ class MomentTable:
     coefficients; :func:`~olaurent.finite.solve_moments` with its
     fixed-point solution; :func:`contour_moments` with the trapezoid
     rule's moments as doubles, each over a power of two.  ``mu`` maps m to
-    that value rounded once to a double, on first read: the exact
-    consumers (:func:`apply_L`, :func:`gram_matrix`) read only ``values``.
+    that value rounded once to a double on first read, and refuses one that
+    overflows; :func:`apply_L` and :func:`gram_matrix` round only their sums.
     """
 
     window: int
     values: tuple = field(repr=False)
     denominator: int
-
-    def __post_init__(self):
-        # a numerator below 2**(1022 + bitlen(den)) is below 2**1023 once
-        # divided; round only longer ones now, to refuse a moment that
-        # overflows a double when the table is made, not when it is read
-        limit = 1022 + self.denominator.bit_length()
-        for v in self.values:
-            if max(abs(v.real), abs(v.imag)).bit_length() > limit:
-                exact.to_complex(v, self.denominator)
 
     @cached_property
     def mu(self) -> dict[int, complex]:
@@ -219,10 +209,7 @@ def _quadrature_table(spectrum: np.ndarray, radius: float, window: int,
     A `real` table keeps the real parts: the imaginary parts of a
     conjugate-symmetric integrand's moments are rounding noise.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        mu = kernels.circle_coefficients(spectrum, radius, range(window, -window - 1, -1))
-    if not np.isfinite(mu).all():
-        raise UnrepresentableValue(f"a quadrature moment on radius {radius} overflows a double")
+    mu = kernels.circle_coefficients(spectrum, radius, range(window, -window - 1, -1))
     values, scale = exact.scaled(mu.real if real else mu)
     return MomentTable(window=window, values=tuple(values), denominator=1 << scale)
 

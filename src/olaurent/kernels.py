@@ -12,13 +12,15 @@ No CLI path multiplies or inverts a power series; the last two serve
 contour quadrature in the widest complex dtype available:
 ``circle_nodes_extended``, ``eval_poly_extended`` (``eval_poly`` in that
 dtype), ``circle_spectrum`` (the one sum over quadrature nodes, a single
-FFT) and ``circle_coefficients``.  The contour routes call
-``eval_poly_extended`` once per table, on distinct points only: the
-N / gcd(N, 2) values of y^2 for a moment table, and the N nodes of one
-kernel for the R_n(x) spectrum.
+FFT) and ``circle_coefficients``, which rounds once and refuses an
+overflow.  The contour routes call ``eval_poly_extended`` once per table,
+on distinct points only: the N / gcd(N, 2) values of y^2 for a moment
+table, and the N nodes of one kernel for the R_n(x) spectrum.
 """
 
 import numpy as np
+
+from .errors import UnrepresentableValue
 
 # Kept for the benchmark's machine facts, which record the kernel backend;
 # numba is no longer used, so these are constants.
@@ -93,7 +95,13 @@ def circle_spectrum(values: np.ndarray) -> np.ndarray:
 def circle_coefficients(spectrum: np.ndarray, radius: float, ks) -> np.ndarray:
     """Trapezoid Cauchy coefficients k (mod N) from a :func:`circle_spectrum`, each rounded once."""
     ks = np.asarray(ks)
-    return (spectrum[ks % len(spectrum)] * _REAL_QUAD(radius) ** -ks).astype(np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # the first overflow is refused below
+        c = (spectrum[ks % len(spectrum)] * _REAL_QUAD(radius) ** -ks).astype(np.complex128)
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise UnrepresentableValue(f"Cauchy coefficient {ks[bad[0]]} on radius {radius} "
+                                   "overflows a double")
+    return c
 
 
 __all__ = [

@@ -115,7 +115,8 @@ class NormalizationReport:
     K: int
 
 
-def _validate_source(source: TruncatedPowerSeries, K: int) -> None:
+def _validate_source(source: TruncatedPowerSeries, K: int) -> list[complex]:
+    """d_0..d_K, once the source is checked to carry a system of order K."""
     if K < 0:
         raise InvalidParams("K must be >= 0")
     if source.order < K:
@@ -125,6 +126,7 @@ def _validate_source(source: TruncatedPowerSeries, K: int) -> None:
     for k in range(K + 1):
         if source.coeffs[k] == 0:
             raise ZeroCoefficient(f"d_{k} = 0; the construction needs nonzero coefficients")
+    return source.coeffs[:K + 1].tolist()
 
 
 def build_system(source: TruncatedPowerSeries, K: int) -> OLPSystem:
@@ -139,20 +141,25 @@ def recurrence_data(source: TruncatedPowerSeries, K: int) -> RecurrenceData:
     underflows to zero in doubles (xi_k = 1/d_k for the exponential family
     at k = 171); the recurrence needs every one finite and nonzero.
     """
-    _validate_source(source, K)
-    d = [complex(v) for v in source.coeffs[:K + 1]]
-    c = [1.0 + 0j] + [-d[k - 1] / d[k] for k in range(1, K + 1)]
-    lam = [0j, 1.0 + 0j][:K + 1] + [d[k - 2] / d[k - 1] for k in range(2, K + 1)]
-    xi = [1 / v for v in d]
-    g = [0j] + [d[k] / d[k - 1] for k in range(1, K + 1)]
-    # index 0 is 1 or an unused slot; f_rec = 0 - g (no -0.0 imaginary
-    # parts in reports) is refused with g
-    for name, values in (("c", c), ("recur_lambda", lam), ("xi", xi), ("g", g)):
-        for k in range(1, K + 1):
-            if values[k] == 0 or not cmath.isfinite(values[k]):
-                raise UnrepresentableValue(f"{name}_{k} = {values[k]} is out of the double range")
-    return RecurrenceData(c=tuple(c), recur_lambda=tuple(lam), xi=tuple(xi),
-                          g=tuple(g), f_rec=(0j, *(0 - v for v in g[1:])), K=K)
+    d = _validate_source(source, K)
+    c = _checked("c", [1.0 + 0j] + [-d[k - 1] / d[k] for k in range(1, K + 1)])
+    lam = _checked("recur_lambda", [0j, 1.0 + 0j][:K + 1] + [a / b for a, b in zip(d, d[1:K])])
+    xi = _checked("xi", [1 / v for v in d])
+    return RecurrenceData(c, lam, xi, *_own_steps(d), K=K)
+
+
+def _own_steps(d: list[complex]) -> tuple[tuple, tuple]:
+    """g_k = d_k/d_{k-1} and f^rec_k = -g_k of d_0..d_K; index 0 of each is an unused 0."""
+    g = _checked("g", [0j] + [d[k] / d[k - 1] for k in range(1, len(d))])
+    return g, (0j, *(0 - v for v in g[1:]))   # 0 - g: no -0.0 imaginary parts in reports
+
+
+def _checked(name: str, values: list) -> tuple:
+    """`values` as a tuple, refused at the first index k >= 1 whose value is 0 or not finite."""
+    for k in range(1, len(values)):
+        if values[k] == 0 or not cmath.isfinite(values[k]):
+            raise UnrepresentableValue(f"{name}_{k} = {values[k]} is out of the double range")
+    return tuple(values)
 
 
 def two_step(g, f_rec):
@@ -215,18 +222,15 @@ def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationR
     x^{k-1} / x^(ceil(k/2) - 1).  The invariant is checked, not assumed:
     at every step q_n[i] = q_{n-1}[i] den_n / den_{n-1} for i < n on the
     exact numerators, real and imaginary parts as ints (the ratio is an
-    int, as a step never shrinks the denominator), and
-    Q_n starts at exponent -ceil(n/2).  Recurrence data that is not a
-    source's own (f^rec_k != -g_k at some k >= 2) fails the check and
-    raises :class:`InvalidParams`; f^rec_1 multiplies Q_{-1} = 0 and is
-    free.
+    int, as a step never shrinks the denominator).  Recurrence data that
+    is not a source's own (f^rec_k != -g_k at some k >= 2) fails the
+    check and raises :class:`InvalidParams`; f^rec_1 multiplies
+    Q_{-1} = 0 and is free.
     """
     K = min(system.K, rd.K)
     new = np.ones(K + 1, dtype=np.complex128)
     q1, den1 = [1], 1
-    for n, (lo, q, den) in enumerate(two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]), start=1):
-        if lo != -math.ceil(n / 2):
-            raise InvalidParams(f"Q_{n} starts at exponent {lo}, not -ceil({n}/2)")
+    for n, (_, q, den) in enumerate(two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]), start=1):
         f = den // den1
         for i, (a, b) in enumerate(zip(q1, q)):
             if a.real * f != b.real or a.imag * f != b.imag:

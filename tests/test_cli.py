@@ -20,6 +20,7 @@ import olaurent
 from olaurent import FamilySpec, LaurentPoly, cli, realize
 from olaurent.cli import main
 from olaurent.families import MAX_ORDER
+from olaurent.finite import FiniteSystemSpec
 from olaurent.systems import NormalizationReport
 
 
@@ -128,6 +129,38 @@ def test_ortho_without_contour_needs_only_the_window(tmp_path, capsys, order):
     assert "TailNotNegligible" in err and "order 64" not in err
 
 
+def test_ortho_needs_no_moment_to_be_a_double(tmp_path, capsys):
+    # mu_{-2} = e_2 = 1e600 has no double, but no Gram entry reads it as one:
+    # the Gram is the closed-form diag(d_0, -d_2, d_2)
+    family = json.dumps({"kind": "explicit", "coeffs": [1, 1e300, 1]})
+    code, rep = run(tmp_path, "ortho", "--family", family, "--order", "2")
+    assert code == 0
+    assert rep["gram"] == [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                           [[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]],
+                           [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]
+    # a report that prints the moment still refuses it, where it is rounded
+    capsys.readouterr()
+    assert main(["moments", "--family", family, "--window", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "error: UnrepresentableValue: exact value of magnitude ~2**1994 overflows a double\n")
+
+
+@pytest.mark.parametrize("argv, key, rows", [
+    (["build", "--order", "0"], "R", [{"n": 0, "coeffs": [[0, 1.0, 0.0]]}]),
+    (["moments", "--window", "0"], "moments", [[0, 1.0, 0.0]]),
+], ids=["build", "moments"])
+def test_a_one_coefficient_family_serves_what_reads_one(tmp_path, argv, key, rows):
+    # build K = 0 and moments window 0 read d_0 only; they asked for d_1
+    code, rep = run(tmp_path, *argv, "--family", '{"kind": "explicit", "coeffs": [1]}')
+    assert code == 0 and rep[key] == rows
+
+
+def test_genfun_check_refuses_a_negative_seed(capsys):
+    # numpy's default_rng used to end the run in a ValueError traceback
+    assert main(["genfun-check", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: InvalidParams: seed must be >= 0, got -1\n"
+
+
 def test_genfun_check_fixed_point_and_determinism(tmp_path):
     args = ["genfun-check", "--family", "exponential", "--samples", "3",
             "--terms", "60", "--seed", "7"]
@@ -208,6 +241,20 @@ def _check_finite_matches_moments(capsys, family, ncap):
     # the deep moment a = mu_{-n_cap} can be far off relative to its size
     mu = next(complex(re, im) for m, re, im in exact if m == -ncap)
     assert rep["a_relative_deviation"] == abs(complex(*rep["a"]) - mu) / abs(mu)
+
+
+def test_a_finite_system_derived_from_a_family_refuses_only_what_it_reads(tmp_path):
+    # c_2 = -5e309 and xi_2 = 1e310 overflow, but the system reads only g
+    # and f_rec, which a double holds (g_2 = 2e-310 is subnormal, not 0)
+    family = '{"kind": "explicit", "coeffs": [1, 0.5, 1e-310, 1e-160, 1e-10], "radius": 1}'
+    code, rep = run(tmp_path, "finite", "--family", family, "--ncap", "1")
+    assert code == 0
+    assert rep["config"]["finite_spec"]["g"][1] == [2e-310, 0.0]
+    assert rep["moment_residual_max"] <= rep["moment_error_bound"]
+    # exponential at 4 n_cap = 172: xi_171 = 171! overflows, g_k = 1/k does not
+    spec = FiniteSystemSpec.from_partial_sums(realize(FamilySpec.exponential(), 172), 43)
+    assert spec.g[170] == pytest.approx(1 / 171, rel=1e-12)   # d_171 is subnormal
+    assert spec.f_rec == tuple(0 - v for v in spec.g)
 
 
 def test_finite_exponential_ncap_8_matches_the_exact_moments(capsys):
@@ -515,6 +562,8 @@ def test_finite_refuses_non_finite_spec_values(tmp_path, capsys, bad):
      "--order", "2"],                                          # c_1 = -1e320 overflows
     ["build", "--family", '{"kind": "explicit", "coeffs": [1, 1e-200, 1e200], "radius": 1}',
      "--order", "2"],                                          # c_2 underflows to -0
+    # c_2 underflows as above, but a finite system reads only g and f_rec:
+    # it is refused because g_2 = 1e400 overflows
     ["finite", "--family",
      '{"kind": "explicit", "coeffs": [1, 1e-200, 1e200, 1, 1], "radius": 1}', "--ncap", "1"],
     ["moments", "--family", "exponential", "--window", "180"],  # d_178 = 1/178! underflows

@@ -329,10 +329,26 @@ def test_gram_is_exactly_diagonal_for_complex_coefficients():
 
 
 def test_exact_values_that_overflow_a_double_are_refused():
-    # e_2 = d_1^2 - d_2 = 1e600 is exact but has no double
+    # e_2 = d_1^2 - d_2 = 1e600 is exact but has no double: the table holds
+    # it, and it is refused where it is rounded, when it is read as a double
     src = TruncatedPowerSeries.source([1.0, 1e300, 1.0], radius=1.0)
-    with pytest.raises(UnrepresentableValue):
-        exact_moments(src, 2)
+    table = exact_moments(src, 2)
+    with pytest.raises(UnrepresentableValue, match=r"~2\*\*1994 overflows a double"):
+        table[-2]
+
+
+def test_a_table_whose_moments_overflow_still_gives_a_gram_of_doubles():
+    # every entry of the Gram is an exact sum that is a double, diag(d_0, -d_2, d_2)
+    src = TruncatedPowerSeries.source([1.0, 1e300, 1.0], radius=1.0)
+    G = gram_matrix(build_system(src, 2), exact_moments(src, 2))
+    assert np.array_equal(G, np.diag([1.0, -1.0, 1.0]))
+
+
+def test_a_quadrature_coefficient_that_overflows_names_its_index_and_radius():
+    spectrum = kernels.circle_spectrum(np.ones(8))
+    with np.errstate(all="raise"):   # refused, not warned
+        with pytest.raises(UnrepresentableValue, match=r"coefficient 200 on radius 0\.01 "):
+            kernels.circle_coefficients(spectrum, 0.01, [0, 200, 300])
 
 
 def _dense_gram(system, moments):

@@ -1,6 +1,7 @@
 """Generating-function identities and contour extraction of R_n."""
 
 import json
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,7 +15,13 @@ from olaurent.genfun import (
     rn_all_by_contour,
     rn_by_contour,
 )
-from olaurent.errors import DomainViolation, InsufficientOrder, InvalidParams, PoleProximity
+from olaurent.errors import (
+    DomainViolation,
+    InsufficientOrder,
+    InvalidParams,
+    PoleProximity,
+    UnrepresentableValue,
+)
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +192,14 @@ def test_extraction_matches_direct_evaluation(exp_sys, n):
     x = 1.1 - 0.4j
     direct = exp_sys.R[n](x)
     assert abs(rn_by_contour(exp_sys.source, n, x) - direct) <= 1e-8
+
+
+def test_extraction_refuses_an_r_n_that_overflows_without_a_warning(geo_sys):
+    # R_n(1e-300) ~ 1e300^ceil(n/2) overflows from n = 3; it used to come back as inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnrepresentableValue, match=r"coefficient 3 on radius 5e-151 "):
+            rn_all_by_contour(realize(FamilySpec.geometric(), 64), 1e-300, 20)
 
 
 def test_extraction_guards(geo_sys):
