@@ -103,7 +103,7 @@ def _system_rows(coeffs) -> list:
 
 def _moment_rows(table) -> list:
     """[m, re, im] rows of the MomentTable `table`, in ascending m."""
-    return [[m, z.real, z.imag] for m, z in table.mu.items()]
+    return [[m, z.real, z.imag] for m in range(-table.window, table.window + 1) for z in (table[m],)]
 
 
 def _csv_complex(z) -> str:

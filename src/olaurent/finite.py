@@ -9,8 +9,8 @@ coefficient, the pivot, is exactly 1 (odd k) or g_1 ... g_k (even k).
 The moment map amplifies any rounding of the Q_k or g_k past use (the
 pivot of the exponential family's Q_16 is 1/16!), so :func:`solve_moments`
 solves on the exact Q_k of :func:`~olaurent.systems.two_step`, run once
-per spec, in fixed point at a precision scaled to the pivot amplification,
-and rounds each moment once; :func:`build_Q` rounds the same Q_k, and a
+per spec and returned by :func:`build_Q`, in fixed point at a precision
+scaled to the pivot amplification, and rounds each moment once; a
 derived spec's g_k, f_k are each rounded once from the d_k.
 
 With |a| = |mu_{-level}| > 2**-SOLVE_GUARD_BITS, the solve's error, and
@@ -71,7 +71,7 @@ from . import exact
 from .families import MAX_ORDER
 from .functional import MomentTable
 from .series import LaurentPoly, TruncatedPowerSeries
-from .systems import _own_steps, _validate_source, rounded, two_step
+from .systems import _own_steps, _validate_source, two_step
 
 __all__ = [
     "FiniteSystemSpec",
@@ -223,8 +223,8 @@ class AtomicMeasure:
 
 
 def build_Q(spec: FiniteSystemSpec) -> tuple[LaurentPoly, ...]:
-    """Q_0..Q_{4n} from the finite recurrence, each coefficient rounded once."""
-    return (LaurentPoly.one(), *map(rounded, spec.exact_Q))
+    """The exact Q_0..Q_{4n} of the finite recurrence."""
+    return (LaurentPoly.one(), *spec.exact_Q)
 
 
 def _round_div(a, b: int):
@@ -241,8 +241,7 @@ def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
     determines mu_m (pivot at exponent m).
 
     The Q_k are the exact ones of :func:`~olaurent.systems.two_step`,
-    integer numerators (``int`` or :class:`~olaurent.exact.Gaussian`)
-    over a denominator that cancels in each row.  The solve runs in fixed
+    whose denominator cancels in each row.  The solve runs in fixed
     point over 2**P, the table's ``denominator``, on Python integers:
     every product and sum is exact, and each division by a pivot, as
     num * conj(pivot) over the integer |pivot|^2, rounds each part once
@@ -261,7 +260,8 @@ def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
     # of 2**-P (mu_0 = 1 carries none); the common scale of a row cancels
     bound = {0: -math.inf}
     rows = []
-    for k, (lo, q, _) in enumerate(spec.exact_Q[:2 * window], start=1):
+    for k, Q in enumerate(spec.exact_Q[:2 * window], start=1):
+        lo, q = Q.lo, Q.numerators
         # the new extreme exponent: the bottom one at odd k, the top one at even k
         p, others = (0, slice(1, None)) if k % 2 == 1 else (len(q) - 1, slice(0, -1))
         new, exps, pivot, c = lo + p, range(lo, lo + len(q))[others], q[p], q[others]
@@ -402,8 +402,8 @@ def represent_functional(solve: FunctionalSolve, measure: AtomicMeasure,
                          p: LaurentPoly) -> complex:
     """L(p) = a sum_e c_e M_{e+level} for p supported in [-level, level].
 
-    The sum runs exactly on the measure's moment numerators and the
-    dyadic a and c_e, and each part is rounded once.
+    The sum runs exactly on the measure's moment numerators, the dyadic
+    a and the numerators of p, and each part is rounded once.
     """
     if abs(solve.a) == 0:
         raise RepresentationCondFailed("a = 0; representation undefined")
@@ -417,7 +417,6 @@ def represent_functional(solve: FunctionalSolve, measure: AtomicMeasure,
     if measure.moment_window < 2 * level:
         raise InvalidParams(
             f"measure covers moments to {measure.moment_window}, need {2 * level}")
-    c, cs = exact.scaled(p.coeffs.tolist())
     a, scale = exact.split(solve.a)
-    total = a * sum(map(mul, c, measure.wide_moments[lo + level:hi + level + 1]))
-    return exact.to_complex(total, measure.denominator << (cs + scale))
+    total = a * sum(map(mul, p.numerators, measure.wide_moments[lo + level:hi + level + 1]))
+    return exact.to_complex(total, measure.denominator * p.denominator << scale)

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -88,24 +87,19 @@ class MomentTable:
     :func:`exact_moments` fills them with the exact moments of the double
     coefficients; :func:`~olaurent.finite.solve_moments` with its
     fixed-point solution; :func:`contour_moments` with the trapezoid
-    rule's moments as doubles, each over a power of two.  ``mu`` maps m to
-    that value rounded once to a double on first read, and refuses one that
-    overflows; :func:`apply_L` and :func:`gram_matrix` round only their sums.
+    rule's moments as doubles, each over a power of two.  ``table[m]``
+    rounds mu_m once to a double and refuses a moment that overflows.
+    :func:`apply_L` and :func:`gram_matrix` round only their sums.
     """
 
     window: int
     values: tuple = field(repr=False)
     denominator: int
 
-    @cached_property
-    def mu(self) -> dict[int, complex]:
-        return {m: exact.to_complex(self.values[m + self.window], self.denominator)
-                for m in range(-self.window, self.window + 1)}
-
     def __getitem__(self, m: int) -> complex:
         if abs(m) > self.window:
             raise WindowExceeded(f"moment {m} outside window [-{self.window}, {self.window}]")
-        return self.mu[m]
+        return exact.to_complex(self.values[m + self.window], self.denominator)
 
 
 @dataclass(frozen=True)
@@ -158,16 +152,15 @@ def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
 
 
 def apply_L(p: LaurentPoly, moments: MomentTable) -> complex:
-    """L(p) = sum_e c_e mu_e, summed exactly over the table's integers and rounded once."""
+    """L(p) = sum_e c_e mu_e, summed exactly over p's and the table's numerators, rounded once."""
     if not p:
         return 0j
     lo, hi = p.min_exponent, p.max_exponent
     if lo < -moments.window or hi > moments.window:
         raise WindowExceeded(
             f"support [{lo}, {hi}] exceeds moment window [-{moments.window}, {moments.window}]")
-    c, cs = exact.scaled(p.coeffs)
     mu = moments.values[lo + moments.window:hi + moments.window + 1]
-    return exact.to_complex(sum(map(mul, c, mu)), moments.denominator << cs)
+    return exact.to_complex(sum(map(mul, p.numerators, mu)), moments.denominator * p.denominator)
 
 
 def contour_moments(source: TruncatedPowerSeries, spec: ContourSpec,

@@ -5,11 +5,12 @@ together with radius-of-convergence metadata.  Products truncate to the
 smaller operand order; reciprocals use the standard triangular recurrence.
 
 A :class:`LaurentPoly` is an immutable finite sum ``sum_k c_k x^k`` over
-integer exponents of either sign, stored densely: every polynomial here
-(a partial sum over a power of x, a recurrence step, their products) has
-contiguous support.  Products are convolutions; evaluation accepts
-scalars or numpy arrays and raises :class:`~olaurent.errors.EvalAtZero`
-when a negative exponent meets the origin.
+integer exponents of either sign, stored densely and exactly: every
+polynomial here (a partial sum over a power of x, a recurrence step,
+their products) has contiguous support.  Products are convolutions;
+evaluation accepts scalars or numpy arrays and raises
+:class:`~olaurent.errors.EvalAtZero` when a negative exponent meets the
+origin.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import kernels
+from . import exact, kernels
 from .errors import EvalAtZero, InvalidParams, NonzeroCoefficientViolated, ZeroConstantTerm
 
 __all__ = ["TruncatedPowerSeries", "LaurentPoly"]
@@ -143,33 +144,22 @@ class TruncatedPowerSeries:
 
 
 class LaurentPoly:
-    """Finite Laurent polynomial ``sum_k c_k x^k``, exponents of any sign.
+    """Finite Laurent polynomial ``sum_k c_k x^k``, exponents of any sign, held exactly.
 
-    ``coeffs`` holds the read-only complex128 coefficients of x^lo,
-    x^(lo+1), ... with nonzero ends (none for the zero polynomial, which
-    has ``lo = 0``), so equal polynomials have equal ``lo`` and ``coeffs``.
-    ``items`` and ``len`` skip interior zeros.
+    The coefficient of x^(lo+i) is ``numerators[i] / denominator`` (see
+    :mod:`olaurent.exact`), with nonzero ends (none for the zero
+    polynomial, which has ``lo = 0``).  Finite doubles enter exactly; a
+    non-finite coefficient or scalar is refused.  ``+``, ``-``, ``*`` and
+    :meth:`shift` are exact.  ``coeffs``, :meth:`coeff`,
+    :meth:`items` and evaluation round a coefficient once, and refuse one
+    that overflows, when they read it.  ``items`` and ``len`` skip
+    interior zeros.
     """
 
-    __slots__ = ("lo", "coeffs")
-
-    def __init__(self, terms: Mapping[int, complex] | None = None):
-        terms = {int(e): complex(c) for e, c in (terms or {}).items()}
-        lo = min(terms, default=0)
-        dense = np.zeros(max(terms, default=lo - 1) - lo + 1, dtype=np.complex128)
-        dense[[e - lo for e in terms]] = list(terms.values())
-        self._store(lo, dense)
-
-    def _store(self, lo: int, dense: np.ndarray) -> None:
-        """Trim zero ends off an array nothing else writes to, freeze it, keep it."""
-        nz = np.flatnonzero(dense)
-        if nz.size:
-            lo, dense = lo + int(nz[0]), dense[nz[0]:nz[-1] + 1]
-        else:
-            lo, dense = 0, dense[:0]
-        dense.setflags(write=False)
-        object.__setattr__(self, "lo", int(lo))
-        object.__setattr__(self, "coeffs", dense)
+    def __new__(cls, terms: Mapping[int, complex] | None = None):
+        terms = {int(e): c for e, c in (terms or {}).items()}
+        lo, hi = min(terms, default=0), max(terms, default=0)
+        return cls.from_coeffs(lo, [terms.get(e, 0.0) for e in range(lo, hi + 1)])
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -177,11 +167,23 @@ class LaurentPoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, lo: int, coeffs) -> "LaurentPoly":
-        """``sum_i coeffs[i] x^(lo + i)``; the coefficients are copied."""
-        p = cls.__new__(cls)
-        p._store(lo, np.array(coeffs, dtype=np.complex128).reshape(-1))
+    def from_exact(cls, lo: int, numerators, denominator: int) -> "LaurentPoly":
+        """``sum_i numerators[i] / denominator x^(lo + i)``; every constructor ends here.
+
+        Only the zeros at the two ends are looked for, and trimmed.
+        """
+        num = tuple(numerators)
+        i = next((i for i, c in enumerate(num) if c), len(num))
+        j = len(num) - next((i for i, c in enumerate(reversed(num)) if c), 0)
+        p = object.__new__(cls)
+        vars(p).update(lo=lo + i if i < j else 0, numerators=num[i:j], denominator=denominator)
         return p
+
+    @classmethod
+    def from_coeffs(cls, lo: int, coeffs) -> "LaurentPoly":
+        """``sum_i coeffs[i] x^(lo + i)`` for finite complex coeffs, held exactly."""
+        num, scale = exact.scaled(coeffs)
+        return cls.from_exact(lo, num, 1 << scale)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -197,19 +199,28 @@ class LaurentPoly:
 
     # -- inspection -----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        """A new complex128 array of the coefficients of x^lo, x^(lo+1), ..., each rounded once."""
+        return np.array([exact.to_complex(c, self.denominator) for c in self.numerators],
+                        dtype=np.complex128)
+
     def coeff(self, exponent: int) -> complex:
         i = int(exponent) - self.lo
-        return complex(self.coeffs[i]) if 0 <= i < self.coeffs.shape[0] else 0j
+        if 0 <= i < len(self.numerators):
+            return exact.to_complex(self.numerators[i], self.denominator)
+        return 0j
 
     def items(self) -> list[tuple[int, complex]]:
         """Nonzero terms as (exponent, coefficient) pairs, ascending exponent."""
-        return [(self.lo + i, complex(c)) for i, c in enumerate(self.coeffs) if c != 0]
+        return [(self.lo + i, exact.to_complex(c, self.denominator))
+                for i, c in enumerate(self.numerators) if c]
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.coeffs))
+        return sum(map(bool, self.numerators))
 
     def __bool__(self) -> bool:
-        return self.coeffs.shape[0] > 0
+        return bool(self.numerators)
 
     @property
     def min_exponent(self) -> int | None:
@@ -217,52 +228,50 @@ class LaurentPoly:
 
     @property
     def max_exponent(self) -> int | None:
-        return self.lo + self.coeffs.shape[0] - 1 if self else None
+        return self.lo + len(self.numerators) - 1 if self else None
 
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        den = math.lcm(self.denominator, other.denominator)
         lo = min(self.lo, other.lo)
-        out = np.zeros(max(self.lo + len(self.coeffs), other.lo + len(other.coeffs)) - lo,
-                       dtype=np.complex128)
-        out[self.lo - lo:][:len(self.coeffs)] = self.coeffs
-        out[other.lo - lo:][:len(other.coeffs)] += other.coeffs
-        return LaurentPoly.from_coeffs(lo, out)
+        out = [0] * (max(self.lo + len(self.numerators), other.lo + len(other.numerators)) - lo)
+        for p in (self, other):
+            f = den // p.denominator
+            for i, c in enumerate(p.numerators, start=p.lo - lo):
+                out[i] += c * f
+        return LaurentPoly.from_exact(lo, out, den)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly.from_coeffs(self.lo, -self.coeffs)
+        return LaurentPoly.from_exact(self.lo, [-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self + -other if isinstance(other, LaurentPoly) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            if not self or not other:
-                return LaurentPoly()
-            prod = np.convolve(self.coeffs, other.coeffs)
-            return LaurentPoly.from_coeffs(self.lo + other.lo, prod)
         if isinstance(other, (int, float, complex)):
-            return LaurentPoly.from_coeffs(self.lo, self.coeffs * complex(other))
-        return NotImplemented
+            other = LaurentPoly.from_coeffs(0, [other])
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        out = [0] * max(len(self.numerators) + len(other.numerators) - 1, 0)
+        for i, a in enumerate(self.numerators):
+            for j, b in enumerate(other.numerators, start=i):
+                out[j] += a * b
+        return LaurentPoly.from_exact(self.lo + other.lo, out,
+                                      self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by ``x**k`` (exponent shift)."""
-        return LaurentPoly.from_coeffs(self.lo + k, self.coeffs)
+        return LaurentPoly.from_exact(self.lo + k, self.numerators, self.denominator)
 
     # -- evaluation ---------------------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate at a scalar or ndarray of points.
-
-        Negative exponents are evaluated stably as a dense Horner pass
-        times ``x**lo``.
-        """
+        """Evaluate at a scalar or ndarray: Horner on the rounded ``coeffs``, times ``x**lo``."""
         array = isinstance(x, np.ndarray)
         pts = np.ascontiguousarray(x, dtype=np.complex128) if array else complex(x)
         if not self:
@@ -278,9 +287,7 @@ class LaurentPoly:
     # -- comparisons ------------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.lo == other.lo and np.array_equal(self.coeffs, other.coeffs)
+        return not self - other if isinstance(other, LaurentPoly) else NotImplemented
 
     __hash__ = None
 

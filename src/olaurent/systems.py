@@ -24,10 +24,9 @@ Q_{-1} = 0, so -g_1 is one free choice, and recur_lambda_1 = 1 a
 placeholder.  Each value is one operation on the double d_k.
 
 The recurrence needs products and sums only, so :func:`two_step` runs it
-exactly on the double g_k and f^rec_k (see :mod:`olaurent.exact`).
-:func:`build_by_recurrence` rounds each coefficient of each Q_n to a
-double once; the finite systems of :mod:`olaurent.finite` run the same
-loop and solve for their moments on its exact output.
+exactly on the double g_k and f^rec_k and yields each exact Q_n as a
+:class:`~olaurent.series.LaurentPoly`, for :func:`build_by_recurrence`
+and the finite systems of :mod:`olaurent.finite` alike.
 
 On a source's own data, f^rec_k = -g_k, a step never changes a
 coefficient it was handed: coefficient i of the exact Q_n is g_1 ... g_i
@@ -65,7 +64,6 @@ __all__ = [
     "build_system",
     "recurrence_data",
     "two_step",
-    "rounded",
     "build_by_recurrence",
     "check_normalization",
 ]
@@ -83,7 +81,8 @@ class OLPSystem:
 
     @cached_property
     def R(self) -> tuple[LaurentPoly, ...]:
-        return tuple(LaurentPoly.from_coeffs(-math.ceil(n / 2), self.source.coeffs[:n + 1])
+        d, scale = exact.scaled(self.source.coeffs[:self.K + 1])
+        return tuple(LaurentPoly.from_exact(-math.ceil(n / 2), d[:n + 1], 1 << scale)
                      for n in range(self.K + 1))
 
 
@@ -165,10 +164,9 @@ def _checked(name: str, values: list) -> tuple:
 def two_step(g, f_rec):
     """Yield the exact Q_1, Q_2, ... of the recurrence; g[k-1], f_rec[k-1] hold g_k, f_k.
 
-    Q_k is (lo, coeffs, den), read-only: coefficient i is coeffs[i] / den
-    at exponent lo + i, where coeffs[i] is an ``int`` or an
-    :class:`~olaurent.exact.Gaussian`, and always an ``int`` for real
-    inputs.  den is a power of two that never shrinks from step to step.
+    Each Q_k is a :class:`~olaurent.series.LaurentPoly` over a power of two
+    that never shrinks from step to step, with ``int`` numerators for real
+    inputs; the loop runs on its own integer lists.
     """
     steps = [(exact.split(a), exact.split(b)) for a, b in zip(g, f_rec)]
     lo0, q0, s0 = 0, [], 0      # Q_{-1} = 0
@@ -184,27 +182,21 @@ def two_step(g, f_rec):
             q[i] += (gk * a) << v
         for i, a in enumerate(q0, start=lo0 - lo):
             q[i] += (fk * a) << w
-        yield lo, q, 1 << scale
+        yield LaurentPoly.from_exact(lo, q, 1 << scale)
         lo0, q0, s0 = lo1, q1, s1
         lo1, q1, s1 = lo, q, scale
 
 
-def rounded(q) -> LaurentPoly:
-    """One exact :func:`two_step` polynomial (lo, coeffs, den), each coefficient rounded once."""
-    lo, coeffs, den = q
-    return LaurentPoly.from_coeffs(lo, [exact.to_complex(c, den) for c in coeffs])
-
-
 def build_by_recurrence(rd: RecurrenceData, K: int) -> tuple[LaurentPoly, ...]:
-    """Q_0..Q_K from the two-step recurrence, Q_{-1} = 0 and Q_0 = 1.
+    """The exact Q_0..Q_K of the two-step recurrence, Q_{-1} = 0 and Q_0 = 1.
 
-    Exact on the double g_k and f^rec_k; each coefficient is rounded once.
+    Exact on the double g_k and f^rec_k; a coefficient is rounded when it is read.
     """
     if K < 0:
         raise InvalidParams("K must be >= 0")
     if rd.K < K:
         raise MissingCoefficients(f"recurrence data stops at {rd.K}, need {K}")
-    return (LaurentPoly.one(), *map(rounded, two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1])))
+    return (LaurentPoly.one(), *two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]))
 
 
 def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationReport:
@@ -229,8 +221,10 @@ def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationR
     """
     K = min(system.K, rd.K)
     new = np.ones(K + 1, dtype=np.complex128)
-    q1, den1 = [1], 1
-    for n, (_, q, den) in enumerate(two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]), start=1):
+    q1, den1 = (1,), 1
+    for n, Q in enumerate(two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]), start=1):
+        # lo is -ceil(n/2); only a zero g_k trims the top end
+        q, den = Q.numerators + (0,) * (n + 1 - len(Q.numerators)), Q.denominator
         f = den // den1
         for i, (a, b) in enumerate(zip(q1, q)):
             if a.real * f != b.real or a.imag * f != b.imag:

@@ -673,14 +673,15 @@ def test_cli_fuzz_exits_documented_codes_with_strict_json(config_dir, argv):
 ], ids=["ortho", "ortho-contour", "genfun-check"])
 def test_ortho_and_genfun_build_no_laurent_polynomials(capsys, monkeypatch, argv):
     # both read only the source and K; they used to build R_0..R_K
+    # every constructor, the arithmetic included, ends in from_exact
     calls = []
-    real = LaurentPoly.from_coeffs.__func__
+    real = LaurentPoly.from_exact.__func__
 
-    def counted(cls, lo, coeffs):
+    def counted(cls, lo, numerators, denominator):
         calls.append(lo)
-        return real(cls, lo, coeffs)
+        return real(cls, lo, numerators, denominator)
 
-    monkeypatch.setattr(LaurentPoly, "from_coeffs", classmethod(counted))
+    monkeypatch.setattr(LaurentPoly, "from_exact", classmethod(counted))
     assert main(argv) == 0
     strict_loads(capsys.readouterr().out)
     assert calls == []

@@ -27,6 +27,7 @@ from olaurent import (
     realize,
     represent_functional,
     solve_moments,
+    two_step,
 )
 from olaurent import cli, finite
 from olaurent.finite import SOLVE_GUARD_BITS
@@ -81,6 +82,17 @@ def test_q0_is_always_one():
 def test_first_step_uses_g1():
     q = build_Q(FiniteSystemSpec(n_cap=1, g=(1.0,)))
     assert q[1] == LaurentPoly({-1: 1, 0: 1})
+
+
+def test_build_q_is_the_exact_recurrence():
+    # Q_2's constant term is 0.1 + 0.2 - 0.3 exactly, which no rounded Q_2 holds
+    spec = FiniteSystemSpec(n_cap=1, g=(0.1, 0.2, 0.5 + 0.25j), f_rec=(-1.0, -0.3, 0.75j))
+    q = build_Q(spec)
+    assert len(q) == 5
+    for got, want in zip(q[1:], two_step(spec.g, spec.f_rec), strict=True):
+        assert (got.lo, got.numerators, got.denominator) == \
+            (want.lo, want.numerators, want.denominator)
+    assert q[2].coeff(0) == float(Fraction(0.1) + Fraction(0.2) - Fraction(0.3))
 
 
 def test_shape_alternates_between_extremes():

@@ -335,6 +335,8 @@ def test_exact_values_that_overflow_a_double_are_refused():
     table = exact_moments(src, 2)
     with pytest.raises(UnrepresentableValue, match=r"~2\*\*1994 overflows a double"):
         table[-2]
+    # each read rounds only its own moment: mu_{-1} = -d_1 is a double
+    assert table[-1] == -1e300
 
 
 def test_a_table_whose_moments_overflow_still_gives_a_gram_of_doubles():

@@ -24,7 +24,7 @@ def test_package_surface_is_the_union_of_module_lists():
     assert olaurent.__all__ == names
     assert len(set(names)) == len(names)
     assert all(hasattr(olaurent, name) for name in names)
-    assert {"MAX_ORDER", "contour_moments", "rounded", "two_step"} <= set(names)
+    assert {"MAX_ORDER", "contour_moments", "two_step"} <= set(names)
 
 
 def test_every_trace_target_resolves():
@@ -54,6 +54,19 @@ def test_trace_hooks_read_what_the_program_builds():
     assert tracer.counts["finite.mp_terms"] == len(measure.atoms)
     assert tracer.keys["finite.table_reuse_ratio"] == {
         (measure.radius, measure.precision, measure.wide_weights)}
+
+
+def test_traced_product_counts_the_term_pairs_of_exact_polynomials():
+    bench_trace = _bench_trace()
+    tracer = bench_trace.Tracer()
+    p = series.LaurentPoly.from_exact(-1, [1, 0, 3], 2)     # (x^-1 + 3x) / 2, two terms
+    q = series.LaurentPoly({0: 0.5, 1: 0.25j})
+    with tracer.installed():
+        product = p * q
+    metrics = tracer.metrics()
+    assert metrics["series.LaurentPoly.mul.calls"] == 1
+    assert metrics["series.LaurentPoly.mul.term_pairs"] == len(p) * len(q) == 4
+    assert product == series.LaurentPoly({-1: 0.25, 0: 0.125j, 1: 0.75, 2: 0.375j})
 
 
 def test_traced_contour_run_counts_extended_horner_steps(capsys):

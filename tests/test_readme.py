@@ -12,9 +12,15 @@ import numpy as np
 import pytest
 
 from olaurent import (
+    ContourSpec,
     FamilySpec,
     FiniteSystemSpec,
+    FunctionalSolve,
+    RepresentationCondFailed,
+    apply_L,
+    build_atomic_measure,
     build_system,
+    contour_L,
     exact_moments,
     realize,
     rn_by_contour,
@@ -51,6 +57,41 @@ def test_criterion_8_figures(readme):
         exact = exact_moments(src, 6)
         worst.append(fig(max(abs(solved[m] - exact[m]) for m in range(-6, 7))))
     assert f"measures {' / '.join(worst)} for geometric / exponential / exp-binomial" in readme
+
+
+def test_criterion_2_geometric_figure(readme):
+    # the acceptance gate's worst family: geometric on radius 0.5
+    src = realize(FamilySpec.geometric(), 64)
+    system, moments = build_system(src, 12), exact_moments(src, 12)
+    spec = ContourSpec(radius=0.5, nodes=512)
+    worst = 0.0
+    for n in range(13):
+        for m in range(n, 13):
+            p = system.R[n] * system.R[m]
+            exact = apply_L(p, moments)
+            worst = max(worst, abs(contour_L(p, src, spec) - exact) / (1 + abs(exact)))
+    assert f"The contour routes agree with the exact functional to {fig(worst)} against" in readme
+
+
+def test_criterion_7_moment_residual_figure(readme):
+    # the acceptance gate's specs at n_cap 3: three derived, five drawn
+    specs = [FiniteSystemSpec.from_partial_sums(realize(fam, 12), 3) for fam in STOCK]
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        g = tuple(1 + 0.05 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(12))
+        f = tuple(-1 + 0.05 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(12))
+        specs.append(FiniteSystemSpec(n_cap=3, g=g, f_rec=f))
+    worst = 0.0
+    for spec in specs:
+        table = solve_moments(spec, 6)
+        try:
+            solves = [FunctionalSolve.from_moments(table, level) for level in (3, 6)]
+        except RepresentationCondFailed:
+            continue
+        for fs in solves:
+            measure = build_atomic_measure(fs.s)
+            worst = max(worst, *(abs(measure.moment(k) - fs.s[k]) for k in range(len(fs.s))))
+    assert f"measure moment residuals reach {fig(worst)} against 1e-10" in readme
 
 
 def test_criterion_6_geometric_figure(readme):
