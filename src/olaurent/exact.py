@@ -55,6 +55,9 @@ class Gaussian:
     def __radd__(self, n: int) -> Gaussian:
         return Gaussian(n + self.real, self.imag)
 
+    def __sub__(self, other) -> Gaussian:
+        return Gaussian(self.real - other.real, self.imag - other.imag)
+
     def __mul__(self, other) -> Gaussian:
         a, b, c, d = self.real, self.imag, other.real, other.imag
         return Gaussian(a * c - b * d, a * d + b * c)
@@ -64,6 +67,9 @@ class Gaussian:
 
     def __lshift__(self, n: int) -> Gaussian:
         return Gaussian(self.real << n, self.imag << n)
+
+    def __rshift__(self, n: int) -> Gaussian:
+        return Gaussian(self.real >> n, self.imag >> n)
 
 
 def split(z: complex) -> tuple[int | Gaussian, int]:

@@ -36,8 +36,8 @@ enough.  Every input is exact, though: r = 2**e, and each s_k is a
 double, so t_k = s_k r^{-k} is a dyadic rational.  Only the roots of
 unity are irrational, and :func:`build_atomic_measure` holds them in
 fixed point, each rounded once to F = ceil(dps log2 10) bits (dps, in
-decimal digits, grows with r^N), from one mpmath evaluation of the
-primitive root.  The weights, the moment table M_0..M_N and every L(Q)
+decimal digits, grows with r^N), from one integer Newton iteration for
+the primitive root.  The weights, the moment table M_0..M_N and every L(Q)
 are then exact integer sums over those roots, each rounded to a double
 once, at the reporting boundary.  Rounded roots are the only error, and
 they move each moment by at most
@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -282,24 +281,60 @@ def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
                        denominator=1 << P)
 
 
+def _primitive_root(m: int, bits: int) -> exact.Gaussian:
+    """round(2**bits omega), omega = exp(2 pi i / m), by Newton's iteration on z^m = 1.
+
+    Each step replaces Newton's 1 / (m z^(m-1)) by z / m, its value on the
+    unit circle:
+
+        z <- z - z (z^m - 1) / m.
+
+    For z = omega (1 + d) this leaves omega (1 - (m+1)/2 d^2 (1 + O(m d))),
+    so the convergence stays quadratic.  A step at precision q holds z as
+    Z over 2**q, takes z^m by repeated squaring with each product floored
+    to 2**-q, and rounds the correction once.  Each floor is off by under
+    sqrt(2) 2**-q, and the later squarings amplify the floors by at most
+    2m in all, so after the division by m the power costs under 2.83 2**-q
+    and the rounding 0.71 2**-q.  With L = bitlen(m) and |z - omega| <=
+    4 2**-p, a step at q <= 2p - L - 5 thus leaves under
+    (1/4 + 2.83 + 0.71) 2**-q < 4 2**-q, up to factors 1 + O(m 2**-46).
+    The double cos and sin of 2 pi / m, rounded to 2**-48, start within
+    2**-47; the last step runs at max(bits + 18, 48), so each part ends
+    within 2**-16 of 2**bits omega before it is rounded once.
+    """
+    L = m.bit_length()
+    steps = [max(bits + 18, 48)]
+    while steps[-1] > 91 - L:
+        steps.append((steps[-1] + L + 6) // 2)
+    p, theta = 48, 2 * math.pi / m
+    z = exact.Gaussian(round(math.ldexp(math.cos(theta), p)),
+                       round(math.ldexp(math.sin(theta), p)))
+    for q in reversed(steps):
+        z, p = z << (q - p), q
+        power = z
+        for bit in bin(m)[3:]:
+            power = power * power >> p
+            if bit == "1":
+                power = power * z >> p
+        z = z - _round_div(z * (power - (1 << p)), m << p)
+    return _round_div(z, 1 << (p - bits))
+
+
 def _unit_roots(m: int, bits: int) -> list[tuple[int, int]]:
     """round(2**bits exp(2 pi i q / m)) for q = 0..m-1, as (re, im) int pairs.
 
-    One mpmath evaluation gives z, the primitive root in fixed point over
-    2**B with B = bits + 2 bitlen(m) + 8, each part within 1/2 + 2**-8 of
-    exact.  Each power z^q, q <= m/2, is exact in Gaussian integers and is
-    rounded once to `bits`: its error, about q |z 2**-B - omega| <
-    2**(bitlen(m) - 1 - B) <= 2**(-bits - 11), leaves each part within
-    1/2 + 2**-10 of 2**bits omega^q, so it is correctly rounded unless the
-    exact value lies within 2**-10 of a half-integer, and never off by
-    more than one.
+    :func:`_primitive_root` gives z, the primitive root in fixed point
+    over 2**B with B = bits + 2 bitlen(m) + 8, each part within
+    1/2 + 2**-16 of exact.  Each power z^q, q <= m/2, is exact in Gaussian
+    integers and is rounded once to `bits`: its error, about
+    q |z 2**-B - omega| < 2**(bitlen(m) - 1 - B) <= 2**(-bits - 11), leaves
+    each part within 1/2 + 2**-10 of 2**bits omega^q, so it is correctly
+    rounded unless the exact value lies within 2**-10 of a half-integer,
+    and never off by more than one.
     omega^(m-q) = conj(omega^q) makes the upper half the mirror image.
     """
     B = bits + 2 * m.bit_length() + 8
-    with mpmath.workprec(B + 16):
-        omega = mpmath.expjpi(mpmath.mpf(2) / m)
-        z = exact.Gaussian(int(mpmath.nint(mpmath.ldexp(omega.real, B))),
-                           int(mpmath.nint(mpmath.ldexp(omega.imag, B))))
+    z = _primitive_root(m, B)
     half = [(1 << bits, 0)]
     power = 1
     for q in range(1, m // 2 + 1):

@@ -294,5 +294,5 @@ class LaurentPoly:
     def __repr__(self) -> str:
         if not self:
             return "LaurentPoly(0)"
-        bits = [f"{c:g}*x^{e}" for e, c in self.items()]
+        bits = [f"({c:g})*x^{e}" for e, c in self.items()]
         return "LaurentPoly(" + " + ".join(bits) + ")"

@@ -383,6 +383,18 @@ def test_unit_roots_are_the_per_root_rounding(bits):
     assert worst <= 1
 
 
+@pytest.mark.parametrize("bits", [100, 300, 1000, 3000])
+def test_primitive_root_is_the_wide_mpmath_root_rounded(bits):
+    # an independent construction: mpmath at bits + 16 bits, rounded once to bits
+    for m in range(3, 80):
+        with mpmath.workprec(bits + 16):
+            omega = mpmath.expjpi(mpmath.mpf(2) / m)
+            ref = (int(mpmath.nint(mpmath.ldexp(omega.real, bits))),
+                   int(mpmath.nint(mpmath.ldexp(omega.imag, bits))))
+        z = finite._primitive_root(m, bits)
+        assert (z.real, z.imag) == ref, m
+
+
 def _mpmath_atoms(s, radius, dps):
     """The equal-angle atoms of s, summed in mpmath at `dps` digits."""
     n, m = len(s) - 1, 2 * len(s) - 1

@@ -1,13 +1,20 @@
-"""The package surface, and the names the benchmark's tracer reaches into."""
+"""The package surface, its dependencies, and the names the benchmark's tracer reaches into."""
 
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import olaurent
 from olaurent import cli, errors, families, finite, functional, genfun, kernels, series, systems
 
-BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_TRACE = ROOT / "perfbench" / "bench_trace.py"
 
 
 def _bench_trace():
@@ -81,3 +88,24 @@ def test_traced_contour_run_counts_extended_horner_steps(capsys):
     # the 64 nodes on |y| are 32 distinct values of y^2, times the 64
     # Horner steps of the order-64 contour source
     assert metrics["kernels.eval_poly_extended.point_steps"] == 32 * 64
+
+
+def test_the_cli_and_a_finite_job_load_no_mpmath():
+    # a fresh interpreter, so no other test's import of mpmath counts
+    code = ("import contextlib, io, sys\n"
+            "import olaurent.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = olaurent.cli.main(['finite', '--family', 'exponential', '--ncap', '2'])\n"
+            "print(code, 'mpmath' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.stdout.split() == ["0", "False"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    assert "mpmath" in [d.split(">")[0] for d in project["optional-dependencies"]["test"]]
+    for path in (ROOT / "src" / "olaurent").glob("*.py"):
+        assert not re.search(r"^\s*(import|from)\s+mpmath\b", path.read_text(), re.M), path.name

@@ -29,6 +29,7 @@ from olaurent import (
 from olaurent.cli import main
 
 EXP_BINOMIAL = '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}'
+EB_SMALL_A = '{"kind": "exp-binomial", "a": [0.2], "family_lambda": [0.5]}'
 STOCK = (FamilySpec.geometric(), FamilySpec.exponential(),
          FamilySpec.exp_binomial(1.0, [0.5], [1.0]))
 
@@ -40,8 +41,8 @@ def readme():
 
 
 def fig(value: float) -> str:
-    """`value` as README quotes it: 0, or two significant digits."""
-    return "0" if value == 0 else f"{value:.1e}"
+    """`value` as README quotes it: 0, or two significant digits and no exponent zero pad."""
+    return "0" if value == 0 else f"{value:.1e}".replace("e-0", "e-").replace("e+0", "e+")
 
 
 def report(capsys, *argv) -> dict:
@@ -130,3 +131,23 @@ def test_finite_exponential_n_cap_8_figures(readme, capsys):
             f"{fig(rep['moment_residual_max'])})") in readme
     assert (f"`solve_amplification_log2` ({rep['solve_amplification_log2']} for the "
             "exponential family at n_cap 8)") in readme
+
+
+def test_finite_exp_binomial_small_a_figures(readme, capsys):
+    reps = {n: report(capsys, "finite", "--family", EB_SMALL_A, "--ncap", str(n))
+            for n in range(6, 15)}
+    deviation = {fig(rep["exact_moment_deviation"]) for rep in reps.values()}
+    assert len(deviation) == 1
+    assert reps[14]["a"][1] == 0
+    assert (f"exp-binomial b = 0, a = 0.2, lambda = 0.5 at n_cap 14 "
+            f"(a = {fig(reps[14]['a'][0])})") in readme
+    assert f"({deviation.pop()} for exp-binomial a = 0.2 at n_cap 6 to 14)" in readme
+
+
+def test_finite_a_relative_deviation_figures(readme, capsys):
+    reps = [report(capsys, "finite", "--family", EXP_BINOMIAL, "--ncap", str(n))
+            for n in (8, 16, 20)]
+    rel = [fig(rep["a_relative_deviation"]) for rep in reps]
+    assert (f"lambda = 1 it is {rel[0]} at n_cap 8, {rel[1]} at n_cap 16 and {rel[2]} at "
+            "n_cap 20, while every absolute deviation stays below 2e-16") in readme
+    assert max(rep["exact_moment_deviation"] for rep in reps) < 2e-16

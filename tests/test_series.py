@@ -102,6 +102,24 @@ def test_reciprocal_roundtrip(seed):
     assert np.max(np.abs(both.coeffs - expect)) <= 1e-13
 
 
+def test_series_are_equal_on_radius_shape_and_every_coefficient():
+    s = tps([1, 0.5, 0.25], radius=2.0)
+    assert s == tps([1, 0.5, 0.25], radius=2.0)
+    assert s != tps([1, 0.5, 0.25], radius=1.0)
+    assert s != tps([1, 0.5], radius=2.0)
+    assert s != tps([1, 0.5, 0.5], radius=2.0)
+    assert s.__eq__([1, 0.5, 0.25]) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(s)
+
+
+def test_series_repr_shows_at_most_four_coefficients():
+    assert repr(tps([1, 0.5j], radius=2.0)) == (
+        "TruncatedPowerSeries([1+0j, 0+0.5j], order=1, radius=2.0)")
+    assert repr(tps([1, 1, 0.5, 0.25, 0.125])) == (
+        "TruncatedPowerSeries([1+0j, 1+0j, 0.5+0j, 0.25+0j, ...], order=4, radius=inf)")
+
+
 def test_reciprocal_of_zero_constant_term():
     with pytest.raises(ZeroConstantTerm):
         tps([0, 1]).reciprocal()
@@ -212,6 +230,12 @@ def test_non_finite_coefficient_or_scalar_is_refused_when_built():
                   lambda: lp({0: 1.0}) * math.inf):
         with pytest.raises(InvalidParams, match="non-finite value .* has no exact form"):
             build()
+
+
+def test_polynomial_repr_lists_each_term_in_rounded_form():
+    assert repr(LaurentPoly({})) == "LaurentPoly(0)"
+    assert repr(LaurentPoly.from_exact(-1, [1, 0, 0, 6j], 2)) == (
+        "LaurentPoly((0.5+0j)*x^-1 + (0+3j)*x^2)")
 
 
 def test_empty_polynomial_evaluates_to_zero():

@@ -96,6 +96,16 @@ def test_a_system_is_checked_when_it_is_made():
     assert OLPSystem(short, 2) == build_system(short, 2)
 
 
+def test_systems_are_equal_when_their_sources_and_orders_are(geometric, exponential):
+    # an equal but distinct source, so the comparison reaches TruncatedPowerSeries.__eq__
+    copy = TruncatedPowerSeries(geometric.coeffs.copy(), geometric.radius)
+    assert copy is not geometric
+    assert OLPSystem(geometric, 4) == OLPSystem(copy, 4)
+    assert OLPSystem(geometric, 4) != OLPSystem(copy, 3)
+    assert OLPSystem(geometric, 4) != OLPSystem(exponential, 4)
+    assert OLPSystem(geometric, 4) != OLPSystem(TruncatedPowerSeries(geometric.coeffs, 2.0), 4)
+
+
 def test_build_rejects_zero_coefficient():
     src = TruncatedPowerSeries([1, 1, 0, 1], radius=1.0)
     with pytest.raises(ZeroCoefficient):
