@@ -2,13 +2,14 @@
 
 Every error carries an ``exit_code`` used by the command line front end:
 2 for configuration problems, 3 for numeric validation failures, 4 when
-the representation condition a != 0 fails.
+the representation condition a != 0 fails.  An error is raised where
+the value it judges is read: a zero source coefficient, for one, only
+where a system reads it (:class:`ZeroCoefficient`).
 """
 
 __all__ = [
     "OLaurentError",
     "InvalidParams",
-    "NonzeroCoefficientViolated",
     "UnsupportedFamily",
     "InsufficientOrder",
     "ZeroCoefficient",
@@ -40,10 +41,6 @@ class InvalidParams(OLaurentError):
     exit_code = 2
 
 
-class NonzeroCoefficientViolated(InvalidParams):
-    """An explicit coefficient list contains a zero entry."""
-
-
 class UnsupportedFamily(InvalidParams):
     """The requested operation has no closed form for this family kind."""
 
@@ -53,7 +50,7 @@ class InsufficientOrder(InvalidParams):
 
 
 class ZeroCoefficient(InvalidParams):
-    """A source coefficient needed by the construction is zero."""
+    """A coefficient among the d_0..d_K that a system of order K reads is zero."""
 
 
 class MissingCoefficients(InvalidParams):

@@ -150,12 +150,14 @@ def _exp_binomial_coeffs(b: float, a, lam, order: int) -> np.ndarray:
 
 
 def realize(spec: FamilySpec, order: int) -> TruncatedPowerSeries:
-    """Coefficients d_0..d_order of the family as a source series.
+    """Coefficients d_0..d_order of the family as a series.
 
     A stock family's coefficients are all finite and nonzero; one that a
     double cannot hold (d_k = 1/k! underflows at k = 178) raises
-    :class:`UnrepresentableValue`.  ``order`` is capped at
-    :data:`MAX_ORDER` before anything is allocated.
+    :class:`UnrepresentableValue`.  An explicit family's are taken as
+    given (:class:`FamilySpec` checks that they are finite): a zero or a
+    d_0 != 1 is refused where a system or the moments read it, not here.
+    ``order`` is capped at :data:`MAX_ORDER` before anything is allocated.
     """
     if not 0 <= order <= MAX_ORDER:
         raise InvalidParams(f"order must be in [0, MAX_ORDER = {MAX_ORDER}], got {order}")
@@ -163,7 +165,7 @@ def realize(spec: FamilySpec, order: int) -> TruncatedPowerSeries:
         if len(spec.coeffs) < order + 1:
             raise InvalidParams(f"explicit family provides {len(spec.coeffs)} coefficients, "
                                 f"order {order} needs {order + 1}")
-        return TruncatedPowerSeries.source(spec.coeffs[:order + 1], spec.radius)
+        return TruncatedPowerSeries(spec.coeffs[:order + 1], spec.radius)
     if spec.kind == "geometric":
         d = np.ones(order + 1)
     elif spec.kind == "exponential":
@@ -176,7 +178,7 @@ def realize(spec: FamilySpec, order: int) -> TruncatedPowerSeries:
     bad = np.flatnonzero((d == 0) | ~np.isfinite(d))
     if bad.size:
         raise UnrepresentableValue(f"{spec.kind} coefficient d_{bad[0]} is out of the double range")
-    return TruncatedPowerSeries.source(d, spec.radius)
+    return TruncatedPowerSeries(d, spec.radius)
 
 
 def reciprocal_closed_form(spec: FamilySpec, order: int) -> TruncatedPowerSeries:

@@ -45,8 +45,7 @@ they move each moment by at most
     |M_k - s_k| <= 2**(1-F) r^N (1 + 2 sum_k |t_k|)
 
 including the final rounding to a double (derivation in
-:func:`build_atomic_measure`, which adds |s_0 - 1| for a direct caller's
-s_0 that is not exactly 1); the report states it as ``moment_error_bound``.
+:func:`build_atomic_measure`); the report states it as ``moment_error_bound``.
 """
 
 from __future__ import annotations
@@ -158,30 +157,38 @@ class FiniteSystemSpec:
 
 @dataclass(frozen=True)
 class FunctionalSolve:
-    """Normalized moment data at a given representation level."""
+    """Normalized moment data at a given representation level >= 1.
+
+    Raises :class:`RepresentationCondFailed` when |a| is within
+    2**-SOLVE_GUARD_BITS of zero, the absolute error that
+    :func:`solve_moments` guarantees: such an a cannot be told from 0.
+    ``s`` may be any iterable; it is read, into a tuple, after both checks.
+    """
 
     level: int
     a: complex
     s: tuple[complex, ...]
 
+    def __post_init__(self):
+        if self.level < 1:
+            raise InvalidParams("level must be >= 1")
+        if abs(self.a) <= 2.0 ** -SOLVE_GUARD_BITS:
+            raise RepresentationCondFailed(f"|a| = |mu[-{self.level}]| = {abs(self.a):.3e} <= "
+                                           f"2**-{SOLVE_GUARD_BITS}; no atomic representation")
+        object.__setattr__(self, "s", tuple(self.s))
+
     @classmethod
     def from_moments(cls, moments: MomentTable, level: int) -> "FunctionalSolve":
         """Normalize by a = mu_{-level}: s_0 = 1 exactly, s_k = mu_{k-level}/a for 0 < k <= 2 level.
 
-        Raises :class:`RepresentationCondFailed` when |a| is within
-        2**-SOLVE_GUARD_BITS of zero, the absolute error that
-        :func:`solve_moments` guarantees: such an a cannot be told from 0.
+        ``s`` is passed as a generator, so no s_k divides by an a that
+        :meth:`__post_init__` refuses.
         """
-        if level < 1:
-            raise InvalidParams("level must be >= 1")
         if moments.window < level:
             raise WindowExceeded(f"moment window {moments.window} < level {level}")
         a = moments[-level]
-        if abs(a) <= 2.0 ** -SOLVE_GUARD_BITS:
-            raise RepresentationCondFailed(f"|a| = |mu[-{level}]| = {abs(a):.3e} <= "
-                                           f"2**-{SOLVE_GUARD_BITS}; no atomic representation")
-        s = (1 + 0j, *(moments[k - level] / a for k in range(1, 2 * level + 1)))
-        return cls(level=level, a=a, s=s)
+        return cls(level=level, a=a,
+                   s=(moments[k - level] / a if k else 1 + 0j for k in range(2 * level + 1)))
 
 
 @dataclass(frozen=True)
@@ -372,13 +379,13 @@ def build_atomic_measure(s) -> AtomicMeasure:
     Rounding M_k to the nearest double at most doubles a part's distance
     from the double s_k.  So every |moment(k) - s_k| is at most
 
-        2**(1-F) r^N (1 + 2T) + |s_0 - 1|,
+        2**(1-F) r^N (1 + 2T),
 
     the ``error_bound``, evaluated in doubles and rounded up; the exact
-    bound is under 0.71 of the first term, which absorbs the rounding of
-    T.  The last term is there because the weights are built for s_0 = 1,
-    which a direct caller's s_0 may miss by up to 1e-12; it reads 0 for
-    :meth:`FunctionalSolve.from_moments`, which sets s_0 = 1 exactly.
+    bound is under 0.71 of it, which absorbs the rounding of T.
+
+    The weights are built for s_0 = 1, so any other s_0 is refused;
+    :meth:`FunctionalSolve.from_moments` sets s_0 = 1 exactly.
     """
     s_arr = np.asarray(s, dtype=np.complex128)
     if s_arr.ndim != 1 or s_arr.shape[0] == 0:
@@ -386,7 +393,7 @@ def build_atomic_measure(s) -> AtomicMeasure:
     for k, v in enumerate(s_arr.tolist()):
         if not cmath.isfinite(v):
             raise InvalidParams(f"s_{k} = {v} is not finite")
-    if not abs(s_arr[0] - 1.0) <= 1e-12:
+    if s_arr[0] != 1:
         raise InvalidParams(f"s_0 must be 1, got {s_arr[0]}")
     n = s_arr.shape[0] - 1
     m = 2 * n + 1
@@ -430,7 +437,7 @@ def build_atomic_measure(s) -> AtomicMeasure:
     return AtomicMeasure(atoms=atoms, moment_window=n, radius=r,
                          wide_weights=tuple(w << F for w in weights), precision=dps,
                          wide_moments=tuple(moments), denominator=den << F,
-                         error_bound=math.nextafter(bound + abs(s_arr[0] - 1.0), math.inf))
+                         error_bound=math.nextafter(bound, math.inf))
 
 
 def represent_functional(solve: FunctionalSolve, measure: AtomicMeasure,
@@ -440,8 +447,6 @@ def represent_functional(solve: FunctionalSolve, measure: AtomicMeasure,
     The sum runs exactly on the measure's moment numerators, the dyadic
     a and the numerators of p, and each part is rounded once.
     """
-    if abs(solve.a) == 0:
-        raise RepresentationCondFailed("a = 0; representation undefined")
     level = solve.level
     if not p:
         return 0j

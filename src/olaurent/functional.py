@@ -137,7 +137,7 @@ def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
     if source.order < window:
         raise InsufficientOrder(f"source order {source.order} < window {window}")
     if source.coeffs[0] != 1:
-        raise InvalidParams("moments are normalized to d_0 = 1")
+        raise InvalidParams(f"source needs d_0 = 1, got {source.coeffs[0]}")
     d, s = zip(*(exact.split(c) for c in source.coeffs[:window + 1]))
     e, T = [1], [0]
     for m in range(1, window + 1):

@@ -1,7 +1,11 @@
 """Truncated power series and dense Laurent polynomials.
 
 A :class:`TruncatedPowerSeries` stores Maclaurin coefficients ``d_0..d_T``
-together with radius-of-convergence metadata.  Products truncate to the
+together with radius-of-convergence metadata, and checks only their shape
+and the radius: what a construction needs of them (d_0 = 1, nonzero
+d_0..d_K) is checked where it reads them, by
+:func:`~olaurent.systems.build_system` and
+:func:`~olaurent.functional.exact_moments`.  Products truncate to the
 smaller operand order; reciprocals use the standard triangular recurrence.
 
 A :class:`LaurentPoly` is an immutable finite sum ``sum_k c_k x^k`` over
@@ -21,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from . import exact, kernels
-from .errors import EvalAtZero, InvalidParams, NonzeroCoefficientViolated, ZeroConstantTerm
+from .errors import EvalAtZero, InvalidParams, ZeroConstantTerm
 
 __all__ = ["TruncatedPowerSeries", "LaurentPoly"]
 
@@ -50,25 +54,6 @@ class TruncatedPowerSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedPowerSeries is immutable")
-
-    @classmethod
-    def source(cls, coeffs, radius: float) -> "TruncatedPowerSeries":
-        """Constructor for series serving as a partial-sum source.
-
-        Rejects a non-finite coefficient, a constant term different from 1
-        and any zero coefficient: the exact moment arithmetic needs finite
-        values, and the other two are the structural requirements for
-        building a Laurent system.
-        """
-        s = cls(coeffs, radius)
-        if not np.all(np.isfinite(s.coeffs)):
-            raise InvalidParams("source series needs finite coefficients")
-        if s.coeffs[0] != 1:
-            raise InvalidParams(f"source series needs d_0 = 1, got {s.coeffs[0]}")
-        zeros = np.flatnonzero(s.coeffs == 0)
-        if zeros.size:
-            raise NonzeroCoefficientViolated(f"zero coefficient at index {zeros[0]}")
-        return s
 
     @property
     def order(self) -> int:

@@ -115,17 +115,21 @@ class NormalizationReport:
 
 
 def _validate_source(source: TruncatedPowerSeries, K: int) -> list[complex]:
-    """d_0..d_K, once the source is checked to carry a system of order K."""
+    """d_0..d_K, once the source is checked to carry a system of order K.
+
+    The one refusal of a zero among the d_0..d_K that a system reads; a
+    coefficient beyond d_K is only evaluated, and may be zero.
+    """
     if K < 0:
         raise InvalidParams("K must be >= 0")
     if source.order < K:
         raise InsufficientOrder(f"source order {source.order} < requested K = {K}")
-    if source.coeffs[0] != 1:
-        raise InvalidParams(f"source needs d_0 = 1, got {source.coeffs[0]}")
-    for k in range(K + 1):
-        if source.coeffs[k] == 0:
-            raise ZeroCoefficient(f"d_{k} = 0; the construction needs nonzero coefficients")
-    return source.coeffs[:K + 1].tolist()
+    d = source.coeffs[:K + 1].tolist()
+    if d[0] != 1:
+        raise InvalidParams(f"source needs d_0 = 1, got {d[0]}")
+    if 0 in d:
+        raise ZeroCoefficient(f"d_{d.index(0)} = 0; the construction needs nonzero coefficients")
+    return d
 
 
 def build_system(source: TruncatedPowerSeries, K: int) -> OLPSystem:

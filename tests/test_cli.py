@@ -145,6 +145,65 @@ def test_ortho_needs_no_moment_to_be_a_double(tmp_path, capsys):
         "error: UnrepresentableValue: exact value of magnitude ~2**1994 overflows a double\n")
 
 
+def _halving(zero=None, d_0=1):
+    """An explicit family of 70 coefficients d_k = 2**-k, radius 2, with d_zero = 0 and d_0 as given."""
+    d = [d_0] + [0.5 ** k for k in range(1, 70)]
+    if zero is not None:
+        d[zero] = 0
+    return json.dumps({"kind": "explicit", "coeffs": d, "radius": 2})
+
+
+def test_moments_read_through_a_zero_coefficient(tmp_path):
+    # e_m = -sum d_k e_{m-k} needs d_0 = 1 only: mu_{-1} = -d_1, mu_{-2} = d_1^2 - d_2
+    code, rep = run(tmp_path, "moments", "--family",
+                    '{"kind": "explicit", "coeffs": [1, 0, 0.5]}', "--window", "2")
+    assert code == 0
+    assert rep["moments"][:3] == [[-2, -0.5, 0.0], [-1, 0.0, 0.0], [0, 1.0, 0.0]]
+
+
+def test_a_zero_that_is_only_evaluated_is_not_refused(tmp_path):
+    # d_40 lies beyond the Gram window and the genfun terms; the contour and
+    # the genfun sums only evaluate f, where a zero coefficient is a term like any other
+    code, plain = run(tmp_path, "ortho", "--family", _halving(40), "--order", "4")
+    assert code == 0
+    code, contour = run(tmp_path, "ortho", "--family", _halving(40), "--order", "4",
+                        "--radius", "0.5")
+    assert code == 0 and contour["gram"] == plain["gram"]
+    assert contour["contour"]["max_route_disagreement"] <= 1e-9
+    code, rep = run(tmp_path, "genfun-check", "--family", _halving(40), "--terms", "8")
+    assert code == 0 and rep["all_passed"]
+
+
+def test_a_zero_among_the_last_evaluated_coefficients_gives_an_infinite_tail(capsys):
+    # the tail estimate reads the ratios of the last eight of d_0..d_64, and
+    # d_61 / d_60 with d_60 = 0 is infinite: the contour is refused as not
+    # negligible (exit 3), not as a zero coefficient (exit 2)
+    assert main(["ortho", "--family", _halving(60), "--order", "4", "--radius", "0.5"]) == 3
+    assert capsys.readouterr().err == ("error: TailNotNegligible: truncation tail estimate inf "
+                                       "exceeds 1e-13 at |z| = 0.25\n")
+
+
+SYSTEM_READERS = [["build", "--order", "4"], ["ortho", "--order", "4"],
+                  ["genfun-check", "--terms", "8"], ["finite", "--ncap", "1"]]
+
+
+@pytest.mark.parametrize("argv", SYSTEM_READERS, ids=lambda argv: argv[0])
+def test_a_zero_that_a_system_reads_is_a_config_error(capsys, argv):
+    assert main([argv[0], "--family", _halving(2), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ZeroCoefficient: d_2 = 0; the construction needs nonzero coefficients\n"
+
+
+@pytest.mark.parametrize("argv", [*SYSTEM_READERS, ["moments", "--window", "2"]],
+                         ids=lambda argv: argv[0])
+def test_every_subcommand_refuses_d_0_other_than_one(capsys, argv):
+    assert main([argv[0], "--family", _halving(d_0=2), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: InvalidParams: source needs d_0 = 1, got (2+0j)\n"
+
+
 @pytest.mark.parametrize("argv, key, rows", [
     (["build", "--order", "0"], "R", [{"n": 0, "coeffs": [[0, 1.0, 0.0]]}]),
     (["moments", "--window", "0"], "moments", [[0, 1.0, 0.0]]),

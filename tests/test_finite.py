@@ -209,7 +209,7 @@ def test_measure_input_validation():
         build_atomic_measure([2.0, 0.5])
     with pytest.raises(InvalidParams):
         build_atomic_measure([])
-    # NaN fails every comparison, so a bare |s_0 - 1| > tol check would pass it
+    # a NaN or an infinity is refused by name, whatever its index
     for s, k in (([math.nan, 0.5], 0), ([1.0, math.nan], 1), ([1.0, math.inf], 1)):
         with pytest.raises(InvalidParams, match=rf"s_{k} = .* is not finite"):
             build_atomic_measure(s)
@@ -443,14 +443,9 @@ def test_representation_is_the_exact_sum_rounded_once(family, level):
         assert represent_functional(solve, measure, p) == expect
 
 
-def test_the_finite_command_needs_no_mpmath_sum(monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("mpmath summation called")
-
-    for name in ("fdot", "workdps", "unitroots"):
-        monkeypatch.setattr(mpmath, name, refuse)
-    assert cli.main(["finite", "--family", "exponential", "--ncap", "8"]) == 0
-    assert json.loads(capsys.readouterr().out)["moment_residual_max"] <= 1e-30
+def test_the_exponential_ncap_8_measure_moments_are_within_1e_30():
+    rep = _finite_report(["finite", "--family", "exponential", "--ncap", "8"])
+    assert rep["moment_residual_max"] <= 1e-30
 
 
 @pytest.mark.parametrize("seed", [101, 102, 103])
@@ -475,10 +470,10 @@ def test_bound_holds_for_radii_up_to_2_96(seed):
     assert worst <= measure.error_bound
 
 
-def test_the_bound_counts_an_s_0_that_misses_one():
+def test_an_s_0_that_misses_one_is_refused():
     # criterion 7's complex spec 0: a / a in complex doubles is 1 - 3.97e-17j,
-    # so from_moments sets s_0 = 1 exactly and the |s_0 - 1| term reads 0;
-    # a direct caller's s_0 may still miss 1, and the bound then counts it
+    # so from_moments sets s_0 = 1 exactly; the weights are built for
+    # s_0 = 1, and a direct caller's s_0 that misses it is refused
     rng = np.random.default_rng(77)
     g = tuple(1 + 0.05 * complex(*rng.uniform(-1, 1, 2)) for _ in range(12))
     f = tuple(-1 + 0.05 * complex(*rng.uniform(-1, 1, 2)) for _ in range(12))
@@ -486,12 +481,19 @@ def test_the_bound_counts_an_s_0_that_misses_one():
     solve = FunctionalSolve.from_moments(table, 3)
     assert table[-3] / solve.a != 1
     assert solve.s[0] == 1 and math.copysign(1.0, solve.s[0].imag) == 1.0
-    exact_s0 = build_atomic_measure(solve.s)
-    assert exact_s0.error_bound < 1e-38
-    missed = (table[-3] / solve.a, *solve.s[1:])
-    measure = build_atomic_measure(missed)
-    assert measure.error_bound >= abs(missed[0] - 1)
-    assert max(abs(measure.moment(k) - missed[k]) for k in range(7)) <= measure.error_bound
+    assert build_atomic_measure(solve.s).error_bound < 1e-38
+    with pytest.raises(InvalidParams, match=r"s_0 must be 1, got \(1-3.9\d*e-17j\)"):
+        build_atomic_measure((table[-3] / solve.a, *solve.s[1:]))
+
+
+def test_a_functional_solve_checks_itself():
+    # the level and a guards ran only in from_moments, and represent_functional
+    # refused only an a that is exactly 0
+    with pytest.raises(RepresentationCondFailed, match=r"\|a\| = \|mu\[-1\]\| = 1.000e-30"):
+        FunctionalSolve(level=1, a=1e-30, s=(1, 0.5, 0.25))
+    with pytest.raises(InvalidParams, match="level must be >= 1"):
+        FunctionalSolve(level=0, a=1.0, s=(1,))
+    assert FunctionalSolve(level=1, a=0.5, s=[1, 0.5, 0.25]).s == (1, 0.5, 0.25)
 
 
 def test_a_spec_whose_radius_search_lands_at_2_96():

@@ -59,7 +59,7 @@ def test_moment_window_enforced(geometric):
 
 def test_moments_need_normalized_source():
     s = TruncatedPowerSeries([2, 1, 1], radius=1.0)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^source needs d_0 = 1, got \(2\+0j\)$"):
         exact_moments(s, 2)
     with pytest.raises(InsufficientOrder):
         exact_moments(TruncatedPowerSeries([1, 1], radius=1.0), 5)
@@ -322,7 +322,7 @@ def test_exact_moments_are_the_rounded_exact_reciprocal():
 def test_gram_is_exactly_diagonal_for_complex_coefficients():
     rng = np.random.default_rng(4)
     coeffs = [1.0] + list(rng.uniform(0.5, 1.5, 16) * np.exp(2j * np.pi * rng.uniform(size=16)))
-    src = TruncatedPowerSeries.source(coeffs, radius=1.0)
+    src = TruncatedPowerSeries(coeffs, radius=1.0)
     G = gram_matrix(build_system(src, 15), exact_moments(src, 16))
     h = [src.coeff(n) if n % 2 == 0 else -src.coeff(n + 1) for n in range(16)]
     assert np.array_equal(G, np.diag(h))
@@ -331,7 +331,7 @@ def test_gram_is_exactly_diagonal_for_complex_coefficients():
 def test_exact_values_that_overflow_a_double_are_refused():
     # e_2 = d_1^2 - d_2 = 1e600 is exact but has no double: the table holds
     # it, and it is refused where it is rounded, when it is read as a double
-    src = TruncatedPowerSeries.source([1.0, 1e300, 1.0], radius=1.0)
+    src = TruncatedPowerSeries([1.0, 1e300, 1.0], radius=1.0)
     table = exact_moments(src, 2)
     with pytest.raises(UnrepresentableValue, match=r"~2\*\*1994 overflows a double"):
         table[-2]
@@ -341,7 +341,7 @@ def test_exact_values_that_overflow_a_double_are_refused():
 
 def test_a_table_whose_moments_overflow_still_gives_a_gram_of_doubles():
     # every entry of the Gram is an exact sum that is a double, diag(d_0, -d_2, d_2)
-    src = TruncatedPowerSeries.source([1.0, 1e300, 1.0], radius=1.0)
+    src = TruncatedPowerSeries([1.0, 1e300, 1.0], radius=1.0)
     G = gram_matrix(build_system(src, 2), exact_moments(src, 2))
     assert np.array_equal(G, np.diag([1.0, -1.0, 1.0]))
 

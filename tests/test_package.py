@@ -109,3 +109,11 @@ def test_numpy_is_the_only_runtime_dependency():
     assert "mpmath" in [d.split(">")[0] for d in project["optional-dependencies"]["test"]]
     for path in (ROOT / "src" / "olaurent").glob("*.py"):
         assert not re.search(r"^\s*(import|from)\s+mpmath\b", path.read_text(), re.M), path.name
+
+
+def test_every_error_class_is_raised_somewhere():
+    # a class that nothing raises is dead surface; OLaurentError is the base
+    source = "".join(path.read_text() for path in (ROOT / "src" / "olaurent").glob("*.py"))
+    orphans = [name for name in errors.__all__ if name != "OLaurentError"
+               and not re.search(rf"\braise {name}\(", source)]
+    assert orphans == []

@@ -11,7 +11,6 @@ from olaurent import LaurentPoly, TruncatedPowerSeries
 from olaurent.errors import (
     EvalAtZero,
     InvalidParams,
-    NonzeroCoefficientViolated,
     UnrepresentableValue,
     ZeroConstantTerm,
 )
@@ -43,15 +42,6 @@ def test_constructor_rejects_bad_input():
         tps([1, 2], radius=0.0)
     with pytest.raises(InvalidParams):
         tps([1, 2], radius=-1.0)
-
-
-def test_source_constructor_enforces_structure():
-    with pytest.raises(InvalidParams):
-        TruncatedPowerSeries.source([2, 1], radius=1.0)
-    with pytest.raises(NonzeroCoefficientViolated):
-        TruncatedPowerSeries.source([1, 0, 1], radius=1.0)
-    s = TruncatedPowerSeries.source([1, 0.5], radius=2.0)
-    assert s.radius == 2.0
 
 
 def test_immutable():

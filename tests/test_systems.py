@@ -80,7 +80,7 @@ def test_shifted_system_reproduces_partial_sums(geometric, exponential):
 
 
 def test_build_requires_enough_coefficients():
-    short = TruncatedPowerSeries.source([1, 1, 1], radius=1.0)
+    short = TruncatedPowerSeries([1, 1, 1], radius=1.0)
     with pytest.raises(InsufficientOrder):
         build_system(short, 3)
 
@@ -88,7 +88,7 @@ def test_build_requires_enough_coefficients():
 def test_a_system_is_checked_when_it_is_made():
     # OLPSystem used to take R as given; with a short source, a gram_matrix
     # or check_normalization call then ended in a bare IndexError
-    short = TruncatedPowerSeries.source([1, 1, 1], radius=1.0)
+    short = TruncatedPowerSeries([1, 1, 1], radius=1.0)
     with pytest.raises(InsufficientOrder):
         OLPSystem(short, 3)
     with pytest.raises(InvalidParams):
@@ -104,6 +104,18 @@ def test_systems_are_equal_when_their_sources_and_orders_are(geometric, exponent
     assert OLPSystem(geometric, 4) != OLPSystem(copy, 3)
     assert OLPSystem(geometric, 4) != OLPSystem(exponential, 4)
     assert OLPSystem(geometric, 4) != OLPSystem(TruncatedPowerSeries(geometric.coeffs, 2.0), 4)
+
+
+def test_a_system_checks_only_the_coefficients_it_reads():
+    # a series holds any coefficients; a system refuses d_0 != 1 and a zero
+    # among d_0..d_K, and a coefficient beyond d_K may be zero
+    src = TruncatedPowerSeries([1, 0.5, 0, 0.25], radius=2.0)
+    assert build_system(src, 1).K == 1 and recurrence_data(src, 1).g[1] == 0.5
+    for K in (2, 3):
+        with pytest.raises(ZeroCoefficient, match=r"^d_2 = 0; the construction needs nonzero"):
+            build_system(src, K)
+    with pytest.raises(InvalidParams, match=r"^source needs d_0 = 1, got \(2\+0j\)$"):
+        build_system(TruncatedPowerSeries([2, 1], radius=1.0), 1)
 
 
 def test_build_rejects_zero_coefficient():
