@@ -18,12 +18,17 @@ Exit codes: 0 success, 2 configuration error, 3 numeric-validation
 failure, 4 representation-condition failure.
 
 Reports are deterministic for a fixed configuration and seed.  A JSON
-report is one compact line written by the C encoder: sorted keys, no
-whitespace, complex values as [re, im] pairs, Gram matrices as
-row-major nested arrays, and Laurent polynomials as [exponent, re, im]
-rows over their nonzero terms; ``python -m json.tool report.json``
-pretty-prints it.  It is strict JSON: a report holding a NaN or an
-infinity is not written, and the run exits 3 with UnrepresentableValue.
+report is one compact line: sorted keys, no whitespace, complex values
+as [re, im] pairs, Gram matrices as row-major nested arrays, and Laurent
+polynomials as [exponent, re, im] rows over their nonzero terms;
+``python -m json.tool report.json`` pretty-prints it.  Each top-level
+key and value is encoded by one ``json.JSONEncoder`` with the settings
+of ``json.dumps(sort_keys=True, separators=(",", ":"), allow_nan=False)``,
+except ``build``'s ``R`` field: there each d_k is encoded once by that
+encoder and its text joined into the rows of every R_n that holds it,
+the same bytes as the encoder gives for the rows.  It is strict JSON: a
+report holding a NaN or an infinity is not written, and the run exits 3
+with UnrepresentableValue.
 CSV cells use the textual "re+imi" form.  Every report embeds the
 command, the package version and the resolved configuration.
 """
@@ -91,14 +96,52 @@ def _pairs(values) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _system_rows(coeffs) -> list:
-    """[exponent, re, im] rows of R_0..R_K from d_0..d_K.
+# one encoder for every report value, as json.dumps would build it; a report
+# is a tree each command builds fresh, so the check for reference cycles is skipped
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                            check_circular=False)
 
-    R_n is d_k x^(k - ceil(n/2)) for k = 0..n, and every d_k of a system
-    is nonzero, so these are exactly its nonzero terms.
+
+def _json(value) -> str:
+    """`value` as one compact, key-sorted line of strict JSON.
+
+    A NaN or an infinity, which strict JSON cannot write, raises
+    UnrepresentableValue.
     """
-    d = _pairs(coeffs)
-    return [[[k - (n + 1) // 2, *d[k]] for k in range(n + 1)] for n in range(len(d))]
+    try:
+        return _ENCODER.encode(value)
+    except ValueError as exc:
+        raise UnrepresentableValue(
+            "the report holds a NaN or an infinity, which strict JSON cannot write") from exc
+
+
+def _system_text(coeffs) -> str:
+    """JSON text of the ``R`` field of R_0..R_K from d_0..d_K: ``[{"coeffs", "n"}, ...]``.
+
+    R_n is d_k x^(k - ceil(n/2)) for k = 0..n, as [exponent, re, im] rows,
+    and every d_k of a system is nonzero, so these are exactly its nonzero
+    terms.  Each d_k is encoded once, as the ``re,im`` text of its
+    [re, im] pair (no float text holds a bracket), and written into the
+    K - k + 1 rows that hold it.  R_{2c} is R_{2c-1}, whose exponents
+    also start at -c, plus one row, so the two share one join.  The bytes
+    are those of :func:`_json` on the row form.
+    """
+    d = _json(_pairs(coeffs))[2:-2].split("],[")
+    out = ['{"coeffs":[[0,' + d[0] + ']],"n":0}']
+    for c in range(1, len(d) // 2 + 1):
+        rows = ",".join(f"[{k - c},{t}]" for k, t in enumerate(d[:2 * c]))
+        out.append(f'{{"coeffs":[{rows}],"n":{2 * c - 1}}}')
+        if 2 * c < len(d):
+            out.append(f'{{"coeffs":[{rows},[{c},{d[2 * c]}]],"n":{2 * c}}}')
+    return "[" + ",".join(out) + "]"
+
+
+def _system_csv(coeffs):
+    """CSV lines ``n,exponent,coeff`` of R_0..R_K from d_0..d_K, each d_k formatted once."""
+    cells = [_csv_complex(z) for z in coeffs]
+    for n in range(len(cells)):
+        for k in range(n + 1):
+            yield f"{n},{k - (n + 1) // 2},{cells[k]}"
 
 
 def _moment_rows(table) -> list:
@@ -179,17 +222,16 @@ def _resolve(args) -> None:
 def _emit(args, report: dict, header: str, rows) -> None:
     """Write `report` in the envelope every report shares, or as CSV.
 
-    `rows` lazily yields the CSV lines under `header`; only CSV reads it.
+    A JSON report is written key by key in sorted order, each value by
+    :func:`_json`; a callable value returns the JSON text of its field
+    (``build``'s ``R``), called only for a JSON report.  `rows` lazily
+    yields the CSV lines under `header`; only CSV reads it.
     """
     report.update(command=args.command, version=__version__)
     report["config"]["format"] = args.format
     if args.format == "json":
-        try:
-            text = json.dumps(report, sort_keys=True, separators=(",", ":"),
-                              allow_nan=False) + "\n"
-        except ValueError as exc:
-            raise UnrepresentableValue(
-                "the report holds a NaN or an infinity, which strict JSON cannot write") from exc
+        text = "{" + ",".join(f"{_json(key)}:{value() if callable(value) else _json(value)}"
+                              for key, value in sorted(report.items())) + "}\n"
     else:
         text = "\n".join([header, *rows]) + "\n"
     if args.out:
@@ -214,11 +256,10 @@ def cmd_build(args) -> int:
     system = build_system(source, order)
     rd = recurrence_data(source, order)
     norm = check_normalization(system, rd)
-    R = _system_rows(source.coeffs)
 
     report = {
         "config": {"family": args.family.to_json(), "order": order},
-        "R": [{"n": n, "coeffs": rows} for n, rows in enumerate(R)],
+        "R": lambda: _system_text(source.coeffs),
         "recurrence": {
             "c": _pairs(rd.c),
             "recur_lambda": _pairs(rd.recur_lambda),
@@ -232,9 +273,7 @@ def cmd_build(args) -> int:
             "max_rel_deviation": norm.max_rel_deviation,
         },
     }
-    _emit(args, report, "n,exponent,coeff",
-          (f"{n},{e},{_csv_complex(complex(re, im))}"
-           for n, rows in enumerate(R) for e, re, im in rows))
+    _emit(args, report, "n,exponent,coeff", _system_csv(source.coeffs))
     return 0
 
 

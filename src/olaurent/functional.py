@@ -183,7 +183,7 @@ def contour_moments(source: TruncatedPowerSeries, spec: ContourSpec,
             f"truncation tail estimate {tail:.3e} exceeds {MAX_TAIL:.0e} at |z| = {c * c}")
     f_vals = kernels.eval_poly_extended(source.coeffs, _w_nodes(spec))
     m = float(np.min(np.abs(f_vals)))
-    if m <= MIN_DENOMINATOR:
+    if not m > MIN_DENOMINATOR:   # a NaN on the nodes fails too
         raise NearZeroDenominator(f"min |f| on contour = {m:.3e}")
     return _quadrature_table(kernels.circle_spectrum(1 / f_vals), c * c, window,
                              real=not source.coeffs.imag.any())

@@ -170,24 +170,37 @@ def two_step(g, f_rec):
 
     Each Q_k is a :class:`~olaurent.series.LaurentPoly` over a power of two
     that never shrinks from step to step, with ``int`` numerators for real
-    inputs; the loop runs on its own integer lists.
+    inputs; the loop runs on its own integer lists.  A step shifts the
+    numerators of Q_{k-1} up to the new denominator and adds
+    g_k Q_{k-1} + f_k Q_{k-2}, formed on the unshifted numerators aligned
+    at the smaller of their two shifts and then shifted once.  Where the
+    numerator of f_k is minus that of g_k, as on a source's own data, the
+    sum is formed as g_k times one aligned difference, one product
+    instead of two; on a source's own data that difference is 0 at every
+    coefficient the step carries.  The add is skipped wherever the sum
+    is 0.
     """
     steps = [(exact.split(a), exact.split(b)) for a, b in zip(g, f_rec)]
-    lo0, q0, s0 = 0, [], 0      # Q_{-1} = 0
+    q0, s0 = [], 0              # Q_{-1} = 0
     lo1, q1, s1 = 0, [1], 0     # Q_0 = 1
     for k, ((gk, sg), (fk, sf)) in enumerate(steps, start=1):
         scale = max(sg + s1, sf + s0)
         u, v, w = scale - s1, scale - sg - s1, scale - sf - s0
-        # odd k: (x^{-1} + g) Q_{k-1}; even k: (1 + g x) Q_{k-1}; both
-        # put the unit part one slot below the g part
+        m = min(v, w)
+        v, w = v - m, w - m
+        own = fk == -gk     # then the sum is g_k times one difference
+        # odd k: (x^{-1} + g) Q_{k-1}; even k: (1 + g x) Q_{k-1}; both put
+        # the unit part one slot below the g part, and Q_{k-2} (one entry
+        # shorter than Q_{k-1}) level with the g part
         lo = lo1 - 1 if k % 2 == 1 else lo1
-        q = [a << u for a in q1] + [0]
-        for i, a in enumerate(q1, start=1):
-            q[i] += (gk * a) << v
-        for i, a in enumerate(q0, start=lo0 - lo):
-            q[i] += (fk * a) << w
+        q = [a << u for a in q1]
+        for i, (a, b) in enumerate(zip(q1, q0), start=1):
+            t = (a << v) - (b << w) if own else ((gk * a) << v) + ((fk * b) << w)
+            if t:
+                q[i] += (gk * t if own else t) << m
+        q.append((gk * q1[-1]) << (v + m))
         yield LaurentPoly.from_exact(lo, q, 1 << scale)
-        lo0, q0, s0 = lo1, q1, s1
+        q0, s0 = q1, s1
         lo1, q1, s1 = lo, q, scale
 
 
@@ -216,24 +229,27 @@ def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationR
     Q_k = Q_{k-1} + g_k (x Q_{k-1} - Q_{k-2}); in both the first term is
     f_{k-1} / x^ceil(k/2) and the bracket is the one term g_1 ... g_{k-1}
     x^{k-1} / x^(ceil(k/2) - 1).  The invariant is checked, not assumed:
-    at every step q_n[i] = q_{n-1}[i] den_n / den_{n-1} for i < n on the
-    exact numerators, real and imaginary parts as ints (the ratio is an
-    int, as a step never shrinks the denominator).  Recurrence data that
-    is not a source's own (f^rec_k != -g_k at some k >= 2) fails the
-    check and raises :class:`InvalidParams`; f^rec_1 multiplies
-    Q_{-1} = 0 and is free.
+    at every step the carried numerators q_n[0..n-1], as one list, equal
+    those of Q_{n-1} times den_n / den_{n-1}.  Both denominators are
+    powers of two that never shrink, so that factor is a left shift by
+    the growth of the bit length; the first index that differs is looked
+    for only when the lists do.  Recurrence data that is not a source's
+    own (f^rec_k != -g_k at some k >= 2) fails the check and raises
+    :class:`InvalidParams`; f^rec_1 multiplies Q_{-1} = 0 and is free.
     """
     K = min(system.K, rd.K)
     new = np.ones(K + 1, dtype=np.complex128)
-    q1, den1 = (1,), 1
+    q1, den1 = [1], 1
     for n, Q in enumerate(two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]), start=1):
         # lo is -ceil(n/2); only a zero g_k trims the top end
-        q, den = Q.numerators + (0,) * (n + 1 - len(Q.numerators)), Q.denominator
-        f = den // den1
-        for i, (a, b) in enumerate(zip(q1, q)):
-            if a.real * f != b.real or a.imag * f != b.imag:
-                raise InvalidParams(f"Q_{n} changes coefficient {i} of Q_{n - 1}; "
-                                    "the recurrence data needs f^rec_k = -g_k for k >= 2")
+        q, den = list(Q.numerators), Q.denominator
+        q += [0] * (n + 1 - len(q))
+        sh = den.bit_length() - den1.bit_length()
+        carried = [a << sh for a in q1]
+        if q[:n] != carried:
+            i = next(i for i, (a, b) in enumerate(zip(carried, q)) if a != b)
+            raise InvalidParams(f"Q_{n} changes coefficient {i} of Q_{n - 1}; "
+                                "the recurrence data needs f^rec_k = -g_k for k >= 2")
         new[n] = exact.to_complex(q[n], den)
         q1, den1 = q, den
     d = system.source.coeffs[:K + 1]

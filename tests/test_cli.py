@@ -17,11 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import olaurent
-from olaurent import FamilySpec, LaurentPoly, cli, realize
+from olaurent import FamilySpec, LaurentPoly, TruncatedPowerSeries, cli, realize
 from olaurent.cli import main
 from olaurent.families import MAX_ORDER
 from olaurent.finite import FiniteSystemSpec
-from olaurent.systems import NormalizationReport
+from olaurent.systems import NormalizationReport, recurrence_data
 
 
 def run(tmp_path, *argv):
@@ -562,14 +562,25 @@ def test_json_report_is_one_compact_strict_line(capsys, argv):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
 def test_non_finite_report_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, bad):
     # strict JSON has no token for NaN or an infinity, so _emit refuses the report
+    out = tmp_path / "r.json"
+
+    def refused():
+        for extra in ([], ["--out", str(out)]):
+            assert main(["build", "--order", "2", *extra]) == 3
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and not out.exists()
+            assert err.startswith("error: UnrepresentableValue: the report holds a NaN or an inf")
+
     monkeypatch.setattr(cli, "check_normalization",
                         lambda system, rd: NormalizationReport((bad,), bad, rd.K))
-    out = tmp_path / "r.json"
-    for extra in ([], ["--out", str(out)]):
-        assert main(["build", "--order", "2", *extra]) == 3
-        stdout, err = capsys.readouterr()
-        assert stdout == "" and not out.exists()
-        assert err.startswith("error: UnrepresentableValue: ")
+    refused()
+    # d_2 alone non-finite, so only the R field, which build encodes itself, holds it
+    clean = realize(FamilySpec.geometric(), 2)
+    monkeypatch.setattr(cli, "realize", lambda spec, K: TruncatedPowerSeries([1, 1, bad]))
+    monkeypatch.setattr(cli, "recurrence_data", lambda source, K: recurrence_data(clean, K))
+    monkeypatch.setattr(cli, "check_normalization",
+                        lambda system, rd: NormalizationReport((0.0,) * 3, 0.0, 2))
+    refused()
 
 
 def test_module_entry_point_writes_one_strict_json_line():
@@ -756,6 +767,35 @@ def test_build_reports_the_partial_sums(capsys):
     for n, row in enumerate(rep["R"]):
         lo = -math.ceil(n / 2)
         assert row["coeffs"] == [[lo + k, d[k].real, d[k].imag] for k in range(n + 1)]
+
+
+# a complex explicit family: -0.0 imaginary parts, and values near 1e300 and
+# 1e-300 whose neighbours keep every g_k, c_k, xi_k and recur_lambda_k finite
+R_TEXT_COMPLEX = json.dumps({"kind": "explicit", "radius": 1.0, "coeffs": [
+    1, [0.5, -0.0], [1e300, 2.5], [-3e299, -0.0], [1e-8, 1e-300], [1e-300, -0.0],
+    [-2e-300, 3e-301], [0.25, -0.0], [-1.5e-7, 4e-9]]})
+R_TEXT_FAMILIES = {
+    "geometric": "geometric", "exponential": "exponential",
+    "exp-binomial": '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}',
+    "complex": R_TEXT_COMPLEX}
+
+
+@pytest.mark.parametrize("name, K", [*((name, K) for name in list(R_TEXT_FAMILIES)[:3]
+                                       for K in (*range(13), 80)), ("complex", 8)])
+def test_the_r_text_is_json_dumps_of_the_row_form(capsys, name, K):
+    # build writes the R field from one encoding per d_k; the report must
+    # still be json.dumps of R_n = d_k x^(k - ceil(n/2)) as [e, re, im] rows
+    family = R_TEXT_FAMILIES[name]
+    assert main(["build", "--family", family, "--order", str(K)]) == 0
+    text = capsys.readouterr().out
+    report = strict_loads(text)
+    d = [complex(z) for z in realize(cli._family_flag(family), K).coeffs]
+    report["R"] = [{"n": n, "coeffs": [[k - (n + 1) // 2, d[k].real, d[k].imag]
+                                       for k in range(n + 1)]} for n in range(K + 1)]
+    assert text == json.dumps(report, sort_keys=True, separators=(",", ":"),
+                              allow_nan=False) + "\n"
+    if name == "complex":
+        assert ",-0.0]" in text and "1e+300," in text and ",1e-300]" in text
 
 
 B_HUGE = '{"kind": "exp-binomial", "b": 1e200, "a": [0.5], "family_lambda": [1.0]}'

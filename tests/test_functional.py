@@ -213,6 +213,15 @@ def test_contour_rejects_denominator_near_zero():
         contour_L(LaurentPoly.one(), f, ContourSpec(radius=math.sqrt(0.5)))
 
 
+def test_a_nan_on_the_nodes_is_a_near_zero_denominator():
+    # min |f| is NaN, which fails every comparison: the guard must refuse it
+    # before 1 / f, not end in "Cauchy coefficient 4 ... overflows"
+    d = [2.0 ** -k for k in range(65)]
+    d[30] = math.nan
+    with np.errstate(all="raise"), pytest.raises(NearZeroDenominator, match=r"= nan$"):
+        contour_moments(TruncatedPowerSeries(d, radius=2.0), ContourSpec(0.5), 4)
+
+
 def test_contour_spec_validation():
     with pytest.raises(InvalidParams):
         ContourSpec(radius=0.0)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from olaurent import (
@@ -21,7 +21,7 @@ from olaurent import (
     realize,
     recurrence_data,
 )
-from olaurent import systems
+from olaurent import exact, systems
 from olaurent.errors import InsufficientOrder, InvalidParams, MissingCoefficients, ZeroCoefficient
 from olaurent.exact import to_complex
 
@@ -251,10 +251,13 @@ def test_normalization_rounds_one_coefficient_per_step(monkeypatch):
 def test_normalization_refuses_data_that_is_not_the_sources_own(k):
     src = realize(_random_explicit(3, 12), 12)
     rd = recurrence_data(src, 12)
-    f_rec = list(rd.f_rec)
-    f_rec[k] += 2.0 ** -40
-    with pytest.raises(InvalidParams, match=rf"Q_{k} changes coefficient 1 of Q_{k - 1};"):
-        check_normalization(build_system(src, 12), dataclasses.replace(rd, f_rec=tuple(f_rec)))
+    # a change in the real part, or only in the imaginary part, of f^rec_k
+    for step in (2.0 ** -40, 2.0 ** -40 * 1j):
+        f_rec = list(rd.f_rec)
+        f_rec[k] += step
+        with pytest.raises(InvalidParams, match=rf"^Q_{k} changes coefficient 1 of Q_{k - 1};"):
+            check_normalization(build_system(src, 12),
+                                dataclasses.replace(rd, f_rec=tuple(f_rec)))
     # f^rec_1 multiplies Q_{-1} = 0, so any value is the source's own
     free = dataclasses.replace(rd, f_rec=(0j, 7.5 - 2j, *rd.f_rec[2:]))
     assert check_normalization(build_system(src, 12), free) == \
@@ -355,3 +358,46 @@ def test_two_step_on_a_sources_own_data_carries_every_coefficient(g, f1):
         num = dict(enumerate(q.numerators, start=q.lo))
         assert [(Fraction(c.real, den), Fraction(c.imag, den))
                 for c in (num.get(lo + i, 0) for i in range(n + 1))] == products[:n + 1]
+
+
+def _reference_two_step(g, f_rec):
+    """Reference for `two_step`: each term of g_k Q_{k-1} and of f_k Q_{k-2} shifted to the
+    step's denominator and added on its own, with no alignment, factoring or skipped add."""
+    steps = [(exact.split(a), exact.split(b)) for a, b in zip(g, f_rec)]
+    lo0, q0, s0 = 0, [], 0      # Q_{-1} = 0
+    lo1, q1, s1 = 0, [1], 0     # Q_0 = 1
+    for k, ((gk, sg), (fk, sf)) in enumerate(steps, start=1):
+        scale = max(sg + s1, sf + s0)
+        u, v, w = scale - s1, scale - sg - s1, scale - sf - s0
+        lo = lo1 - 1 if k % 2 == 1 else lo1
+        q = [a << u for a in q1] + [0]
+        for i, a in enumerate(q1, start=1):
+            q[i] += (gk * a) << v
+        for i, a in enumerate(q0, start=lo0 - lo):
+            q[i] += (fk * a) << w
+        yield LaurentPoly.from_exact(lo, q, 1 << scale)
+        lo0, q0, s0 = lo1, q1, s1
+        lo1, q1, s1 = lo, q, scale
+
+
+def _exact_form(q):
+    return q.lo, [(c.real, c.imag) for c in q.numerators], q.denominator
+
+
+# m 2**e for m in [-2, 2] and e in [-60, 60], with zeros, real or complex
+wide = st.one_of(st.just(0.0), st.builds(math.ldexp, st.floats(-2, 2, allow_nan=False),
+                                         st.integers(-60, 60)))
+wide_values = st.one_of(wide, st.builds(complex, wide, wide))
+
+
+@given(st.lists(st.tuples(wide_values, wide_values), max_size=14), st.booleans())
+@example([(1.0, -0.5), (3.0, -0.75), (0.5 + 0.25j, -1 - 0.5j), (2.0 ** 60, -(2.0 ** -60))], False)
+@settings(max_examples=150, deadline=None)
+def test_two_step_is_bitwise_the_reference_loop(steps, own):
+    # general g and f^rec, or a source's own f^rec_k = -g_k; zeros in both.  The
+    # example's f^rec_k has minus the numerator of g_k over another power of two
+    g = [a for a, _ in steps]
+    f_rec = [-a for a in g] if own else [b for _, b in steps]
+    got = list(systems.two_step(g, f_rec))
+    want = list(_reference_two_step(g, f_rec))
+    assert [_exact_form(q) for q in got] == [_exact_form(q) for q in want]
