@@ -381,11 +381,12 @@ def cmd_finite(args) -> int:
         if "flag" in (args.origin["ncap"], args.origin["family"]):
             raise InvalidParams("--spec sets n_cap and the coefficients; drop --ncap and --family")
         fspec = FiniteSystemSpec.from_json(_load_json_arg(args.spec, "finite spec"))
-    elif args.origin["family"] != "default":
-        source = realize(args.family, 4 * args.ncap)
-        fspec = FiniteSystemSpec.from_partial_sums(source, args.ncap)
     else:
+        # the default system checks n_cap before a family realizes 4 n_cap coefficients
         fspec = FiniteSystemSpec(n_cap=args.ncap)
+        if args.origin["family"] != "default":
+            source = realize(args.family, 4 * fspec.n_cap)
+            fspec = FiniteSystemSpec.from_partial_sums(source, fspec.n_cap)
     level = fspec.n_cap if args.level is None else args.level
     if not 1 <= level <= 2 * fspec.n_cap:
         raise InvalidParams(f"level must be in [1, 2 n_cap = {2 * fspec.n_cap}], got {level}")

@@ -3,8 +3,10 @@
 Every error carries an ``exit_code`` used by the command line front end:
 2 for configuration problems, 3 for numeric validation failures, 4 when
 the representation condition a != 0 fails.  An error is raised where
-the value it judges is read: a zero source coefficient, for one, only
-where a system reads it (:class:`ZeroCoefficient`).
+the value it judges is read, and each refusal has one class wherever it
+is met: a zero coefficient (:class:`ZeroCoefficient`), an input too
+short for the index asked for (:class:`InsufficientOrder`), a point
+outside a domain (:class:`DomainViolation`).
 """
 
 __all__ = [
@@ -13,9 +15,6 @@ __all__ = [
     "UnsupportedFamily",
     "InsufficientOrder",
     "ZeroCoefficient",
-    "MissingCoefficients",
-    "ZeroConstantTerm",
-    "EvalAtZero",
     "WindowExceeded",
     "RadiusInvalid",
     "NearZeroDenominator",
@@ -46,26 +45,14 @@ class UnsupportedFamily(InvalidParams):
 
 
 class InsufficientOrder(InvalidParams):
-    """A series was realized to too low a truncation order for the request."""
+    """A series, or recurrence data, stops short of the index a request reads."""
 
 
 class ZeroCoefficient(InvalidParams):
-    """A coefficient among the d_0..d_K that a system of order K reads is zero."""
-
-
-class MissingCoefficients(InvalidParams):
-    """Recurrence data does not extend far enough for the requested index."""
+    """A zero among the d_0..d_K a system of order K reads, or d_0 of a series to invert."""
 
 
 # -- numeric validation errors (exit code 3) --------------------------------
-
-class ZeroConstantTerm(OLaurentError):
-    """Reciprocal of a series whose constant term vanishes."""
-
-
-class EvalAtZero(OLaurentError):
-    """A Laurent polynomial with negative exponents evaluated at zero."""
-
 
 class WindowExceeded(OLaurentError):
     """Polynomial support falls outside the available moment window."""
@@ -84,7 +71,7 @@ class TailNotNegligible(OLaurentError):
 
 
 class DomainViolation(OLaurentError):
-    """Evaluation point outside the identity's domain of validity."""
+    """A point outside an identity's domain, or 0 for a Laurent polynomial with x^-k terms."""
 
 
 class PoleProximity(OLaurentError):

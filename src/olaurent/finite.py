@@ -14,8 +14,9 @@ scaled to the pivot amplification, and rounds each moment once; a
 derived spec's g_k, f_k are each rounded once from the d_k.
 
 With |a| = |mu_{-level}| > 2**-SOLVE_GUARD_BITS, the solve's error, and
-s_k = mu_{k-level}/a, a measure with M = 2N+1 equal-angle atoms on a
-circle of radius r,
+s_k = mu_{k-level}/a in doubles (one that overflows is refused where it
+is divided, as :class:`~olaurent.errors.UnrepresentableValue`), a
+measure with M = 2N+1 equal-angle atoms on a circle of radius r,
 
     z_j = r exp(2 pi i j / M),
     w_j = (1/M) (1 + 2 sum_k Re(s_k r^{-k} exp(-2 pi i j k / M))),
@@ -59,10 +60,11 @@ from operator import mul
 import numpy as np
 
 from .errors import (
+    InsufficientOrder,
     InvalidParams,
-    MissingCoefficients,
     RadiusInvalid,
     RepresentationCondFailed,
+    UnrepresentableValue,
     WindowExceeded,
 )
 from . import exact
@@ -182,13 +184,21 @@ class FunctionalSolve:
         """Normalize by a = mu_{-level}: s_0 = 1 exactly, s_k = mu_{k-level}/a for 0 < k <= 2 level.
 
         ``s`` is passed as a generator, so no s_k divides by an a that
-        :meth:`__post_init__` refuses.
+        :meth:`__post_init__` refuses.  An s_k whose quotient overflows a
+        double is refused as it is divided, as :class:`UnrepresentableValue`.
         """
         if moments.window < level:
             raise WindowExceeded(f"moment window {moments.window} < level {level}")
         a = moments[-level]
-        return cls(level=level, a=a,
-                   s=(moments[k - level] / a if k else 1 + 0j for k in range(2 * level + 1)))
+
+        def s(k: int) -> complex:
+            mu = moments[k - level]
+            if not cmath.isfinite(v := mu / a):
+                raise UnrepresentableValue(f"s_{k} = mu_{k - level} / a overflows a double: "
+                                           f"|mu_{k - level}| = {abs(mu):.3e}, |a| = {abs(a):.3e}")
+            return v
+
+        return cls(level=level, a=a, s=(s(k) if k else 1 + 0j for k in range(2 * level + 1)))
 
 
 @dataclass(frozen=True)
@@ -230,7 +240,7 @@ class AtomicMeasure:
 
 def build_Q(spec: FiniteSystemSpec) -> tuple[LaurentPoly, ...]:
     """The exact Q_0..Q_{4n} of the finite recurrence."""
-    return (LaurentPoly.one(), *spec.exact_Q)
+    return (LaurentPoly({0: 1}), *spec.exact_Q)
 
 
 def _round_div(a, b: int):
@@ -261,7 +271,7 @@ def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
     if window < 0:
         raise InvalidParams("window must be >= 0")
     if len(spec.g) < 2 * window:
-        raise MissingCoefficients(f"need Q_0..Q_{2 * window}, have {len(spec.g)}")
+        raise InsufficientOrder(f"need Q_0..Q_{2 * window}, have {len(spec.g)}")
     # pass 1: exact rows and the log2 error bound of each moment in units
     # of 2**-P (mu_0 = 1 carries none); the common scale of a row cancels
     bound = {0: -math.inf}

@@ -6,15 +6,17 @@ and the radius: what a construction needs of them (d_0 = 1, nonzero
 d_0..d_K) is checked where it reads them, by
 :func:`~olaurent.systems.build_system` and
 :func:`~olaurent.functional.exact_moments`.  Products truncate to the
-smaller operand order; reciprocals use the standard triangular recurrence.
+smaller operand order; reciprocals use the standard triangular recurrence
+and refuse d_0 = 0 (:class:`~olaurent.errors.ZeroCoefficient`).
 
 A :class:`LaurentPoly` is an immutable finite sum ``sum_k c_k x^k`` over
 integer exponents of either sign, stored densely and exactly: every
 polynomial here (a partial sum over a power of x, a recurrence step,
 their products) has contiguous support.  Products are convolutions;
 evaluation accepts scalars or numpy arrays and raises
-:class:`~olaurent.errors.EvalAtZero` when a negative exponent meets the
-origin.
+:class:`~olaurent.errors.DomainViolation` when a negative exponent meets
+the origin.  ``LaurentPoly()`` is zero and ``LaurentPoly({e: c})`` the
+monomial c x^e.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from . import exact, kernels
-from .errors import EvalAtZero, InvalidParams, ZeroConstantTerm
+from .errors import DomainViolation, InvalidParams, ZeroCoefficient
 
 __all__ = ["TruncatedPowerSeries", "LaurentPoly"]
 
@@ -84,14 +86,14 @@ class TruncatedPowerSeries:
         every caller in this package operates in.
         """
         if self.coeffs[0] == 0:
-            raise ZeroConstantTerm("cannot invert a series with a_0 = 0")
+            raise ZeroCoefficient("cannot invert a series with d_0 = 0")
         return TruncatedPowerSeries(kernels.reciprocal_coeffs(self.coeffs), self.radius)
 
     def __call__(self, z):
         """Evaluate the truncated polynomial at a scalar or ndarray."""
         if isinstance(z, np.ndarray):
             return kernels.eval_poly(self.coeffs, np.ascontiguousarray(z, dtype=np.complex128))
-        return complex(kernels.eval_poly(self.coeffs, complex(z)))
+        return kernels.eval_poly(self.coeffs, complex(z))
 
     def tail_bound(self, s: float) -> float:
         """Estimated magnitude of the dropped tail at ``|z| = s``.
@@ -169,18 +171,6 @@ class LaurentPoly:
         """``sum_i coeffs[i] x^(lo + i)`` for finite complex coeffs, held exactly."""
         num, scale = exact.scaled(coeffs)
         return cls.from_exact(lo, num, 1 << scale)
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1.0})
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: complex = 1.0) -> "LaurentPoly":
-        return cls({exponent: coeff})
 
     # -- inspection -----------------------------------------------------------
 
@@ -263,10 +253,8 @@ class LaurentPoly:
             return np.zeros(pts.shape, dtype=np.complex128) if array else 0j
         lo = self.lo
         if lo < 0 and np.any(pts == 0):
-            raise EvalAtZero("negative exponents cannot be evaluated at 0")
+            raise DomainViolation("negative exponents cannot be evaluated at 0")
         vals = kernels.eval_poly(self.coeffs, pts)
-        if not array:
-            vals = complex(vals)
         return vals if lo == 0 else vals * pts ** lo
 
     # -- comparisons ------------------------------------------------------------------

@@ -51,7 +51,6 @@ from . import exact
 from .errors import (
     InsufficientOrder,
     InvalidParams,
-    MissingCoefficients,
     UnrepresentableValue,
     ZeroCoefficient,
 )
@@ -212,8 +211,8 @@ def build_by_recurrence(rd: RecurrenceData, K: int) -> tuple[LaurentPoly, ...]:
     if K < 0:
         raise InvalidParams("K must be >= 0")
     if rd.K < K:
-        raise MissingCoefficients(f"recurrence data stops at {rd.K}, need {K}")
-    return (LaurentPoly.one(), *two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]))
+        raise InsufficientOrder(f"recurrence data stops at {rd.K}, need {K}")
+    return (LaurentPoly({0: 1}), *two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]))
 
 
 def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationReport:

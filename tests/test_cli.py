@@ -858,6 +858,28 @@ def test_runaway_radius_search_is_a_numerical_guard(spec):
     assert "> 1/2 at r = 2**120" in lines[0]
 
 
+def test_an_overflowing_s_k_is_refused_where_it_is_divided(tmp_path, capsys):
+    # a valid spec: s_2 = mu_1 / a = -1e300 / -1e-10 overflows a double, and
+    # build_atomic_measure used to refuse the inf as bad input (exit 2)
+    spec = '{"n_cap":1,"g":[[1e-10,0],[1,0]],"f_rec":[[-1,0],[1e290,0]]}'
+    assert run(tmp_path, "finite", "--spec", spec) == (3, None)
+    assert capsys.readouterr().err == (
+        "error: UnrepresentableValue: s_2 = mu_1 / a overflows a double: "
+        "|mu_1| = 1.000e+300, |a| = 1.000e-10\n")
+
+
+@pytest.mark.parametrize("family", [[], ["--family", "exponential"]], ids=["default", "family"])
+@pytest.mark.parametrize("ncap, message", [
+    ("-1", "n_cap must be >= 1"),
+    ("129", "4 n_cap = 516 exceeds MAX_ORDER = 512"),
+], ids=["negative", "cap-plus-1"])
+def test_finite_names_the_n_cap_it_refuses(capsys, family, ncap, message):
+    # the family path used to realize 4 n_cap coefficients first, and so
+    # refused an order of -4 or 516 that no flag named
+    assert main(["finite", *family, "--ncap", ncap]) == 2
+    assert capsys.readouterr().err == f"error: InvalidParams: {message}\n"
+
+
 @pytest.mark.parametrize("level", ["0", "5", "-1"])
 def test_finite_level_outside_its_range_is_a_config_error(capsys, level):
     # --level 5 at n_cap 2 used to exit 3 with WindowExceeded after the solve

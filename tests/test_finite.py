@@ -32,8 +32,8 @@ from olaurent import (
 from olaurent import cli, finite
 from olaurent.finite import SOLVE_GUARD_BITS
 from olaurent.errors import (
+    InsufficientOrder,
     InvalidParams,
-    MissingCoefficients,
     RadiusInvalid,
     RepresentationCondFailed,
     WindowExceeded,
@@ -76,7 +76,7 @@ def test_spec_json_roundtrip():
 
 
 def test_q0_is_always_one():
-    assert build_Q(FiniteSystemSpec(n_cap=1))[0] == LaurentPoly.one()
+    assert build_Q(FiniteSystemSpec(n_cap=1))[0] == LaurentPoly({0: 1})
 
 
 def test_first_step_uses_g1():
@@ -146,7 +146,7 @@ def test_solved_moments_match_exact_moments_rational():
 
 def test_solve_needs_enough_polynomials():
     spec = FiniteSystemSpec(n_cap=1)
-    with pytest.raises(MissingCoefficients):
+    with pytest.raises(InsufficientOrder, match=r"need Q_0..Q_6, have 4"):
         solve_moments(spec, 3)
 
 
@@ -226,9 +226,9 @@ def test_representation_reproduces_normalizing_moment(geometric):
     solve = FunctionalSolve.from_moments(mom, 1)
     measure = build_atomic_measure(solve.s)
     # L(x^{-1}) = a and L(1) = 1 by construction
-    got_a = represent_functional(solve, measure, LaurentPoly.monomial(-1))
+    got_a = represent_functional(solve, measure, LaurentPoly({-1: 1}))
     assert abs(got_a - solve.a) <= 1e-12
-    got_one = represent_functional(solve, measure, LaurentPoly.one())
+    got_one = represent_functional(solve, measure, LaurentPoly({0: 1}))
     assert abs(got_one - 1) <= 1e-12
 
 
@@ -260,11 +260,11 @@ def test_representation_window_guards(geometric):
     solve = FunctionalSolve.from_moments(mom, 1)
     measure = build_atomic_measure(solve.s)
     with pytest.raises(WindowExceeded):
-        represent_functional(solve, measure, LaurentPoly.monomial(2))
+        represent_functional(solve, measure, LaurentPoly({2: 1}))
     narrow = dataclasses.replace(measure, moment_window=1)
     with pytest.raises(InvalidParams):
-        represent_functional(solve, narrow, LaurentPoly.one())
-    assert represent_functional(solve, measure, LaurentPoly.zero()) == 0j
+        represent_functional(solve, narrow, LaurentPoly({0: 1}))
+    assert represent_functional(solve, measure, LaurentPoly()) == 0j
 
 
 def test_orthogonality_survives_the_measure_representation():

@@ -22,7 +22,7 @@ from olaurent import (
     recurrence_data,
 )
 from olaurent import exact, systems
-from olaurent.errors import InsufficientOrder, InvalidParams, MissingCoefficients, ZeroCoefficient
+from olaurent.errors import InsufficientOrder, InvalidParams, ZeroCoefficient
 from olaurent.exact import to_complex
 
 
@@ -35,7 +35,7 @@ def test_geometric_first_three(geometric):
 
 def test_r0_is_one_for_any_source(exponential, exp_binomial):
     for src in (exponential, exp_binomial):
-        assert build_system(src, 0).R[0] == LaurentPoly.one()
+        assert build_system(src, 0).R[0] == LaurentPoly({0: 1})
 
 
 def test_exponential_fourth_polynomial(exponential):
@@ -153,7 +153,7 @@ def test_xi_zero_is_one(exp_binomial):
 def test_recurrence_initialization(geometric):
     rd = recurrence_data(geometric, 1)
     q = build_by_recurrence(rd, 1)
-    assert q[0] == LaurentPoly.one()
+    assert q[0] == LaurentPoly({0: 1})
     assert q[1] == LaurentPoly({-1: 1, 0: 1})
 
 
@@ -176,7 +176,7 @@ def test_geometric_q2_equals_r2(geometric):
 
 def test_recurrence_needs_enough_data(geometric):
     rd = recurrence_data(geometric, 3)
-    with pytest.raises(MissingCoefficients):
+    with pytest.raises(InsufficientOrder, match="recurrence data stops at 3, need 4"):
         build_by_recurrence(rd, 4)
 
 
@@ -274,9 +274,9 @@ def test_recurrence_substitution_leaves_zero_residual(exp_binomial):
             step = LaurentPoly({-1: 1, 0: rd.g[k]})
         else:
             step = LaurentPoly({0: 1, 1: rd.g[k]})
-        prev2 = q[k - 2] if k >= 2 else LaurentPoly.zero()
+        prev2 = q[k - 2] if k >= 2 else LaurentPoly()
         resid = q[k] - step * q[k - 1] - rd.f_rec[k] * prev2
-        assert resid == LaurentPoly.zero()
+        assert resid == LaurentPoly()
 
 
 def _data(g, f_rec):
