@@ -7,12 +7,8 @@ route agreement), ``moments`` (exact moment table), ``genfun-check``
 ``finite`` (finite-system solve, atomic measure, representation
 residuals).
 
-Each setting is named once, in :data:`SETTINGS`: its flag, its
-``--config`` path, its type and its default.  A flag wins over the
-config entry, which wins over the default.  Every config entry is
-checked against its type; an integer setting takes an int or an
-integral float, never a fraction, a bool or a string, and a float
-setting a finite int or float.
+Each setting is named once, in :data:`SETTINGS`: its flag, its type and
+its default.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric-validation
 failure, 4 representation-condition failure.
@@ -28,9 +24,8 @@ except ``build``'s ``R`` field: there each d_k is encoded once by that
 encoder and its text joined into the rows of every R_n that holds it,
 the same bytes as the encoder gives for the rows.  It is strict JSON: a
 report holding a NaN or an infinity is not written, and the run exits 3
-with UnrepresentableValue.
-CSV cells use the textual "re+imi" form.  Every report embeds the
-command, the package version and the resolved configuration.
+with UnrepresentableValue.  Every report embeds the command, the package
+version and the resolved configuration.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidParams, OLaurentError, UnrepresentableValue
-from .exact import as_int, as_number, refuse_unknown_keys
 from .families import MAX_ORDER, FamilySpec, realize
 from .finite import (
     SOLVE_GUARD_BITS,
@@ -63,31 +57,26 @@ __all__ = ["main"]
 
 EVAL_ORDER = 64
 GENFUN_FLOOR = 1e-13
-FORMATS = ("json", "csv")
 EVERY = "*"
 
-# Each setting once: its flag dest (the flag is --dest), its --config path
-# (None: flag only), its type, its default, the subcommands that take the
-# flag and its help.  The family flag also takes a stock name or a file.
+# Each setting once: its flag dest (the flag is --dest), its type, its
+# default, the subcommands that take the flag and its help.  The family
+# flag also takes a stock name or a file.
 SETTINGS = (
-    ("family", "family", FamilySpec, FamilySpec.geometric(), EVERY,
+    ("family", FamilySpec, FamilySpec.geometric(), EVERY,
      "geometric | exponential | inline JSON | JSON file"),
-    ("config", None, str, None, EVERY, "JSON file with run options; flags override"),
-    ("out", "output.path", str, None, EVERY, "report path (stdout when omitted)"),
-    ("format", "output.format", FORMATS, "json", EVERY, None),
-    ("order", "K", int, 8, "build ortho", "max index K"),
-    ("radius", "contour.radius", float, None, "ortho", "contour radius c"),
-    ("nodes", "contour.nodes", int, 512, "ortho", "quadrature nodes"),
-    ("window", "window", int, 6, "moments", None),
-    ("seed", "seed", int, 0, "genfun-check", None),
-    ("samples", "samples", int, 20, "genfun-check", None),
-    ("terms", "terms", int, 80, "genfun-check", None),
-    ("spec", None, str, None, "finite", "FiniteSystemSpec as inline JSON or a file"),
-    ("ncap", "n_cap", int, 2, "finite", "system size n"),
-    ("level", "level", int, None, "finite", "representation level (default: n)"),
+    ("out", str, None, EVERY, "report path (stdout when omitted)"),
+    ("order", int, 8, "build ortho", "max index K"),
+    ("radius", float, None, "ortho", "contour radius c"),
+    ("nodes", int, 512, "ortho", "quadrature nodes"),
+    ("window", int, 6, "moments", None),
+    ("seed", int, 0, "genfun-check", None),
+    ("samples", int, 20, "genfun-check", None),
+    ("terms", int, 80, "genfun-check", None),
+    ("spec", str, None, "finite", "FiniteSystemSpec as inline JSON or a file"),
+    ("ncap", int, 2, "finite", "system size n"),
+    ("level", int, None, "finite", "representation level (default: n)"),
 )
-KIND_NAMES = {str: "a string", FORMATS: "'json' or 'csv'",
-              FamilySpec: "a family JSON object"}
 
 
 def _pairs(values) -> list:
@@ -136,22 +125,9 @@ def _system_text(coeffs) -> str:
     return "[" + ",".join(out) + "]"
 
 
-def _system_csv(coeffs):
-    """CSV lines ``n,exponent,coeff`` of R_0..R_K from d_0..d_K, each d_k formatted once."""
-    cells = [_csv_complex(z) for z in coeffs]
-    for n in range(len(cells)):
-        for k in range(n + 1):
-            yield f"{n},{k - (n + 1) // 2},{cells[k]}"
-
-
 def _moment_rows(table) -> list:
     """[m, re, im] rows of the MomentTable `table`, in ascending m."""
     return [[m, z.real, z.imag] for m in range(-table.window, table.window + 1) for z in (table[m],)]
-
-
-def _csv_complex(z) -> str:
-    z = complex(z)
-    return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
 def _load_json_arg(value: str, what: str) -> dict:
@@ -174,66 +150,33 @@ def _family_flag(value: str) -> FamilySpec:
         return FamilySpec.from_json(_load_json_arg(value, "family"))
 
 
-def _config_entry(config: dict, path: str, kind):
-    """The ``--config`` entry at `path` ("K", "contour.radius", ...), checked against `kind`."""
-    section, _, key = path.rpartition(".")
-    if section and not isinstance(config.get(section), dict | None):
-        raise InvalidParams(f"config {section!r} must be a JSON object or null")
-    value = (config.get(section) or {} if section else config).get(key)
-    if value is None:
-        return None
-    if kind is int:
-        return as_int(value, f"config {path!r}")
-    if kind is float:
-        return as_number(value, f"config {path!r}")
-    if (kind is str and isinstance(value, str)
-            or isinstance(kind, tuple) and value in kind):
-        return value
-    if kind is FamilySpec and isinstance(value, dict):
-        return FamilySpec.from_json(value)
-    raise InvalidParams(f"config {path!r} must be {KIND_NAMES[kind]}, got {value!r}")
-
-
 def _resolve(args) -> None:
-    """Set each setting on `args`: its flag, else its ``--config`` entry, else its default.
+    """Set each setting on `args` to its flag's value, else to its default; read ``--family``.
 
-    ``args.origin`` maps each setting to "flag", "config" or "default".
+    ``args.given`` names the settings given as flags: argparse leaves None for the others.
     """
-    config = _load_json_arg(args.config, "config") if args.config else {}
-    if not isinstance(config, dict):
-        raise InvalidParams("config must be a JSON object")
-    paths = [path for _, path, *_ in SETTINGS if path]
-    sections = {path.rpartition(".")[0] for path in paths} - {""}
-    given = [*config, *(f"{section}.{key}" for section in sections & set(config)
-                        if isinstance(config[section], dict) for key in config[section])]
-    refuse_unknown_keys(given, [*paths, *sections], "config")
-    args.origin = {}
-    for dest, path, kind, default, _, _ in SETTINGS:
-        entry = _config_entry(config, path, kind) if path else None
-        value, origin = getattr(args, dest, None), "flag"
+    args.given = {dest for dest, *_ in SETTINGS if getattr(args, dest, None) is not None}
+    for dest, kind, default, _, _ in SETTINGS:
+        value = getattr(args, dest, None)
         if value is None:
-            value, origin = (entry, "config") if entry is not None else (default, "default")
+            value = default
         elif kind is FamilySpec:
             value = _family_flag(value)
         setattr(args, dest, value)
-        args.origin[dest] = origin
 
 
-def _emit(args, report: dict, header: str, rows) -> None:
-    """Write `report` in the envelope every report shares, or as CSV.
+def _emit(args, report: dict) -> None:
+    """Write `report` in the envelope every report shares.
 
-    A JSON report is written key by key in sorted order, each value by
+    The report is written key by key in sorted order, each value by
     :func:`_json`; a callable value returns the JSON text of its field
-    (``build``'s ``R``), called only for a JSON report.  `rows` lazily
-    yields the CSV lines under `header`; only CSV reads it.
+    (``build``'s ``R``).
     """
     report.update(command=args.command, version=__version__)
-    report["config"]["format"] = args.format
-    if args.format == "json":
-        text = "{" + ",".join(f"{_json(key)}:{value() if callable(value) else _json(value)}"
-                              for key, value in sorted(report.items())) + "}\n"
-    else:
-        text = "\n".join([header, *rows]) + "\n"
+    # JSON is the one format; report format 2 drops this key
+    report["config"]["format"] = "json"
+    text = "{" + ",".join(f"{_json(key)}:{value() if callable(value) else _json(value)}"
+                          for key, value in sorted(report.items())) + "}\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -273,7 +216,7 @@ def cmd_build(args) -> int:
             "max_rel_deviation": norm.max_rel_deviation,
         },
     }
-    _emit(args, report, "n,exponent,coeff", _system_csv(source.coeffs))
+    _emit(args, report)
     return 0
 
 
@@ -303,8 +246,7 @@ def cmd_ortho(args) -> int:
             raise UnrepresentableValue("route disagreement overflows a double")
         report["contour"] = {"radius": radius, "nodes": nodes,
                              "max_route_disagreement": worst}
-    _emit(args, report, "row,col,value",
-          (f"{i},{j},{_csv_complex(v)}" for i, row in enumerate(gram) for j, v in enumerate(row)))
+    _emit(args, report)
     return 0
 
 
@@ -316,8 +258,7 @@ def cmd_moments(args) -> int:
         "ordering": "ascending m from -window to window",
         "moments": _moment_rows(table),
     }
-    _emit(args, report, "m,value",
-          (f"{m},{_csv_complex(table[m])}" for m in range(-window, window + 1)))
+    _emit(args, report)
     return 0
 
 
@@ -363,9 +304,7 @@ def cmd_genfun(args) -> int:
         "max_residual": max(r["residual"] for r in rows),
         "all_passed": not failed,
     }
-    _emit(args, report, "index,kind,residual,bound,passed",
-          (f"{r['index']},{r['kind']},{r['residual']:.17g},{r['bound']:.17g},{r['passed']}"
-           for r in rows))
+    _emit(args, report)
     if failed:
         worst = max(failed, key=lambda r: r["residual"] / r["bound"])
         print(f"error: genfun-check: {len(failed)} of {len(rows)} samples miss their bound; "
@@ -378,13 +317,13 @@ def cmd_genfun(args) -> int:
 def cmd_finite(args) -> int:
     source = None
     if args.spec is not None:
-        if "flag" in (args.origin["ncap"], args.origin["family"]):
+        if args.given & {"ncap", "family"}:
             raise InvalidParams("--spec sets n_cap and the coefficients; drop --ncap and --family")
         fspec = FiniteSystemSpec.from_json(_load_json_arg(args.spec, "finite spec"))
     else:
         # the default system checks n_cap before a family realizes 4 n_cap coefficients
         fspec = FiniteSystemSpec(n_cap=args.ncap)
-        if args.origin["family"] != "default":
+        if "family" in args.given:
             source = realize(args.family, 4 * fspec.n_cap)
             fspec = FiniteSystemSpec.from_partial_sums(source, fspec.n_cap)
     level = fspec.n_cap if args.level is None else args.level
@@ -403,8 +342,14 @@ def cmd_finite(args) -> int:
 
     moment_res = max(abs(measure.moment(k) - solve.s[k])
                      for k in range(measure.moment_window + 1))
-    rep_res = max(abs(represent_functional(solve, measure, Q[k]) - apply_L(Q[k], table))
-                  for k in range(2 * level + 1))
+
+    def rep_residual(k):
+        try:
+            return abs(represent_functional(solve, measure, Q[k]) - apply_L(Q[k], table))
+        except UnrepresentableValue as exc:
+            raise UnrepresentableValue(f"representation_residual at k = {k}: {exc}") from exc
+
+    rep_res = max(map(rep_residual, range(2 * level + 1)))
 
     report = {
         "config": {"finite_spec": fspec.to_json(), "level": level},
@@ -421,8 +366,7 @@ def cmd_finite(args) -> int:
         "a_relative_deviation": a_rel,
         "moments": _moment_rows(table),
     }
-    _emit(args, report, "location,weight",
-          (f"{_csv_complex(z)},{w:.17g}" for z, w in measure.atoms))
+    _emit(args, report)
     return 0
 
 
@@ -444,11 +388,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, func, command_help in COMMANDS:
         sp = sub.add_parser(name, help=command_help)
         sp.set_defaults(func=func)
-        for dest, _, kind, _, commands, flag_help in SETTINGS:
+        for dest, kind, _, commands, flag_help in SETTINGS:
             if commands == EVERY or name in commands.split():
-                sp.add_argument(f"--{dest}", help=flag_help, **(
-                    {"choices": kind} if isinstance(kind, tuple)
-                    else {"type": str if kind is FamilySpec else kind}))
+                sp.add_argument(f"--{dest}", type=str if kind is FamilySpec else kind,
+                                help=flag_help)
     return p
 
 

@@ -142,14 +142,14 @@ def check_laurent_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck
 
 
 @functools.lru_cache(maxsize=8)
-def _lhs_spectrum(coeffs: bytes, x: complex, nodes: int) -> np.ndarray:
-    """Read-only R_n spectrum on |z| = |sqrt x|/2: g's spectrum with the even entries times s.
+def _lhs_spectrum(coeffs: bytes, x: complex, radius: float, nodes: int) -> np.ndarray:
+    """Read-only R_n spectrum on |z| = radius: g's spectrum with the even entries times s.
 
     Unscaled, because r**-k can overflow; entry n < nodes is R_n(x) r^n.
     """
     d = np.frombuffer(coeffs, dtype=np.complex128)
     s = cmath.sqrt(x)
-    z = kernels.circle_nodes_extended(abs(s) / 2, nodes)
+    z = kernels.circle_nodes_extended(radius, nodes)
     se = kernels.QUAD_DTYPE(s)
     spectrum = kernels.circle_spectrum(kernels.eval_poly_extended(d, se * z) / (se - z))
     spectrum[::2] *= se
@@ -163,7 +163,8 @@ def rn_all_by_contour(source: TruncatedPowerSeries, x: complex, n_max: int,
 
     The Laurent identity's left side does not depend on n: the spectrum of
     g(z) = f(s z) / (s - z) on |z| = |sqrt x|/2 is memoized per (coefficients,
-    x, nodes), and R_n(x) is its Taylor coefficient n, times s for even n.
+    x, radius, nodes), and R_n(x) is its Taylor coefficient n, times s for
+    even n.  The radius |sqrt x|/2 is chosen here; the spectrum takes it as given.
     """
     if not 0 <= n_max < nodes:
         raise InvalidParams(f"need 0 <= n < nodes, got n = {n_max}, nodes = {nodes}")
@@ -172,7 +173,7 @@ def rn_all_by_contour(source: TruncatedPowerSeries, x: complex, n_max: int,
     if x == 0 or not abs(x) < source.radius:
         raise DomainViolation(f"need 0 < |x| < radius, got |x| = {abs(x)}")
     circle = ContourSpec(radius=abs(cmath.sqrt(x)) / 2, nodes=nodes)
-    spectrum = _lhs_spectrum(source.coeffs.tobytes(), complex(x), circle.nodes)
+    spectrum = _lhs_spectrum(source.coeffs.tobytes(), complex(x), circle.radius, circle.nodes)
     return kernels.circle_coefficients(spectrum, circle.radius, np.arange(n_max + 1))
 
 

@@ -1,4 +1,4 @@
-"""Command-line reports: content, determinism, exit codes, formats."""
+"""Command-line reports: content, determinism, exit codes, refused options and files."""
 
 import contextlib
 import io
@@ -67,9 +67,30 @@ def test_invalid_family_is_a_config_error(tmp_path, capsys):
     assert "0 < a_j < 1" in capsys.readouterr().err
 
 
-def test_unreadable_config_is_a_config_error(tmp_path):
-    code, _ = run(tmp_path, "build", "--config", str(tmp_path / "missing.json"))
-    assert code == 2
+@pytest.mark.parametrize("argv", [["finite", "--spec"], ["build", "--family"]],
+                         ids=["spec", "family"])
+def test_an_unreadable_json_file_is_a_config_error(tmp_path, capsys, argv):
+    assert main([*argv, str(tmp_path / "missing.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot read" in err
+
+
+def test_an_unwritable_report_path_is_a_config_error(tmp_path, capsys):
+    # the path is a directory, so the report cannot be opened for writing
+    assert main(["moments", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot write report" in err
+
+
+@pytest.mark.parametrize("option, value", [("--format", "csv"), ("--format", "json"),
+                                           ("--config", "x.json")])
+@pytest.mark.parametrize("command", ["build", "ortho", "moments", "genfun-check", "finite"])
+def test_removed_options_are_refused(capsys, command, option, value):
+    # JSON is the one report format and flags the one way to set a run
+    assert main([command, option, value]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_moments_ordering_and_values(tmp_path):
@@ -343,56 +364,11 @@ def test_finite_explicit_spec_inline(tmp_path):
     assert rep["a"] == [-1.0, 0.0]
 
 
-def test_config_file_supplies_defaults_and_flags_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": {"kind": "geometric"}, "K": 4}))
-    code, rep = run(tmp_path, "build", "--config", str(cfg))
+def test_finite_spec_takes_an_integral_float_n_cap(tmp_path):
+    code, rep = run(tmp_path, "finite", "--spec", '{"n_cap": 2.0}', "--level", "1")
     assert code == 0
-    assert rep["config"]["order"] == 4
-    code, rep = run(tmp_path, "build", "--config", str(cfg), "--order", "1")
-    assert rep["config"]["order"] == 1
-
-
-@pytest.mark.parametrize("command, doc", [
-    ("ortho", {"K": 2.5}),
-    ("ortho", {"contour": {"radius": 0.5, "nodes": 100.9}}),
-    ("genfun-check", {"samples": 1.9, "seed": 1.5}),
-    ("ortho", {"contour": {"radius": 10 ** 400}}),
-    ("build", {"output": {"path": 0}}),
-    *[(command, {section: bad}) for command, section in (("ortho", "contour"), ("build", "output"))
-      for bad in ([], 0, False, "")],
-], ids=["fractional-K", "fractional-nodes", "fractional-samples-seed",
-        "radius-beyond-double", "path-0",
-        "contour-list", "contour-0", "contour-false", "contour-empty",
-        "output-list", "output-0", "output-false", "output-empty"])
-def test_config_refuses_fractions_and_falsy_sections(tmp_path, capsys, command, doc):
-    # int() used to cut 2.5 to 2 and run, float() to raise OverflowError on
-    # 10**400; a falsy section or path passed as absent
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    code = main([command, "--config", str(cfg)])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert "InvalidParams" in err
-
-
-def test_config_takes_an_integral_float(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"K": 4.0, "contour": {"radius": 0.8, "nodes": 64.0}}))
-    code, rep = run(tmp_path, "ortho", "--family", "exponential", "--config", str(cfg))
-    assert code == 0
-    assert rep["config"]["order"] == 4 and len(rep["gram"]) == 5
-    assert rep["contour"]["nodes"] == 64
-
-
-def test_ortho_echoes_a_config_radius_as_a_float(tmp_path, capsys):
-    # an int radius used to be echoed as given next to the contour's 1.0
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"contour": {"radius": 1, "nodes": 32}}))
-    assert main(["ortho", "--family", "exponential", "--order", "2", "--config", str(cfg)]) == 0
-    rep = strict_loads(capsys.readouterr().out)
-    echoed = rep["config"]["contour"]["radius"]
-    assert type(echoed) is float and echoed == rep["contour"]["radius"] == 1.0
+    assert type(rep["config"]["finite_spec"]["n_cap"]) is int
+    assert rep["config"]["finite_spec"]["n_cap"] == 2
 
 
 @pytest.mark.parametrize("n_cap", ["2.7", "true", '"3"'], ids=["fraction", "bool", "string"])
@@ -433,27 +409,15 @@ def test_finite_spec_refuses_ncap_and_family_flags(capsys, flags):
     assert "--spec" in err
 
 
-def test_finite_spec_overrides_config_ncap_and_family(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_cap": 3, "family": {"kind": "exponential"}}))
-    code, rep = run(tmp_path, "finite", "--config", str(cfg), "--spec", '{"n_cap": 2}',
-                    "--level", "1")
-    assert code == 0
-    assert rep["config"]["finite_spec"]["n_cap"] == 2
-    assert rep["exact_moment_deviation"] is None
-
-
 @pytest.mark.parametrize("argv, key", [
     (["moments", "--family",
       '{"kind": "exp-binomial", "a": [0.5], "family_lambda": [1.0], "B": 3.0}'], "'B'"),
     (["moments", "--family", '{"kind": "geometric", "radius": 0.1}'], "'radius'"),
     (["finite", "--spec", '{"n_cap": 1, "g": [[2, 0]], "f": [[5, 0]]}', "--level", "1"], "'f'"),
-    (["ortho", "--config", '{"k": 20}'], "'k'"),
-    (["ortho", "--config", '{"contour": {"radius": 0.5, "nodez": 100}}'], "'contour.nodez'"),
-], ids=["eb-B", "geometric-radius", "spec-f", "config-k", "config-contour-nodez"])
+], ids=["eb-B", "geometric-radius", "spec-f"])
 def test_unknown_json_keys_are_refused(capsys, argv, key):
     # each used to run with the key ignored: b = 0, the stock geometric
-    # family, the default f_rec, K = 8 and 512 nodes
+    # family and the default f_rec
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
@@ -500,41 +464,16 @@ def test_failing_genfun_check_says_why_on_stderr(capsys, monkeypatch):
         f"{worst['index']} laurent, residual {worst['residual']:.3e} > bound {worst['bound']:.3e}"]
 
 
-def test_repeated_calls_share_no_options(tmp_path, capsys):
+def test_repeated_calls_share_no_options(capsys):
     # the parser is built once; no option of one call may leak into the next
-    assert main(["ortho", "--radius", "0.5", "--nodes", "64", "--format", "csv"]) == 0
-    assert capsys.readouterr().out.startswith("row,col,value\n")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"K": 3, "contour": {"radius": 0.8, "nodes": 32},
-                               "output": {"format": "csv"}}))
-    assert main(["ortho", "--family", "exponential", "--config", str(cfg)]) == 0
-    assert capsys.readouterr().out.startswith("row,col,value\n")
+    assert main(["ortho", "--family", "exponential", "--order", "3",
+                 "--radius", "0.5", "--nodes", "64"]) == 0
+    assert strict_loads(capsys.readouterr().out)["contour"]["nodes"] == 64
     assert main(["ortho"]) == 0
     rep = strict_loads(capsys.readouterr().out)
     assert rep["config"]["contour"] is None and "contour" not in rep
     assert rep["config"]["order"] == 8 and rep["config"]["format"] == "json"
     assert rep["config"]["family"] == {"kind": "geometric"}
-
-
-def test_csv_projections(tmp_path):
-    out = tmp_path / "r.csv"
-    assert main(["build", "--family", "geometric", "--order", "1",
-                 "--format", "csv", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,exponent,coeff"
-    assert lines[1] == "0,0,1+0i"
-    assert "1,-1,1+0i" in lines
-
-    assert main(["moments", "--family", "geometric", "--window", "1",
-                 "--format", "csv", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "m,value"
-    assert lines[1] == "-1,-1+0i"
-
-    assert main(["finite", "--level", "1", "--format", "csv", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "location,weight"
-    assert len(lines) == 1 + 5  # 2 * (2 * level) + 1 atoms
 
 
 def test_json_reports_are_deterministic(tmp_path):
@@ -684,35 +623,11 @@ FUZZ_FLAGS = {
                      "--samples": ["0", "1", "2"] + ABOVE_CAP},
     "finite": {"--family": FUZZ_FAMILIES, "--ncap": SMALL_INTS + ["8", HUGE]},
 }
-# --config documents, one file each: one valid, the others malformed in
-# one way each (not an object, nested section not an object, a number
-# that is a string, a boolean or non-finite)
-FUZZ_CONFIGS = {
-    "valid": {"K": 2, "window": 2, "n_cap": 1, "contour": {"radius": 0.5, "nodes": 16}},
-    "list": [1, 2],
-    "contour-number": {"contour": 5},
-    "output-string": {"output": "x"},
-    "string-K": {"K": "x"},
-    "bool-window": {"window": True},
-    "nan-n_cap": {"n_cap": float("nan")},
-    "inf-radius": {"contour": {"radius": float("inf")}},
-}
-
-
-@pytest.fixture(scope="module")
-def config_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("configs")
-    for name, doc in FUZZ_CONFIGS.items():
-        (path / f"{name}.json").write_text(json.dumps(doc))
-    return path
-
-
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
     argv = [command]
-    flags = {**FUZZ_FLAGS[command], "--config": sorted(FUZZ_CONFIGS)}
-    for flag, values in flags.items():
+    for flag, values in FUZZ_FLAGS[command].items():
         value = draw(st.none() | st.sampled_from(values))
         if value is not None:
             argv += [flag, value]
@@ -723,10 +638,7 @@ def cli_argv(draw):
 @example(argv=["genfun-check", "--family", SHORT_EXPLICIT, "--terms", "2", "--samples", "2"])
 @example(argv=["ortho", "--radius", "0.5", "--nodes", str(10 ** 20)])
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_cli_fuzz_exits_documented_codes_with_strict_json(config_dir, argv):
-    if "--config" in argv:
-        i = argv.index("--config") + 1
-        argv = [*argv[:i], str(config_dir / f"{argv[i]}.json"), *argv[i + 1:]]
+def test_cli_fuzz_exits_documented_codes_with_strict_json(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -858,6 +770,17 @@ def test_runaway_radius_search_is_a_numerical_guard(spec):
     assert "> 1/2 at r = 2**120" in lines[0]
 
 
+def test_an_overflowing_residual_names_what_overflowed(tmp_path, capsys):
+    # the solve and the measure succeed; L(Q_2) carries g_1 g_2 = 1e600, so
+    # only the representation residual at k = 2 overflows a double
+    spec = '{"n_cap":1,"g":[[1e300,0],[1e300,0]]}'
+    assert run(tmp_path, "finite", "--spec", spec) == (3, None)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: UnrepresentableValue: representation_residual at k = 2: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_an_overflowing_s_k_is_refused_where_it_is_divided(tmp_path, capsys):
     # a valid spec: s_2 = mu_1 / a = -1e300 / -1e-10 overflows a double, and
     # build_atomic_measure used to refuse the inf as bad input (exit 2)
@@ -907,6 +830,15 @@ def _readme_examples():
     block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, re.S | re.M).group(1)
     return [line.strip() for line in block.replace("\\\n", " ").splitlines()
             if line.strip().startswith("olaurent ")]
+
+
+def test_readme_settings_table_matches_the_settings():
+    # one row per flag, with the subcommands that take it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^## CLI\n(.*?)^```sh", text, re.S | re.M).group(1)
+    rows = dict(re.findall(r"^\| `--([a-z]+)` \|[^|]*\|[^|]*\| ([^|]*) \|$", section, re.M))
+    assert rows == {dest: "all" if commands == cli.EVERY else ", ".join(
+        f"`{name}`" for name in commands.split()) for dest, *_, commands, _ in cli.SETTINGS}
 
 
 def test_readme_cli_examples_run_and_report_strict_json(tmp_path, monkeypatch, capsys):

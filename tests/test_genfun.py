@@ -287,7 +287,7 @@ def test_spectrum_memo_is_keyed_on_coefficients(geo_sys, exp_sys):
 
 
 def test_memoized_spectrum_is_read_only(geo_sys):
-    spectrum = genfun._lhs_spectrum(geo_sys.source.coeffs.tobytes(), 0.3 + 0j, 64)
+    spectrum = genfun._lhs_spectrum(geo_sys.source.coeffs.tobytes(), 0.3 + 0j, 0.3 ** 0.5 / 2, 64)
     assert not spectrum.flags.writeable
     with pytest.raises(ValueError):
         spectrum[0] = 0
