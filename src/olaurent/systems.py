@@ -33,9 +33,9 @@ coefficient it was handed: coefficient i of the exact Q_n is g_1 ... g_i
 for every n >= i.  For Q_k is x^{-1} Q_{k-1} (odd k) or Q_{k-1} (even k)
 plus g_k times the bracket Q_{k-1} - Q_{k-2} or x Q_{k-1} - Q_{k-2},
 and the bracket is the one term that step k-1 added.  So
-:func:`check_normalization` rounds one new coefficient per step, and
-checks on the exact integer numerators that every carried one is
-unchanged.
+:func:`check_normalization` runs no recurrence: it checks f^rec_k = -g_k
+on the doubles, which holds exactly when no step changes a coefficient it
+was handed, and rounds the running exact product g_1 ... g_n once per n.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class RecurrenceData:
 
 @dataclass(frozen=True)
 class NormalizationReport:
-    """Per-index relative deviation between the two construction routes."""
+    """Per-index relative deviation of Q_n, the rounded exact g_1 ... g_i for i <= n, from R_n."""
 
     per_index: tuple[float, ...]
     max_rel_deviation: float
@@ -222,35 +222,29 @@ def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationR
     the largest coefficient magnitude of R_n.
 
     With f^rec_k = -g_k, coefficient i of the exact Q_n (power i of f_n)
-    is g_1 ... g_i for every n >= i, so each step rounds only its new
-    coefficient q_n[n].  Proof, by induction on k: the odd step reads
-    Q_k = x^{-1} Q_{k-1} + g_k (Q_{k-1} - Q_{k-2}) and the even step
-    Q_k = Q_{k-1} + g_k (x Q_{k-1} - Q_{k-2}); in both the first term is
-    f_{k-1} / x^ceil(k/2) and the bracket is the one term g_1 ... g_{k-1}
-    x^{k-1} / x^(ceil(k/2) - 1).  The invariant is checked, not assumed:
-    at every step the carried numerators q_n[0..n-1], as one list, equal
-    those of Q_{n-1} times den_n / den_{n-1}.  Both denominators are
-    powers of two that never shrink, so that factor is a left shift by
-    the growth of the bit length; the first index that differs is looked
-    for only when the lists do.  Recurrence data that is not a source's
-    own (f^rec_k != -g_k at some k >= 2) fails the check and raises
-    :class:`InvalidParams`; f^rec_1 multiplies Q_{-1} = 0 and is free.
+    is g_1 ... g_i for every n >= i, so Q_n adds to Q_{n-1} only the
+    exact product g_1 ... g_n, rounded once here.  Proof, by induction on
+    k: the odd step reads Q_k = x^{-1} Q_{k-1} + g_k (Q_{k-1} - Q_{k-2})
+    and the even step Q_k = Q_{k-1} + g_k (x Q_{k-1} - Q_{k-2}); in both
+    the first term is f_{k-1} / x^ceil(k/2) and the bracket is the one
+    term g_1 ... g_{k-1} x^{k-1} / x^(ceil(k/2) - 1).  Other data is
+    refused, not run: with f^rec_k = -g_k + delta_k, step k also adds
+    delta_k Q_{k-2}, whose lowest coefficient d_0 = 1 lands on coefficient
+    1 of Q_{k-1}.  The first k >= 2 with delta_k != 0 (exact on the
+    doubles) is thus the first step that changes a carried coefficient;
+    it raises :class:`InvalidParams`.  f^rec_1 is free: it multiplies Q_{-1} = 0.
     """
     K = min(system.K, rd.K)
     new = np.ones(K + 1, dtype=np.complex128)
-    q1, den1 = [1], 1
-    for n, Q in enumerate(two_step(rd.g[1:K + 1], rd.f_rec[1:K + 1]), start=1):
-        # lo is -ceil(n/2); only a zero g_k trims the top end
-        q, den = list(Q.numerators), Q.denominator
-        q += [0] * (n + 1 - len(q))
-        sh = den.bit_length() - den1.bit_length()
-        carried = [a << sh for a in q1]
-        if q[:n] != carried:
-            i = next(i for i, (a, b) in enumerate(zip(carried, q)) if a != b)
-            raise InvalidParams(f"Q_{n} changes coefficient {i} of Q_{n - 1}; "
+    # split all first: a non-finite g_k or f^rec_k is refused before any step, as two_step does
+    steps = [(exact.split(a), exact.split(b)) for a, b in zip(rd.g[1:K + 1], rd.f_rec[1:K + 1])]
+    p, scale = 1, 0
+    for n, ((gn, sg), f) in enumerate(steps, start=1):
+        if n >= 2 and f != (-gn, sg):
+            raise InvalidParams(f"Q_{n} changes coefficient 1 of Q_{n - 1}; "
                                 "the recurrence data needs f^rec_k = -g_k for k >= 2")
-        new[n] = exact.to_complex(q[n], den)
-        q1, den1 = q, den
+        p, scale = gn * p, scale + sg
+        new[n] = exact.to_complex(p, 1 << scale)
     d = system.source.coeffs[:K + 1]
     # np.abs, not abs(): the two differ in the last ulp of some complex values
     per = np.maximum.accumulate(np.abs(new - d)) / np.maximum.accumulate(np.abs(d))

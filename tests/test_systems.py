@@ -222,11 +222,15 @@ def _random_explicit(seed, K):
     return FamilySpec.explicit([1] + list(rng.normal(size=K) + 1j * rng.normal(size=K)), 1.0)
 
 
-@pytest.mark.parametrize("K", [20, 40, 80])
-@pytest.mark.parametrize("spec", [*FAMILIES.values(), *(_random_explicit(s, 80) for s in range(4))],
-                         ids=[*FAMILIES, *(f"random{s}" for s in range(4))])
-def test_normalization_is_bitwise_the_elementwise_route(spec, K):
-    src = realize(spec, K)
+SPECS = {**FAMILIES, **{f"random{s}": _random_explicit(s, 80) for s in range(4)}}
+
+
+# at scale the stock families only; exponential stops at K = 170
+@pytest.mark.parametrize("name, K", [(name, K) for name in SPECS for K in (20, 40, 80)]
+                         + [(name, 160) for name in FAMILIES]
+                         + [("geometric", 320), ("exp_binomial", 320)])
+def test_normalization_is_bitwise_the_elementwise_route(name, K):
+    src = realize(SPECS[name], K)
     system = build_system(src, K)
     report = check_normalization(system, recurrence_data(src, K))
     per, worst = _elementwise_normalization(system, recurrence_data(src, K))
@@ -242,6 +246,7 @@ def test_normalization_rounds_one_coefficient_per_step(monkeypatch):
     monkeypatch.setattr(systems.exact, "to_complex",
                         lambda v, den: rounded.append(den) or to_complex(v, den))
     monkeypatch.setattr(systems, "build_by_recurrence", None)
+    monkeypatch.setattr(systems, "two_step", None)
     monkeypatch.setattr(LaurentPoly, "from_coeffs", None)
     assert check_normalization(build_system(src, 30), rd) == want
     assert len(rounded) == 30
@@ -262,6 +267,56 @@ def test_normalization_refuses_data_that_is_not_the_sources_own(k):
     free = dataclasses.replace(rd, f_rec=(0j, 7.5 - 2j, *rd.f_rec[2:]))
     assert check_normalization(build_system(src, 12), free) == \
         check_normalization(build_system(src, 12), rd)
+
+
+@pytest.mark.parametrize("field, k", [("g", 12), ("f_rec", 1), ("f_rec", 12)])
+def test_normalization_refuses_a_non_finite_value_before_any_step(field, k):
+    # as the recurrence reads its data: a non-finite g_k or f^rec_k, even the free f^rec_1,
+    # is refused ahead of the changed f^rec_2 that step 2 would refuse
+    src = realize(_random_explicit(3, 12), 12)
+    rd = recurrence_data(src, 12)
+    data = {"g": list(rd.g), "f_rec": list(rd.f_rec)}
+    data["f_rec"][2] += 1
+    data[field][k] = math.nan
+    with pytest.raises(InvalidParams, match=r"^non-finite value \(nan\+0j\)"):
+        check_normalization(build_system(src, 12),
+                            dataclasses.replace(rd, **{f: tuple(v) for f, v in data.items()}))
+
+
+def _first_changing_step(rd, K):
+    """The first n whose exact Q_n, as f_n = Q_n x^ceil(n/2), changes a term of f_{n-1} below x^n."""
+    Q = build_by_recurrence(rd, K)
+    for n in range(1, K + 1):
+        added = Q[n].shift(math.ceil(n / 2)) - Q[n - 1].shift(math.ceil((n - 1) / 2))
+        if added and added.min_exponent < n:
+            return n
+    return None
+
+
+coefficient = st.floats(0.125, 8) | st.floats(-8, -0.125)
+
+
+@given(st.one_of(st.lists(coefficient, min_size=1, max_size=14),
+                 st.lists(st.builds(complex, coefficient, coefficient), min_size=1, max_size=14)),
+       st.lists(st.tuples(st.integers(1, 14), st.sampled_from([1, 1j]), st.floats(-1, 1)),
+                max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_normalization_refuses_where_the_recurrence_changes_a_carried_coefficient(d, changes):
+    # the refusal is the proof's, not a recurrence run: it must name the first step at which
+    # the exact recurrence changes a coefficient it was handed, and pass data where none does
+    K = len(d)
+    src = realize(FamilySpec.explicit([1, *d], 1.0), K)
+    system, rd = build_system(src, K), recurrence_data(src, K)
+    f_rec = list(rd.f_rec)
+    for k, unit, step in changes:   # a real or an imaginary change of f^rec_k, k in 1..K
+        f_rec[1 + (k - 1) % K] += unit * step
+    changed = dataclasses.replace(rd, f_rec=tuple(f_rec))
+    n = _first_changing_step(changed, K)
+    if n is None:
+        assert check_normalization(system, changed) == check_normalization(system, rd)
+    else:
+        with pytest.raises(InvalidParams, match=rf"^Q_{n} changes coefficient 1 of Q_{n - 1};"):
+            check_normalization(system, changed)
 
 
 def test_recurrence_substitution_leaves_zero_residual(exp_binomial):
