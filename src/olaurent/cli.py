@@ -50,7 +50,7 @@ from .finite import (
     solve_moments,
 )
 from .functional import ContourSpec, apply_L, contour_moments, exact_moments, gram_matrix
-from .genfun import GenfunSample, check_laurent_genfun, check_partial_sum_genfun
+from .genfun import check_laurent_genfun, check_partial_sum_genfun
 from .systems import build_system, check_normalization, recurrence_data
 
 __all__ = ["main"]
@@ -63,7 +63,7 @@ EVERY = "*"
 # default, the subcommands that take the flag and its help.  The family
 # flag also takes a stock name or a file.
 SETTINGS = (
-    ("family", FamilySpec, FamilySpec.geometric(), EVERY,
+    ("family", FamilySpec, FamilySpec("geometric"), EVERY,
      "geometric | exponential | inline JSON | JSON file"),
     ("out", str, None, EVERY, "report path (stdout when omitted)"),
     ("order", int, 8, "build ortho", "max index K"),
@@ -286,10 +286,9 @@ def cmd_genfun(args) -> int:
         # every run should hit; later samples move away from it.
         z = 0j if i == 0 else s * rng.uniform(0.2, 0.6) * _phase(rng)
         t = rng.uniform(0.2, 0.7) * _phase(rng)
-        sample = GenfunSample(x=x, terms=terms, t=t, z=z)
         for kind, key, value, check in (("partial_sum", "t", t, check_partial_sum_genfun),
                                         ("laurent", "z", z, check_laurent_genfun)):
-            result = check(system, sample)
+            result = check(system, x, value, terms)
             allowed = result.tail_bound + GENFUN_FLOOR * (1 + abs(result.lhs))
             rows.append({"index": i, "kind": kind, "x": [x.real, x.imag],
                          key: [value.real, value.imag],

@@ -9,6 +9,10 @@ Four kinds are understood:
   and the radius is min_j 1/a_j
 * ``explicit``       -- caller-supplied coefficient list plus radius
 
+A family is written one way, ``FamilySpec(kind, **fields)``.  Its fields
+are stored in one form, so a family written with ints and lists equals,
+hashes and prints as its ``from_json`` twin.
+
 ``family_lambda`` names the exp-binomial exponent parameters; the unrelated
 recurrence quantity lambda_n lives in ``RecurrenceData.recur_lambda``.
 """
@@ -40,7 +44,9 @@ MAX_ORDER = 512
 class FamilySpec:
     """A coefficient family: its kind and only that kind's own fields (:data:`KINDS`).
 
-    A stock kind's radius is derived: 1, infinite or min 1/a_j.
+    Each field is stored in one form: ``b`` and ``radius`` as float, ``a``
+    and ``family_lambda`` as tuples of float, ``coeffs`` as a tuple of
+    complex.  A stock kind's radius is derived: 1, infinite or min 1/a_j.
     """
 
     kind: str
@@ -51,6 +57,11 @@ class FamilySpec:
     radius: float = math.inf
 
     def __post_init__(self):
+        for name, value in (("b", float(self.b)), ("radius", float(self.radius)),
+                            ("a", tuple(map(float, self.a))),
+                            ("family_lambda", tuple(map(float, self.family_lambda))),
+                            ("coeffs", tuple(map(complex, self.coeffs)))):
+            object.__setattr__(self, name, value)
         own = KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if own is None:
             raise InvalidParams(f"unknown family kind {self.kind!r}")
@@ -76,24 +87,6 @@ class FamilySpec:
             if not all(cmath.isfinite(c) for c in self.coeffs):
                 raise InvalidParams("explicit family needs finite coefficients")
 
-    @classmethod
-    def geometric(cls) -> "FamilySpec":
-        return cls(kind="geometric")
-
-    @classmethod
-    def exponential(cls) -> "FamilySpec":
-        return cls(kind="exponential")
-
-    @classmethod
-    def exp_binomial(cls, b: float, a, family_lambda) -> "FamilySpec":
-        return cls(kind="exp-binomial", b=float(b), a=tuple(float(x) for x in a),
-                   family_lambda=tuple(float(x) for x in family_lambda))
-
-    @classmethod
-    def explicit(cls, coeffs, radius: float) -> "FamilySpec":
-        return cls(kind="explicit", coeffs=tuple(complex(c) for c in coeffs),
-                   radius=float(radius))
-
     # -- JSON round trip for the CLI ------------------------------------------
 
     @classmethod
@@ -104,18 +97,18 @@ class FamilySpec:
         kind = obj["kind"]
         try:
             if kind == "exp-binomial":
-                spec = cls.exp_binomial(
-                    as_number(obj.get("b", 0.0), "exp-binomial 'b'"),
-                    [as_number(v, "exp-binomial 'a'") for v in obj["a"]],
-                    [as_number(v, "exp-binomial 'family_lambda'") for v in obj["family_lambda"]])
+                spec = cls(kind, b=as_number(obj.get("b", 0.0), "exp-binomial 'b'"),
+                           a=[as_number(v, "exp-binomial 'a'") for v in obj["a"]],
+                           family_lambda=[as_number(v, "exp-binomial 'family_lambda'")
+                                          for v in obj["family_lambda"]])
             elif kind == "explicit":
                 radius = obj.get("radius")
-                spec = cls.explicit(
-                    [as_number(c, "explicit family needs finite coefficients", pair=True)
-                     for c in obj["coeffs"]],
-                    math.inf if radius is None else as_number(radius, "explicit family 'radius'"))
+                spec = cls(kind, coeffs=[as_number(c, "explicit family needs finite coefficients",
+                                                   pair=True) for c in obj["coeffs"]],
+                           radius=math.inf if radius is None
+                           else as_number(radius, "explicit family 'radius'"))
             else:
-                spec = cls(kind=kind)
+                spec = cls(kind)
         except KeyError as exc:
             raise InvalidParams(f"{kind} family JSON missing {exc}") from exc
         except TypeError as exc:

@@ -25,6 +25,8 @@ Expanding 1/(s - z) gives g_n = s^(-n-1) f_n(x), so
 
 and one Horner pass of f over the nodes serves every n.
 
+Each check takes its point as arguments: ``check_partial_sum_genfun(system,
+x, t, terms)`` and ``check_laurent_genfun(system, x, z, terms, sqrt_x=None)``.
 Evaluations of f go through the truncated source series, so points are
 required to sit inside the convergence disc with a fixed safety margin.
 """
@@ -45,36 +47,11 @@ from .functional import ContourSpec
 from .series import TruncatedPowerSeries
 from .systems import OLPSystem
 
-__all__ = ["GenfunSample", "GenfunCheck", "check_partial_sum_genfun", "check_laurent_genfun",
+__all__ = ["GenfunCheck", "check_partial_sum_genfun", "check_laurent_genfun",
            "rn_all_by_contour", "rn_by_contour"]
 
 RADIUS_MARGIN = 0.95
 POLE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class GenfunSample:
-    """One evaluation point for a generating-function check.
-
-    ``t`` drives the partial-sum identity, ``z`` the Laurent identity.
-    ``sqrt_x`` defaults to the principal square root; pass the other
-    branch explicitly to exercise branch invariance.
-    """
-
-    x: complex
-    terms: int
-    t: complex | None = None
-    z: complex | None = None
-    sqrt_x: complex | None = None
-
-    def __post_init__(self):
-        if self.terms < 0:
-            raise InvalidParams("terms must be >= 0")
-        if self.sqrt_x is None:
-            object.__setattr__(self, "sqrt_x", cmath.sqrt(self.x))
-        err = abs(self.sqrt_x * self.sqrt_x - self.x)
-        if err > 1e-12 * max(1.0, abs(self.x)):
-            raise InvalidParams(f"sqrt_x^2 differs from x by {err:.3e}")
 
 
 @dataclass(frozen=True)
@@ -90,45 +67,54 @@ class GenfunCheck:
             raise TailNotNegligible(f"tail estimate {self.tail_bound} is not finite")
 
 
-def _truncated_check(system: OLPSystem, sample: GenfunSample, lhs: complex, weights,
+def _truncated_check(system: OLPSystem, x: complex, terms: int, lhs: complex, weights,
                      ratio: float, scale: float, lhs_tail: float) -> GenfunCheck:
     """Residual of `lhs` against sum_{n<=terms} f_n(x) weights(n), next to its bound.
 
     |w_n| <= scale ratio^n, ratio < 1; `lhs_tail` bounds the left side's own truncation.
     """
-    if sample.terms > system.K:
-        raise InsufficientOrder(f"system built to K = {system.K}, need {sample.terms}")
+    if terms < 0:
+        raise InvalidParams("terms must be >= 0")
+    if terms > system.K:
+        raise InsufficientOrder(f"system built to K = {system.K}, need {terms}")
     d = system.source.coeffs
-    a = d * np.asarray(sample.x, np.complex128) ** np.arange(d.shape[0])  # d_k x^k, k <= T
-    n = np.arange(sample.terms + 1)
+    a = d * np.asarray(x, np.complex128) ** np.arange(d.shape[0])  # d_k x^k, k <= T
+    n = np.arange(terms + 1)
     rhs = complex(np.dot(np.cumsum(a[:n.shape[0]]), weights(n)))
     bound = scale * float(np.sum(np.abs(a))) * ratio ** n.shape[0] / (1 - ratio) + lhs_tail
     return GenfunCheck(residual=abs(lhs - rhs), tail_bound=bound, lhs=lhs)
 
 
-def check_partial_sum_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck:
+def check_partial_sum_genfun(system: OLPSystem, x: complex, t: complex,
+                             terms: int) -> GenfunCheck:
     """Residual of f(xt)/(1-t) against sum_{n<=terms} f_n(x) t^n."""
-    if sample.t is None:
-        raise InvalidParams("partial-sum check needs sample.t")
-    x, t, f = sample.x, sample.t, system.source
+    f = system.source
     if abs(t) >= 1:
         raise DomainViolation(f"|t| = {abs(t)} must be < 1")
     if not abs(x) <= RADIUS_MARGIN * f.radius:
         raise DomainViolation(f"|x| = {abs(x)} outside margin {RADIUS_MARGIN} * radius")
-    return _truncated_check(system, sample, f(x * t) / (1 - t), lambda n: t ** n,
+    return _truncated_check(system, x, terms, f(x * t) / (1 - t), lambda n: t ** n,
                             abs(t), 1.0, f.tail_bound(abs(x * t)) / abs(1 - t))
 
 
-def check_laurent_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck:
-    """Residual of the two-kernel identity against 2 sum R_n(x) z^n."""
-    if sample.z is None:
-        raise InvalidParams("Laurent check needs sample.z")
-    x, z, s, f = sample.x, sample.z, sample.sqrt_x, system.source
+def check_laurent_genfun(system: OLPSystem, x: complex, z: complex, terms: int,
+                         sqrt_x: complex | None = None) -> GenfunCheck:
+    """Residual of the two-kernel identity against 2 sum R_n(x) z^n.
+
+    ``sqrt_x`` defaults to the principal square root s of x; pass the other
+    branch to exercise branch invariance.  z within POLE_TOL |s| of +-s is
+    refused, a guard scaled to the poles it keeps off.
+    """
+    f = system.source
+    s = cmath.sqrt(x) if sqrt_x is None else sqrt_x
+    err = abs(s * s - x)
+    if err > 1e-12 * max(1.0, abs(x)):
+        raise InvalidParams(f"sqrt_x^2 differs from x by {err:.3e}")
     if x == 0 or not abs(x) <= RADIUS_MARGIN * f.radius:
         raise DomainViolation(f"need 0 < |x| <= {RADIUS_MARGIN} * radius, got |x| = {abs(x)}")
     if not abs(z) < abs(s):
         raise DomainViolation(f"|z| = {abs(z)} must be < |sqrt x| = {abs(s)}")
-    if abs(s - z) < POLE_TOL or abs(s + z) < POLE_TOL:
+    if min(abs(s - z), abs(s + z)) < POLE_TOL * abs(s):
         raise PoleProximity("z too close to +-sqrt(x)")
     lhs = ((s + 1) / (s - z)) * f(s * z) + ((s - 1) / (s + z)) * f(-s * z)
 
@@ -137,7 +123,7 @@ def check_laurent_genfun(system: OLPSystem, sample: GenfunSample) -> GenfunCheck
         return np.cumprod(np.where(n == 0, 2.0, np.where(n % 2, z / x, z)))
 
     prefac = abs((s + 1) / (s - z)) + abs((s - 1) / (s + z))
-    return _truncated_check(system, sample, lhs, ladder, abs(z) / abs(s),
+    return _truncated_check(system, x, terms, lhs, ladder, abs(z) / abs(s),
                             2.0 * max(1.0, 1.0 / abs(s)), prefac * f.tail_bound(abs(s * z)))
 
 

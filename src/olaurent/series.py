@@ -146,7 +146,8 @@ class LaurentPoly:
     def __new__(cls, terms: Mapping[int, complex] | None = None):
         terms = {int(e): c for e, c in (terms or {}).items()}
         lo, hi = min(terms, default=0), max(terms, default=0)
-        return cls.from_coeffs(lo, [terms.get(e, 0.0) for e in range(lo, hi + 1)])
+        num, scale = exact.scaled([terms.get(e, 0.0) for e in range(lo, hi + 1)])
+        return cls.from_exact(lo, num, 1 << scale)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -165,12 +166,6 @@ class LaurentPoly:
         p = object.__new__(cls)
         vars(p).update(lo=lo + i if i < j else 0, numerators=num[i:j], denominator=denominator)
         return p
-
-    @classmethod
-    def from_coeffs(cls, lo: int, coeffs) -> "LaurentPoly":
-        """``sum_i coeffs[i] x^(lo + i)`` for finite complex coeffs, held exactly."""
-        num, scale = exact.scaled(coeffs)
-        return cls.from_exact(lo, num, 1 << scale)
 
     # -- inspection -----------------------------------------------------------
 
@@ -227,7 +222,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            other = LaurentPoly.from_coeffs(0, [other])
+            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = [0] * max(len(self.numerators) + len(other.numerators) - 1, 0)

@@ -6,18 +6,18 @@ from olaurent import FamilySpec, realize
 @pytest.fixture(scope="session")
 def geometric():
     """f = 1/(1-z) truncated at order 64; d_k = 1."""
-    return realize(FamilySpec.geometric(), 64)
+    return realize(FamilySpec("geometric"), 64)
 
 
 @pytest.fixture(scope="session")
 def exponential():
     """f = e^z truncated at order 64; d_k = 1/k!."""
-    return realize(FamilySpec.exponential(), 64)
+    return realize(FamilySpec("exponential"), 64)
 
 
 @pytest.fixture(scope="session")
 def exp_binomial_spec():
-    return FamilySpec.exp_binomial(b=1.0, a=(0.5,), family_lambda=(1.0,))
+    return FamilySpec("exp-binomial", b=1.0, a=(0.5,), family_lambda=(1.0,))
 
 
 @pytest.fixture(scope="session")

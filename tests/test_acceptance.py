@@ -19,7 +19,6 @@ from olaurent import (
     FamilySpec,
     FiniteSystemSpec,
     FunctionalSolve,
-    GenfunSample,
     LaurentPoly,
     RepresentationCondFailed,
     apply_L,
@@ -49,9 +48,9 @@ CONTOUR_RADIUS = {"geometric": 0.5, "exponential": 0.8, "exp-binomial": 0.7}
 
 def families():
     return [
-        ("geometric", FamilySpec.geometric()),
-        ("exponential", FamilySpec.exponential()),
-        ("exp-binomial", FamilySpec.exp_binomial(**EXP_BINOMIAL)),
+        ("geometric", FamilySpec("geometric")),
+        ("exponential", FamilySpec("exponential")),
+        ("exp-binomial", FamilySpec("exp-binomial", **EXP_BINOMIAL)),
     ]
 
 
@@ -107,7 +106,7 @@ def test_criterion_2_contour_route_matches_exact_route():
                 worst = max(worst, abs(quad - exact) / (1 + abs(exact)))
         ok &= worst <= 1e-9
         parts.append(f"{name}: {worst:.3e}")
-    fam = FamilySpec.exp_binomial(**EXP_BINOMIAL)
+    fam = FamilySpec("exp-binomial", **EXP_BINOMIAL)
     src = realize(fam, 64)
     system = build_system(src, N)
     moments = exact_moments(src, N)
@@ -158,7 +157,7 @@ def test_criterion_4_recurrence_route_reproduces_direct_route():
             worst = max(worst, dev / scale)
         ok &= worst <= 1e-11
         parts.append(f"{name}: {worst:.3e}")
-    rd = recurrence_data(realize(FamilySpec.exponential(), K), K)
+    rd = recurrence_data(realize(FamilySpec("exponential"), K), K)
     fact, closed = 1.0, 0.0
     for k in range(1, K + 1):
         fact *= k
@@ -186,25 +185,23 @@ def test_criterion_5_generating_function_residuals_within_tails():
             t = rng.uniform(0.25, 0.7) * phase(rng)
             z = abs(cmath.sqrt(x)) * rng.uniform(0.25, 0.6) * phase(rng)
 
-            ps = check_partial_sum_genfun(system, GenfunSample(x=x, t=t, terms=80))
+            ps = check_partial_sum_genfun(system, x, t, 80)
             floor = 1e-13 * (1 + abs(ps.lhs))
             if ps.residual > ps.tail_bound + floor:
                 bound_fails += 1
             worst_ps = max(worst_ps, ps.residual)
 
             for root in (None, -cmath.sqrt(x)):
-                lp = check_laurent_genfun(
-                    system, GenfunSample(x=x, z=z, terms=80, sqrt_x=root))
+                lp = check_laurent_genfun(system, x, z, 80, sqrt_x=root)
                 floor = 1e-13 * (1 + abs(lp.lhs))
                 if lp.residual > lp.tail_bound + floor:
                     bound_fails += 1
                 worst_lp = max(worst_lp, lp.residual)
 
-            for check in (check_partial_sum_genfun, check_laurent_genfun):
+            for check, point in ((check_partial_sum_genfun, t), (check_laurent_genfun, z)):
                 prev = None
                 for terms in ladder:
-                    sample = GenfunSample(x=x, t=t, z=z, terms=terms)
-                    res = check(system, sample)
+                    res = check(system, x, point, terms)
                     floor = 1e-13 * (1 + abs(res.lhs))
                     if prev is not None and res.residual > prev and res.residual > floor:
                         mono_fails += 1

@@ -332,7 +332,7 @@ def test_a_finite_system_derived_from_a_family_refuses_only_what_it_reads(tmp_pa
     assert rep["config"]["finite_spec"]["g"][1] == [2e-310, 0.0]
     assert rep["moment_residual_max"] <= rep["moment_error_bound"]
     # exponential at 4 n_cap = 172: xi_171 = 171! overflows, g_k = 1/k does not
-    spec = FiniteSystemSpec.from_partial_sums(realize(FamilySpec.exponential(), 172), 43)
+    spec = FiniteSystemSpec.from_partial_sums(realize(FamilySpec("exponential"), 172), 43)
     assert spec.g[170] == pytest.approx(1 / 171, rel=1e-12)   # d_171 is subnormal
     assert spec.f_rec == tuple(0 - v for v in spec.g)
 
@@ -446,8 +446,8 @@ def test_failing_genfun_check_says_why_on_stderr(capsys, monkeypatch):
     # exit 3 used to come with an empty stderr, which the benchmark counts as wrong
     real = cli.check_laurent_genfun
 
-    def missed(system, sample):
-        check = real(system, sample)
+    def missed(system, x, z, terms):
+        check = real(system, x, z, terms)
         return type(check)(residual=check.residual + 1.0, tail_bound=check.tail_bound,
                            lhs=check.lhs)
 
@@ -514,7 +514,7 @@ def test_non_finite_report_exits_3_and_writes_nothing(tmp_path, capsys, monkeypa
                         lambda system, rd: NormalizationReport((bad,), bad, rd.K))
     refused()
     # d_2 alone non-finite, so only the R field, which build encodes itself, holds it
-    clean = realize(FamilySpec.geometric(), 2)
+    clean = realize(FamilySpec("geometric"), 2)
     monkeypatch.setattr(cli, "realize", lambda spec, K: TruncatedPowerSeries([1, 1, bad]))
     monkeypatch.setattr(cli, "recurrence_data", lambda source, K: recurrence_data(clean, K))
     monkeypatch.setattr(cli, "check_normalization",

@@ -41,8 +41,8 @@ from olaurent.errors import (
 
 # f = (1 - 6z)/(1 - z/2): nonzero coefficients, radius 2, and mu_{-m} != 0
 # at every level, so the whole pipeline runs without hitting a = 0
-RATIONAL = FamilySpec.explicit(
-    [1] + [-5.5 * 0.5 ** (k - 1) for k in range(1, 25)], radius=2.0)
+RATIONAL = FamilySpec(
+    "explicit", coeffs=[1] + [-5.5 * 0.5 ** (k - 1) for k in range(1, 25)], radius=2.0)
 
 
 def test_spec_pads_to_full_length():
@@ -118,12 +118,12 @@ def test_derived_spec_reproduces_source_system(geometric):
 
 
 @pytest.mark.parametrize("family, ncap, tol", [
-    (FamilySpec.geometric(), 2, 1e-12),
+    (FamilySpec("geometric"), 2, 1e-12),
     # pivots down to 1/32!: any rounding of Q_k before the solve is
     # amplified far past these tolerances
-    (FamilySpec.exponential(), 4, 1e-15),
-    (FamilySpec.exponential(), 6, 1e-15),
-    (FamilySpec.exponential(), 8, 1e-15),
+    (FamilySpec("exponential"), 4, 1e-15),
+    (FamilySpec("exponential"), 6, 1e-15),
+    (FamilySpec("exponential"), 8, 1e-15),
 ], ids=["geometric-2", "exponential-4", "exponential-6", "exponential-8"])
 def test_solved_moments_match_exact_moments(family, ncap, tol):
     src = realize(family, 4 * ncap)
@@ -273,7 +273,7 @@ def test_orthogonality_survives_the_measure_representation():
     # measure; through it the solved functional must stay diagonal
     ncap = 2
     spec = FiniteSystemSpec.from_partial_sums(
-        realize(FamilySpec.exponential(), 4 * ncap), ncap)
+        realize(FamilySpec("exponential"), 4 * ncap), ncap)
     q = build_Q(spec)
     table = solve_moments(spec, 2 * ncap)
     solve = FunctionalSolve.from_moments(table, 2 * ncap)
@@ -423,7 +423,7 @@ def _complex_fraction(v, den=1):
     return Fraction(v.real) / den, Fraction(v.imag) / den
 
 
-@pytest.mark.parametrize("family, level", [(FamilySpec.exponential(), 3), (RATIONAL, 2)])
+@pytest.mark.parametrize("family, level", [(FamilySpec("exponential"), 3), (RATIONAL, 2)])
 def test_representation_is_the_exact_sum_rounded_once(family, level):
     solve = FunctionalSolve.from_moments(exact_moments(realize(family, 24), 2 * level), level)
     measure = build_atomic_measure(solve.s)

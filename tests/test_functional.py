@@ -160,7 +160,7 @@ def _complex_source(rng, order):
     moduli = rng.uniform(0.5, 1.5, order + 1) * 0.5 ** np.arange(order + 1)
     coeffs = moduli * np.exp(2j * np.pi * rng.uniform(size=order + 1))
     coeffs[0] = 1
-    return realize(FamilySpec.explicit(coeffs, 2.0), order)
+    return realize(FamilySpec("explicit", coeffs=coeffs, radius=2.0), order)
 
 
 def test_a_complex_source_keeps_a_gaussian_table():
@@ -201,7 +201,7 @@ def test_contour_radius_must_sit_inside_disc(geometric):
 
 
 def test_contour_rejects_fat_truncation_tail():
-    short = realize(FamilySpec.geometric(), 20)
+    short = realize(FamilySpec("geometric"), 20)
     with pytest.raises(TailNotNegligible):
         contour_L(LaurentPoly({0: 1}), short, ContourSpec(radius=0.5))
 
@@ -285,12 +285,12 @@ def test_specialized_route_exp_binomial(exp_binomial_spec, exp_binomial):
 
 def test_specialized_route_rejects_other_kinds():
     with pytest.raises(UnsupportedFamily):
-        specialized_L_exp_binomial(LaurentPoly({0: 1}), FamilySpec.geometric())
+        specialized_L_exp_binomial(LaurentPoly({0: 1}), FamilySpec("geometric"))
     for nodes in (4, 10 ** 20):
         with pytest.raises(InvalidParams):
             specialized_L_exp_binomial(
                 LaurentPoly({0: 1}),
-                FamilySpec.exp_binomial(1.0, (0.5,), (1.0,)), nodes=nodes)
+                FamilySpec("exp-binomial", b=1.0, a=(0.5,), family_lambda=(1.0,)), nodes=nodes)
 
 
 def test_two_routes_agree_on_random_polynomials(exp_binomial, exp_binomial_spec):
@@ -386,8 +386,8 @@ def _dense_gram(system, moments):
     return G
 
 
-STOCK = (FamilySpec.geometric(), FamilySpec.exponential(),
-         FamilySpec.exp_binomial(1.0, (0.5,), (1.0,)))
+STOCK = (FamilySpec("geometric"), FamilySpec("exponential"),
+         FamilySpec("exp-binomial", b=1.0, a=(0.5,), family_lambda=(1.0,)))
 
 
 def _assert_bitwise_dense(src, K, moments):

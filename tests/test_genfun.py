@@ -9,7 +9,6 @@ import pytest
 
 from olaurent import FamilySpec, TruncatedPowerSeries, build_system, cli, genfun, kernels, realize
 from olaurent.genfun import (
-    GenfunSample,
     check_laurent_genfun,
     check_partial_sum_genfun,
     rn_all_by_contour,
@@ -26,12 +25,12 @@ from olaurent.errors import (
 
 @pytest.fixture(scope="module")
 def geo_sys():
-    return build_system(realize(FamilySpec.geometric(), 100), 100)
+    return build_system(realize(FamilySpec("geometric"), 100), 100)
 
 
 @pytest.fixture(scope="module")
 def exp_sys():
-    return build_system(realize(FamilySpec.exponential(), 80), 80)
+    return build_system(realize(FamilySpec("exponential"), 80), 80)
 
 
 def floor_of(check):
@@ -43,26 +42,26 @@ def floor_of(check):
 
 @pytest.mark.parametrize("t", [0.2, 0.4, 0.6])
 def test_partial_sum_identity_at_x_zero(exp_sys, t):
-    chk = check_partial_sum_genfun(exp_sys, GenfunSample(x=0.0, terms=80, t=t))
+    chk = check_partial_sum_genfun(exp_sys, 0.0, t, 80)
     assert chk.lhs == pytest.approx(1 / (1 - t), rel=1e-14)
     assert chk.residual <= 1e-13
 
 
 def test_partial_sum_identity_geometric(geo_sys):
-    chk = check_partial_sum_genfun(geo_sys, GenfunSample(x=0.3, terms=40, t=0.4))
+    chk = check_partial_sum_genfun(geo_sys, 0.3, 0.4, 40)
     assert chk.residual <= 1e-10
     assert chk.residual <= chk.tail_bound + floor_of(chk)
 
 
 def test_partial_sum_identity_exponential(exp_sys):
-    chk = check_partial_sum_genfun(exp_sys, GenfunSample(x=1.5, terms=60, t=0.5))
+    chk = check_partial_sum_genfun(exp_sys, 1.5, 0.5, 60)
     assert chk.residual <= 1e-10
 
 
 def test_partial_sum_residual_halves_geometrically(geo_sys):
-    res = {T: check_partial_sum_genfun(geo_sys, GenfunSample(x=0.3, terms=T, t=0.45)).residual
+    res = {T: check_partial_sum_genfun(geo_sys, 0.3, 0.45, T).residual
            for T in (10, 20, 40, 80)}
-    chk = check_partial_sum_genfun(geo_sys, GenfunSample(x=0.3, terms=10, t=0.45))
+    chk = check_partial_sum_genfun(geo_sys, 0.3, 0.45, 10)
     floor = floor_of(chk)
     for T in (10, 20, 40):
         # rate consistent with the geometric factor 0.45^T, generous headroom
@@ -73,35 +72,35 @@ def test_partial_sum_residual_halves_geometrically(geo_sys):
 
 
 def test_laurent_identity_collapses_at_z_zero(exp_sys):
-    chk = check_laurent_genfun(exp_sys, GenfunSample(x=1.0, terms=40, z=0.0))
+    chk = check_laurent_genfun(exp_sys, 1.0, 0.0, 40)
     assert chk.lhs == 2
     assert chk.residual <= 1e-13
 
 
 def test_laurent_identity_geometric(geo_sys):
-    chk = check_laurent_genfun(geo_sys, GenfunSample(x=0.25, terms=60, z=0.2))
+    chk = check_laurent_genfun(geo_sys, 0.25, 0.2, 60)
     assert chk.residual <= 1e-9
     assert chk.residual <= chk.tail_bound + floor_of(chk)
 
 
 def test_laurent_identity_other_branch(geo_sys):
     chk = check_laurent_genfun(
-        geo_sys, GenfunSample(x=0.25, terms=60, z=0.2, sqrt_x=-0.5))
+        geo_sys, 0.25, 0.2, 60, sqrt_x=-0.5)
     assert chk.residual <= 1e-9
 
 
 def test_branch_invariance_of_left_side(geo_sys):
-    a = check_laurent_genfun(geo_sys, GenfunSample(x=0.25 + 0.1j, terms=60, z=0.15))
+    a = check_laurent_genfun(geo_sys, 0.25 + 0.1j, 0.15, 60)
     s = complex(np.sqrt(complex(0.25 + 0.1j)))
     b = check_laurent_genfun(
-        geo_sys, GenfunSample(x=0.25 + 0.1j, terms=60, z=0.15, sqrt_x=-s))
+        geo_sys, 0.25 + 0.1j, 0.15, 60, sqrt_x=-s)
     assert abs(a.lhs - b.lhs) <= 1e-9 * (1 + abs(a.lhs))
 
 
 def test_laurent_residual_shrinks_with_doubling(geo_sys):
-    res = {T: check_laurent_genfun(geo_sys, GenfunSample(x=0.25, terms=T, z=0.2)).residual
+    res = {T: check_laurent_genfun(geo_sys, 0.25, 0.2, T).residual
            for T in (10, 20, 40, 80)}
-    chk = check_laurent_genfun(geo_sys, GenfunSample(x=0.25, terms=10, z=0.2))
+    chk = check_laurent_genfun(geo_sys, 0.25, 0.2, 10)
     floor = floor_of(chk)
     ratio = 0.2 / 0.5
     for T in (10, 20, 40):
@@ -116,9 +115,9 @@ def test_residuals_sit_under_tail_estimate(geo_sys, exp_sys, seed):
         x = rho * rng.uniform(0.25, 0.6) * np.exp(2j * np.pi * rng.uniform())
         t = rng.uniform(0.25, 0.7) * np.exp(2j * np.pi * rng.uniform())
         z = abs(np.sqrt(x)) * rng.uniform(0.25, 0.6) * np.exp(2j * np.pi * rng.uniform())
-        ps = check_partial_sum_genfun(sysK, GenfunSample(x=complex(x), terms=80, t=complex(t)))
+        ps = check_partial_sum_genfun(sysK, complex(x), complex(t), 80)
         assert ps.residual <= ps.tail_bound + floor_of(ps)
-        la = check_laurent_genfun(sysK, GenfunSample(x=complex(x), terms=80, z=complex(z)))
+        la = check_laurent_genfun(sysK, complex(x), complex(z), 80)
         assert la.residual <= la.tail_bound + floor_of(la)
 
 
@@ -129,45 +128,44 @@ def test_dropped_partial_sums_sit_under_the_series_majorant(capsys):
     # against 3.275
     cli.main(["genfun-check", "--terms", "0", "--seed", "0"])
     rows = json.loads(capsys.readouterr().out)["samples"]
-    system = build_system(realize(FamilySpec.geometric(), 64), 0)
+    system = build_system(realize(FamilySpec("geometric"), 64), 0)
     for row in rows:
         key = "t" if row["kind"] == "partial_sum" else "z"
         check = check_partial_sum_genfun if key == "t" else check_laurent_genfun
-        chk = check(system, GenfunSample(x=complex(*row["x"]), terms=0,
-                                         **{key: complex(*row[key])}))
+        chk = check(system, complex(*row["x"]), complex(*row[key]), 0)
         assert chk.residual < chk.tail_bound + floor_of(chk), row
 
 
 # -- domain and parameter guards ----------------------------------------------
 
 
-def test_sample_validation():
-    with pytest.raises(InvalidParams):
-        GenfunSample(x=0.3, terms=-1)
-    with pytest.raises(InvalidParams):
-        GenfunSample(x=0.3, terms=10, sqrt_x=0.9)  # 0.81 != 0.3
+def test_sample_validation(geo_sys):
+    with pytest.raises(InvalidParams, match="terms must be >= 0"):
+        check_partial_sum_genfun(geo_sys, 0.3, 0.4, -1)
+    with pytest.raises(InvalidParams, match="terms must be >= 0"):
+        check_laurent_genfun(geo_sys, 0.3, 0.2, -1)
+    with pytest.raises(InvalidParams, match="sqrt_x"):
+        check_laurent_genfun(geo_sys, 0.3, 0.2, 10, sqrt_x=0.9)  # 0.81 != 0.3
 
 
 def test_partial_sum_guards(geo_sys):
-    with pytest.raises(InvalidParams):
-        check_partial_sum_genfun(geo_sys, GenfunSample(x=0.3, terms=10))  # no t
     with pytest.raises(DomainViolation):
-        check_partial_sum_genfun(geo_sys, GenfunSample(x=0.3, terms=10, t=1.0))
+        check_partial_sum_genfun(geo_sys, 0.3, 1.0, 10)
     with pytest.raises(DomainViolation):
-        check_partial_sum_genfun(geo_sys, GenfunSample(x=0.99, terms=10, t=0.4))
+        check_partial_sum_genfun(geo_sys, 0.99, 0.4, 10)
     with pytest.raises(InsufficientOrder):
-        check_partial_sum_genfun(geo_sys, GenfunSample(x=0.3, terms=101, t=0.4))
+        check_partial_sum_genfun(geo_sys, 0.3, 0.4, 101)
 
 
 def test_laurent_guards(geo_sys):
-    with pytest.raises(InvalidParams):
-        check_laurent_genfun(geo_sys, GenfunSample(x=0.25, terms=10))  # no z
     with pytest.raises(DomainViolation):
-        check_laurent_genfun(geo_sys, GenfunSample(x=0.0, terms=10, z=0.1))
+        check_laurent_genfun(geo_sys, 0.0, 0.1, 10)
     with pytest.raises(DomainViolation):
-        check_laurent_genfun(geo_sys, GenfunSample(x=0.25, terms=10, z=0.6))
+        check_laurent_genfun(geo_sys, 0.25, 0.6, 10)
     with pytest.raises(PoleProximity):
-        check_laurent_genfun(geo_sys, GenfunSample(x=0.25, terms=10, z=0.5 - 1e-8))
+        check_laurent_genfun(geo_sys, 0.25, 0.5 - 1e-8, 10)  # 1e-8 < POLE_TOL |sqrt x|
+    # the pole guard is scaled to |sqrt x|: z = 0 stays clear of +-sqrt(x) at any x
+    assert check_laurent_genfun(geo_sys, 1e-13, 0.0, 10).lhs == pytest.approx(2)
 
 
 # -- coefficient extraction -----------------------------------------------------
@@ -199,7 +197,7 @@ def test_extraction_refuses_an_r_n_that_overflows_without_a_warning(geo_sys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UnrepresentableValue, match=r"coefficient 3 on radius 5e-151 "):
-            rn_all_by_contour(realize(FamilySpec.geometric(), 64), 1e-300, 20)
+            rn_all_by_contour(realize(FamilySpec("geometric"), 64), 1e-300, 20)
 
 
 def test_extraction_guards(geo_sys):
@@ -225,7 +223,7 @@ def test_extraction_guards(geo_sys):
     # past the truncation order the left side is that of the truncated
     # polynomial: R_15 at order 10 would be -1359.858+4613.054i, not the
     # true -1359.887+4613.112i
-    short = realize(FamilySpec.geometric(), 10)
+    short = realize(FamilySpec("geometric"), 10)
     with pytest.raises(InsufficientOrder, match="order 10 < n = 15"):
         rn_by_contour(short, 15, 0.3 + 0.2j)
     with pytest.raises(InsufficientOrder):
@@ -243,10 +241,10 @@ def mp_rn(source, n, x):
 
 
 STOCK_POINTS = [
-    (FamilySpec.geometric(), 0.3), (FamilySpec.geometric(), 0.37 + 0.1j),
-    (FamilySpec.exponential(), 1.1 - 0.4j), (FamilySpec.exponential(), -0.8),
-    (FamilySpec.exp_binomial(1.0, [0.5], [1.0]), 0.6 + 0.2j),
-    (FamilySpec.exp_binomial(1.0, [0.5], [1.0]), -1.2j),
+    (FamilySpec("geometric"), 0.3), (FamilySpec("geometric"), 0.37 + 0.1j),
+    (FamilySpec("exponential"), 1.1 - 0.4j), (FamilySpec("exponential"), -0.8),
+    (FamilySpec("exp-binomial", b=1.0, a=[0.5], family_lambda=[1.0]), 0.6 + 0.2j),
+    (FamilySpec("exp-binomial", b=1.0, a=[0.5], family_lambda=[1.0]), -1.2j),
 ]
 
 

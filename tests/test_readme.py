@@ -30,8 +30,8 @@ from olaurent.cli import main
 
 EXP_BINOMIAL = '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}'
 EB_SMALL_A = '{"kind": "exp-binomial", "a": [0.2], "family_lambda": [0.5]}'
-STOCK = (FamilySpec.geometric(), FamilySpec.exponential(),
-         FamilySpec.exp_binomial(1.0, [0.5], [1.0]))
+STOCK = (FamilySpec("geometric"), FamilySpec("exponential"),
+         FamilySpec("exp-binomial", b=1.0, a=[0.5], family_lambda=[1.0]))
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def test_criterion_8_figures(readme):
 
 def test_criterion_2_geometric_figure(readme):
     # the acceptance gate's worst family: geometric on radius 0.5
-    src = realize(FamilySpec.geometric(), 64)
+    src = realize(FamilySpec("geometric"), 64)
     system, moments = build_system(src, 12), exact_moments(src, 12)
     spec = ContourSpec(radius=0.5, nodes=512)
     worst = 0.0
@@ -98,7 +98,7 @@ def test_criterion_7_moment_residual_figure(readme):
 def test_criterion_6_geometric_figure(readme):
     # the acceptance gate's draws: geometric is its first family
     rng = np.random.default_rng(20260815)
-    src = realize(FamilySpec.geometric(), 64)
+    src = realize(FamilySpec("geometric"), 64)
     system = build_system(src, 20)
     worst = 0.0
     for _ in range(10):

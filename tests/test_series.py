@@ -218,7 +218,7 @@ def test_evaluation_refuses_a_coefficient_with_no_double():
 
 
 def test_non_finite_coefficient_or_scalar_is_refused_when_built():
-    for build in (lambda: LaurentPoly({0: math.inf}), lambda: LaurentPoly.from_coeffs(0, [1.0, math.nan]),
+    for build in (lambda: LaurentPoly({0: math.inf}), lambda: LaurentPoly({0: 1.0, 1: math.nan}),
                   lambda: lp({0: 1.0}) * math.inf):
         with pytest.raises(InvalidParams, match="non-finite value .* has no exact form"):
             build()

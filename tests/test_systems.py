@@ -193,8 +193,8 @@ def test_recurrence_data_is_the_once_rounded_closed_form(family, request):
     assert rd.recur_lambda[2:] == tuple(d[k - 2] / d[k - 1] for k in range(2, 41))
 
 
-FAMILIES = {"geometric": FamilySpec.geometric(), "exponential": FamilySpec.exponential(),
-            "exp_binomial": FamilySpec.exp_binomial(b=1.0, a=(0.5,), family_lambda=(1.0,))}
+FAMILIES = {"geometric": FamilySpec("geometric"), "exponential": FamilySpec("exponential"),
+            "exp_binomial": FamilySpec("exp-binomial", b=1.0, a=(0.5,), family_lambda=(1.0,))}
 
 
 @pytest.mark.parametrize("family", ["geometric", "exponential", "exp_binomial"])
@@ -219,7 +219,8 @@ def _elementwise_normalization(system, rd):
 
 def _random_explicit(seed, K):
     rng = np.random.default_rng(seed)
-    return FamilySpec.explicit([1] + list(rng.normal(size=K) + 1j * rng.normal(size=K)), 1.0)
+    return FamilySpec("explicit", coeffs=[1] + list(rng.normal(size=K) + 1j * rng.normal(size=K)),
+                      radius=1.0)
 
 
 SPECS = {**FAMILIES, **{f"random{s}": _random_explicit(s, 80) for s in range(4)}}
@@ -247,7 +248,7 @@ def test_normalization_rounds_one_coefficient_per_step(monkeypatch):
                         lambda v, den: rounded.append(den) or to_complex(v, den))
     monkeypatch.setattr(systems, "build_by_recurrence", None)
     monkeypatch.setattr(systems, "two_step", None)
-    monkeypatch.setattr(LaurentPoly, "from_coeffs", None)
+    monkeypatch.setattr(LaurentPoly, "from_exact", None)
     assert check_normalization(build_system(src, 30), rd) == want
     assert len(rounded) == 30
 
@@ -305,7 +306,7 @@ def test_normalization_refuses_where_the_recurrence_changes_a_carried_coefficien
     # the refusal is the proof's, not a recurrence run: it must name the first step at which
     # the exact recurrence changes a coefficient it was handed, and pass data where none does
     K = len(d)
-    src = realize(FamilySpec.explicit([1, *d], 1.0), K)
+    src = realize(FamilySpec("explicit", coeffs=[1, *d], radius=1.0), K)
     system, rd = build_system(src, K), recurrence_data(src, K)
     f_rec = list(rd.f_rec)
     for k, unit, step in changes:   # a real or an imaginary change of f^rec_k, k in 1..K
