@@ -20,9 +20,9 @@ polynomials as [exponent, re, im] rows over their nonzero terms;
 ``python -m json.tool report.json`` pretty-prints it.  Each top-level
 key and value is encoded by one ``json.JSONEncoder`` with the settings
 of ``json.dumps(sort_keys=True, separators=(",", ":"), allow_nan=False)``,
-except ``build``'s ``R`` field: there each d_k is encoded once by that
-encoder and its text joined into the rows of every R_n that holds it,
-the same bytes as the encoder gives for the rows.  It is strict JSON: a
+except ``build``'s ``R`` and ``ortho``'s ``gram``: each d_k, or each
+nonzero Gram entry, is encoded once by that encoder and its text joined
+into the field, the same bytes as the encoder gives.  It is strict JSON: a
 report holding a NaN or an infinity is not written, and the run exits 3
 with UnrepresentableValue.  Every report embeds the command, the package
 version and the resolved configuration.
@@ -125,6 +125,20 @@ def _system_text(coeffs) -> str:
     return "[" + ",".join(out) + "]"
 
 
+def _gram_text(G) -> str:
+    """:func:`_json` of ``_pairs(G)`` for a complex128 `G`, encoding only its nonzero entries.
+
+    An entry is zero when both its parts have the bits of +0.0, so a -0.0
+    part is encoded; a zero entry is the literal ``[0.0,0.0]``.
+    """
+    flat, k = G.ravel(), G.shape[1]
+    nonzero = np.flatnonzero(flat.view(np.uint64).reshape(-1, 2).any(axis=1)).tolist()
+    cells = ["[0.0,0.0]"] * flat.size
+    for i, t in zip(nonzero, _json(_pairs(flat[nonzero]))[2:-2].split("],[")):
+        cells[i] = f"[{t}]"
+    return "[[" + "],[".join(",".join(cells[i:i + k]) for i in range(0, flat.size, k)) + "]]"
+
+
 def _moment_rows(table) -> list:
     """[m, re, im] rows of the MomentTable `table`, in ascending m."""
     return [[m, z.real, z.imag] for m in range(-table.window, table.window + 1) for z in (table[m],)]
@@ -170,7 +184,7 @@ def _emit(args, report: dict) -> None:
 
     The report is written key by key in sorted order, each value by
     :func:`_json`; a callable value returns the JSON text of its field
-    (``build``'s ``R``).
+    (``build``'s ``R`` and ``ortho``'s ``gram``).
     """
     report.update(command=args.command, version=__version__)
     # JSON is the one format; report format 2 drops this key
@@ -222,6 +236,8 @@ def cmd_build(args) -> int:
 
 def cmd_ortho(args) -> int:
     order, radius, nodes = args.order, args.radius, args.nodes
+    if "nodes" in args.given and "radius" not in args.given:
+        raise InvalidParams("--nodes counts the contour's nodes: give --radius too, or drop --nodes")
     spec = ContourSpec(radius=radius, nodes=nodes) if radius is not None else None
     # the Gram matrix reads d_0..d_window; only the contour evaluates f
     window = 2 * math.ceil(order / 2)
@@ -234,7 +250,7 @@ def cmd_ortho(args) -> int:
         "config": {"family": args.family.to_json(), "order": order,
                    "contour": ({"radius": radius, "nodes": nodes}
                                if radius is not None else None)},
-        "gram": _pairs(gram),
+        "gram": lambda: _gram_text(gram),
         "diag": _pairs(np.diag(gram)),
         "max_offdiag": float(np.max(abs(gram - np.diag(np.diag(gram))))),
         "min_abs_diag": float(np.min(np.abs(np.diag(gram)))),

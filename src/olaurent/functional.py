@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import repeat
+from operator import add, lshift, mul, sub
 
 import numpy as np
 
@@ -128,7 +129,8 @@ def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
     """Moment table over [-window, window] from the reciprocal series.
 
     The reciprocal coefficients e_m are computed exactly from the double
-    coefficients d_k, e_m over its own denominator 2**T_m with
+    coefficients d_k, each its mantissa over 2**s_k (:func:`~olaurent.exact.split`;
+    53 bits for a real d_k), e_m over its own denominator 2**T_m with
     T_m = max_k (s_k + T_{m-k}), so no bits are spent on a common scale
     until the table is assembled.
     """
@@ -141,8 +143,9 @@ def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
     d, s = zip(*(exact.split(c) for c in source.coeffs[:window + 1]))
     e, T = [1], [0]
     for m in range(1, window + 1):
-        tm = max(s[k] + T[m - k] for k in range(1, m + 1))
-        e.append(-sum((d[k] * e[m - k]) << (tm - s[k] - T[m - k]) for k in range(1, m + 1)))
+        st = list(map(add, s[1:m + 1], T[m - 1::-1]))
+        tm = max(st)
+        e.append(-sum(map(lshift, map(mul, d[1:m + 1], e[m - 1::-1]), map(sub, repeat(tm), st))))
         T.append(tm)
     scale = T[window]
     # ascending m: mu_{-window}..mu_{-1} = e_window..e_1, mu_0 = 1, then
@@ -226,7 +229,9 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
     t_n = t_{n-1}, so R_n = R_{n-1} + d_n x^{n/2} adds one term to the
     previous entry; only odd n start a new sum.  Both sums run exactly
     over the double coefficients d_k and the table's integer moments;
-    each nonzero entry is rounded to a double once.
+    each nonzero entry is rounded to a double once.  The P_m update skips
+    the table's zero moments and forms d_k mu as (mantissa * mu) << (ds - s_k),
+    with d_k = mantissa / 2**s_k (:func:`~olaurent.exact.split`; 53 bits when real).
 
     Entry (n, m) reads P_m[u] on the window W_n = [t_m - floor(n/2),
     t_m + ceil(n/2)], and W_n is W_{n-1} plus one end, so the windows
@@ -242,16 +247,23 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
     if moments.window < need:
         raise WindowExceeded(f"Gram for K = {K} needs moment window >= {need}, "
                              f"have {moments.window}")
-    d, ds = exact.scaled(system.source.coeffs[:K + 1])
+    # d_k = mant[k] / 2**s_k, and d[k] is its numerator over the common 2**ds
+    mant, s = zip(*(exact.split(c) for c in system.source.coeffs[:K + 1]))
+    ds = max(s)
+    sh = [ds - sk for sk in s]
+    d = list(map(lshift, mant, sh))
     w, mu = moments.window, moments.values
     den = moments.denominator << 2 * ds
+    # mu[i] = 0 outside bot <= i <= top: P_m[u] changes only at u = m + w - top..m + w - bot
+    nonzero = [i for i, v in enumerate(mu) if v]
+    bot, top = (nonzero[0], nonzero[-1]) if nonzero else (len(mu), -1)
     # P_m[u] for u = 0..need; n <= m keeps every read at u >= 0
     P = [0] * (need + 1)
     G = np.zeros((K + 1, K + 1), dtype=np.complex128)
     for m in range(K + 1):
-        dm = d[m]
-        for u in range(need + 1):
-            P[u] += dm * mu[m - u + w]
+        mm, sm = mant[m], sh[m]
+        for u in range(max(0, m + w - top), min(need, m + w - bot) + 1):
+            P[u] += (mm * mu[m - u + w]) << sm
         rev = P[::-1]
         tm = (m + 1) // 2
         g = 0   # the entry before the first window holding a nonzero: exactly 0

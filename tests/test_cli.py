@@ -12,13 +12,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import olaurent
-from olaurent import FamilySpec, LaurentPoly, TruncatedPowerSeries, cli, realize
+from olaurent import FamilySpec, LaurentPoly, TruncatedPowerSeries, cli, gram_matrix, realize
 from olaurent.cli import main
+from olaurent.errors import UnrepresentableValue
 from olaurent.families import MAX_ORDER
 from olaurent.finite import FiniteSystemSpec
 from olaurent.systems import NormalizationReport, recurrence_data
@@ -131,6 +133,16 @@ def test_ortho_refuses_contour_node_counts(capsys, nodes):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert "InvalidParams" in err
+
+
+@pytest.mark.parametrize("nodes", ["3", "512"])
+def test_ortho_refuses_nodes_without_a_radius(capsys, nodes):
+    # --nodes used to be ignored without a contour, even a count that
+    # ContourSpec refuses
+    code = main(["ortho", "--order", "2", "--nodes", nodes])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: InvalidParams: ") and "--nodes" in err and "--radius" in err
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -708,6 +720,62 @@ def test_the_r_text_is_json_dumps_of_the_row_form(capsys, name, K):
                               allow_nan=False) + "\n"
     if name == "complex":
         assert ",-0.0]" in text and "1e+300," in text and ",1e-300]" in text
+
+
+# a complex explicit family of 96 coefficients of modulus 2**-k and
+# scattered phases, so K = 80 and a contour at radius 0.8 both fit
+GRAM_TEXT_COMPLEX = json.dumps({"kind": "explicit", "radius": 2.0, "coeffs": [
+    [0.5 ** k * math.cos(2.3 * k * k), 0.5 ** k * math.sin(2.3 * k * k)] for k in range(96)]})
+GRAM_TEXT_FAMILIES = {**{name: R_TEXT_FAMILIES[name] for name in list(R_TEXT_FAMILIES)[:3]},
+                      "complex": GRAM_TEXT_COMPLEX}
+GRAM_TEXT_RADII = {"geometric": "0.5", "exponential": "0.8", "exp-binomial": "0.7",
+                   "complex": "0.8"}
+# 3 x 3 matrices that no exact Gram holds: signed zeros, no nonzero, a NaN, an infinity
+GRAM_TEXT_MATRICES = {
+    "signed-zeros": [[1, -0.0, complex(0, -0.0)], [complex(-0.0, -0.0), -2.5, complex(-0.0, 1e-300)],
+                     [complex(1e300, -0.0), 0, 3j]],
+    "all-zero": [[0] * 3] * 3,
+    "nan": [[1, 0, complex(0, np.nan)], [0, 1, 0], [0, 0, 1]],
+    "inf": [[1, 0, 0], [np.inf, 1, 0], [0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("name, K, contour", [
+    *((name, K, contour) for name in GRAM_TEXT_FAMILIES for K in (0, 1, 2, 20, 80)
+      for contour in (False, True)),
+    *((name, 2, False) for name in GRAM_TEXT_MATRICES)])
+def test_the_gram_text_is_json_dumps_of_the_pair_form(capsys, monkeypatch, name, K, contour):
+    # ortho writes the gram field from one encoding of its nonzero entries;
+    # the report must still be json.dumps of the Gram as [re, im] pairs
+    grams = []
+
+    def recorded_gram(*args):
+        crafted = GRAM_TEXT_MATRICES.get(name)
+        grams.append(gram_matrix(*args) if crafted is None
+                     else np.array(crafted, dtype=np.complex128))
+        return grams[-1]
+
+    monkeypatch.setattr(cli, "gram_matrix", recorded_gram)
+    argv = ["ortho", "--family", GRAM_TEXT_FAMILIES.get(name, "geometric"), "--order", str(K)]
+    code = main(argv + (["--radius", GRAM_TEXT_RADII[name]] if contour else []))
+    text, err = capsys.readouterr()
+    G = grams[0]   # the exact Gram, which the report prints; a contour's is only compared
+    if name in ("nan", "inf"):
+        # refused as json.dumps(allow_nan=False) refuses it, and no report is written
+        assert (code, text) == (3, "")
+        assert err.startswith("error: UnrepresentableValue: ")
+        with pytest.raises(UnrepresentableValue):
+            cli._gram_text(G)
+        return
+    assert code == 0, err
+    assert len(grams) == 1 + contour
+    report = strict_loads(text)
+    report["gram"] = cli._pairs(G)
+    assert text == json.dumps(report, sort_keys=True, separators=(",", ":"),
+                              allow_nan=False) + "\n"
+    assert cli._gram_text(G) == cli._json(cli._pairs(G))
+    if name == "signed-zeros":
+        assert "[[[1.0,0.0],[-0.0,0.0],[0.0,-0.0]],[[-0.0,-0.0]," in text
 
 
 B_HUGE = '{"kind": "exp-binomial", "b": 1e200, "a": [0.5], "family_lambda": [1.0]}'

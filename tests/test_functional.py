@@ -305,6 +305,10 @@ def test_two_routes_agree_on_random_polynomials(exp_binomial, exp_binomial_spec)
         assert abs(specialized_L_exp_binomial(p, exp_binomial_spec) - ex) <= 1e-10 * (1 + abs(ex))
 
 
+STOCK = (FamilySpec("geometric"), FamilySpec("exponential"),
+         FamilySpec("exp-binomial", b=1.0, a=(0.5,), family_lambda=(1.0,)))
+
+
 def _exact_reciprocal(coeffs, order):
     """e_0..e_order of 1/f as (re, im) Fractions, from the d_0 = 1 recursion."""
     d = [(Fraction(c.real), Fraction(c.imag)) for c in map(complex, coeffs)]
@@ -321,11 +325,14 @@ def _exact_reciprocal(coeffs, order):
 
 def test_exact_moments_are_the_rounded_exact_reciprocal():
     rng = np.random.default_rng(3)
-    coeffs = [1.0] + list(rng.normal(size=12) + 1j * rng.normal(size=12))
-    mom = exact_moments(TruncatedPowerSeries(coeffs, radius=1.0), 12)
-    for m, (re, im) in enumerate(_exact_reciprocal(coeffs, 12)):
-        assert mom[-m] == complex(float(re), float(im))
-    assert all(mom[m] == 0j for m in range(1, 13))
+    sources = [TruncatedPowerSeries([1.0] + list(rng.normal(size=n) + 1j * rng.normal(size=n)),
+                                    radius=1.0) for n in (12, 80)]
+    for src in sources + [realize(spec, 80) for spec in STOCK]:
+        window = src.order
+        mom = exact_moments(src, window)
+        for m, (re, im) in enumerate(_exact_reciprocal(src.coeffs, window)):
+            assert mom[-m] == complex(float(re), float(im)), (window, m)
+        assert all(mom[m] == 0j for m in range(1, window + 1))
 
 
 def test_gram_is_exactly_diagonal_for_complex_coefficients():
@@ -386,10 +393,6 @@ def _dense_gram(system, moments):
     return G
 
 
-STOCK = (FamilySpec("geometric"), FamilySpec("exponential"),
-         FamilySpec("exp-binomial", b=1.0, a=(0.5,), family_lambda=(1.0,)))
-
-
 def _assert_bitwise_dense(src, K, moments):
     system = build_system(src, K)
     assert gram_matrix(system, moments).tobytes() == _dense_gram(system, moments).tobytes(), K
@@ -400,6 +403,9 @@ def test_gram_is_bitwise_the_dense_loop_on_exact_tables():
         src = realize(spec, 80)
         for K in (*range(41), 80):
             _assert_bitwise_dense(src, K, exact_moments(src, 2 * math.ceil(K / 2)))
+    # the widest mantissa shifts: exponential d_160 ~ 1/160! is a 53-bit mantissa over 2**998
+    src = realize(STOCK[1], 160)
+    _assert_bitwise_dense(src, 160, exact_moments(src, 160))
     rng = np.random.default_rng(17)
     for K in (0, 1, 2, 5, 12, 25, 40):
         src = _complex_source(rng, 40)
@@ -413,6 +419,17 @@ def test_gram_is_bitwise_the_dense_loop_on_contour_tables(geometric, exponential
     for src, c in ((geometric, 0.5), (exponential, 0.8), (exp_binomial, 0.7), (complex_src, 0.8)):
         for K in (8, 12, 20):
             _assert_bitwise_dense(src, K, contour_moments(src, ContourSpec(radius=c), K))
+
+
+def test_gram_is_bitwise_the_dense_loop_on_single_moment_tables(geometric, exponential):
+    # P_m is updated only where a moment is nonzero: a table whose one
+    # nonzero moment lies at either end, or beyond every m, is no exception
+    for src in (geometric, exponential):
+        for i in range(9):
+            table = MomentTable(window=4, values=tuple(3 * (j == i) for j in range(9)),
+                                denominator=2)
+            for K in (0, 1, 3, 4):
+                _assert_bitwise_dense(src, K, table)
 
 
 def _roundings(monkeypatch, thunk):
