@@ -294,17 +294,19 @@ def cmd_genfun(args) -> int:
     system = build_system(realize(family, _series_order(family, terms)), terms)
     rng = np.random.default_rng(seed)
 
-    rows = []
+    xs, zs, ts = [], [], []
     for i in range(samples):
-        x = min(family.radius, 3.0) * rng.uniform(0.2, 0.6) * _phase(rng)
-        s = x ** 0.5
+        xs.append(min(family.radius, 3.0) * rng.uniform(0.2, 0.6) * _phase(rng))
         # z = 0 collapses the Laurent identity to lhs = 2, a fixed point
         # every run should hit; later samples move away from it.
-        z = 0j if i == 0 else s * rng.uniform(0.2, 0.6) * _phase(rng)
-        t = rng.uniform(0.2, 0.7) * _phase(rng)
-        for kind, key, value, check in (("partial_sum", "t", t, check_partial_sum_genfun),
-                                        ("laurent", "z", z, check_laurent_genfun)):
-            result = check(system, x, value, terms)
+        zs.append(0j if i == 0 else xs[-1] ** 0.5 * rng.uniform(0.2, 0.6) * _phase(rng))
+        ts.append(rng.uniform(0.2, 0.7) * _phase(rng))
+    partial = check_partial_sum_genfun(system, xs, ts, terms)
+    laurent = check_laurent_genfun(system, xs, zs, terms)
+    rows = []
+    for i, x in enumerate(xs):
+        for kind, key, value, result in (("partial_sum", "t", ts[i], partial[i]),
+                                         ("laurent", "z", zs[i], laurent[i])):
             allowed = result.tail_bound + GENFUN_FLOOR * (1 + abs(result.lhs))
             rows.append({"index": i, "kind": kind, "x": [x.real, x.imag],
                          key: [value.real, value.imag],

@@ -25,10 +25,11 @@ Expanding 1/(s - z) gives g_n = s^(-n-1) f_n(x), so
 
 and one Horner pass of f over the nodes serves every n.
 
-Each check takes its point as arguments: ``check_partial_sum_genfun(system,
-x, t, terms)`` and ``check_laurent_genfun(system, x, z, terms, sqrt_x=None)``.
-Evaluations of f go through the truncated source series, so points are
-required to sit inside the convergence disc with a fixed safety margin.
+Each check takes equal-length sequences of points, ``check_partial_sum_genfun(system, xs,
+ts, terms)`` and ``check_laurent_genfun(system, xs, zs, terms, sqrt_xs=None)``, and returns
+one :class:`GenfunCheck` per point, in order; a guard names the index of the point it
+refuses.  Evaluations of f go through the truncated source series, so points are required
+to sit inside the convergence disc with a fixed safety margin.
 """
 
 from __future__ import annotations
@@ -67,64 +68,81 @@ class GenfunCheck:
             raise TailNotNegligible(f"tail estimate {self.tail_bound} is not finite")
 
 
-def _truncated_check(system: OLPSystem, x: complex, terms: int, lhs: complex, weights,
-                     ratio: float, scale: float, lhs_tail: float) -> GenfunCheck:
-    """Residual of `lhs` against sum_{n<=terms} f_n(x) weights(n), next to its bound.
+def _truncated_check(system: OLPSystem, xs, terms: int, lhs, weights, bounds) -> list[GenfunCheck]:
+    """Residual of each lhs[i] against sum_{n<=terms} f_n(x_i) weights(n)[i, n], and its bound.
 
-    |w_n| <= scale ratio^n, ratio < 1; `lhs_tail` bounds the left side's own truncation.
+    bounds[i] = (ratio, scale, lhs_tail): |w_n| <= scale ratio^n, ratio < 1, and
+    `lhs_tail` bounds the left side's own truncation.  Each point is summed in its
+    own row, as a batch of one sums it.
     """
     if terms < 0:
         raise InvalidParams("terms must be >= 0")
     if terms > system.K:
         raise InsufficientOrder(f"system built to K = {system.K}, need {terms}")
     d = system.source.coeffs
-    a = d * np.asarray(x, np.complex128) ** np.arange(d.shape[0])  # d_k x^k, k <= T
-    n = np.arange(terms + 1)
-    rhs = complex(np.dot(np.cumsum(a[:n.shape[0]]), weights(n)))
-    bound = scale * float(np.sum(np.abs(a))) * ratio ** n.shape[0] / (1 - ratio) + lhs_tail
-    return GenfunCheck(residual=abs(lhs - rhs), tail_bound=bound, lhs=lhs)
+    a = d * np.asarray(xs, np.complex128)[:, None] ** np.arange(d.shape[0])  # d_k x^k, k <= T
+    # np.dot sums a strided row in another order, so each row is contiguous
+    rows = zip(lhs, np.cumsum(a[:, :terms + 1], axis=1),
+               np.ascontiguousarray(weights(np.arange(terms + 1))),
+               np.sum(np.abs(a), axis=1).tolist(), bounds)
+    return [GenfunCheck(residual=abs(y - complex(np.dot(partial, w))), lhs=y,
+                        tail_bound=scale * majorant * ratio ** (terms + 1) / (1 - ratio) + tail)
+            for y, partial, w, majorant, (ratio, scale, tail) in rows]
 
 
-def check_partial_sum_genfun(system: OLPSystem, x: complex, t: complex,
-                             terms: int) -> GenfunCheck:
-    """Residual of f(xt)/(1-t) against sum_{n<=terms} f_n(x) t^n."""
+def _points(*columns) -> list[tuple]:
+    """One tuple per point of equal-length sequences."""
+    if len({len(c) for c in columns}) > 1:
+        raise InvalidParams(f"point sequences differ in length: {[len(c) for c in columns]}")
+    return list(zip(*columns))
+
+
+def check_partial_sum_genfun(system: OLPSystem, xs, ts, terms: int) -> list[GenfunCheck]:
+    """Residual of f(xt)/(1-t) against sum_{n<=terms} f_n(x) t^n at each point (x, t)."""
     f = system.source
-    if abs(t) >= 1:
-        raise DomainViolation(f"|t| = {abs(t)} must be < 1")
-    if not abs(x) <= RADIUS_MARGIN * f.radius:
-        raise DomainViolation(f"|x| = {abs(x)} outside margin {RADIUS_MARGIN} * radius")
-    return _truncated_check(system, x, terms, f(x * t) / (1 - t), lambda n: t ** n,
-                            abs(t), 1.0, f.tail_bound(abs(x * t)) / abs(1 - t))
+    lhs = []
+    for i, (x, t) in enumerate(_points(xs, ts)):
+        if not abs(t) < 1:
+            raise DomainViolation(f"point {i}: |t| = {abs(t)} must be < 1")
+        if not abs(x) <= RADIUS_MARGIN * f.radius:
+            raise DomainViolation(f"point {i}: |x| = {abs(x)} outside margin "
+                                  f"{RADIUS_MARGIN} * radius")
+        lhs.append(f(x * t) / (1 - t))
+    tails = f.tail_bound(np.array([abs(x * t) for x, t in zip(xs, ts)])).tolist()
+    return _truncated_check(system, xs, terms, lhs,
+                            lambda n: np.asarray(ts, np.complex128)[:, None] ** n,
+                            [(abs(t), 1.0, tail / abs(1 - t)) for t, tail in zip(ts, tails)])
 
 
-def check_laurent_genfun(system: OLPSystem, x: complex, z: complex, terms: int,
-                         sqrt_x: complex | None = None) -> GenfunCheck:
-    """Residual of the two-kernel identity against 2 sum R_n(x) z^n.
+def check_laurent_genfun(system: OLPSystem, xs, zs, terms: int, sqrt_xs=None) -> list[GenfunCheck]:
+    """Residual of the two-kernel identity against 2 sum R_n(x) z^n at each point (x, z).
 
-    ``sqrt_x`` defaults to the principal square root s of x; pass the other
-    branch to exercise branch invariance.  z within POLE_TOL |s| of +-s is
-    refused, a guard scaled to the poles it keeps off.
+    ``sqrt_xs`` defaults to the principal square roots s of the x; pass other branches to
+    exercise branch invariance.  A given root must square to x within 1e-12 |x|.  z within
+    POLE_TOL |s| of +-s is refused, a guard scaled to the poles it keeps off.
     """
     f = system.source
-    s = cmath.sqrt(x) if sqrt_x is None else sqrt_x
-    err = abs(s * s - x)
-    if err > 1e-12 * max(1.0, abs(x)):
-        raise InvalidParams(f"sqrt_x^2 differs from x by {err:.3e}")
-    if x == 0 or not abs(x) <= RADIUS_MARGIN * f.radius:
-        raise DomainViolation(f"need 0 < |x| <= {RADIUS_MARGIN} * radius, got |x| = {abs(x)}")
-    if not abs(z) < abs(s):
-        raise DomainViolation(f"|z| = {abs(z)} must be < |sqrt x| = {abs(s)}")
-    if min(abs(s - z), abs(s + z)) < POLE_TOL * abs(s):
-        raise PoleProximity("z too close to +-sqrt(x)")
-    lhs = ((s + 1) / (s - z)) * f(s * z) + ((s - 1) / (s + z)) * f(-s * z)
-
-    def ladder(n):
-        # 2 R_n(x) z^n = f_n(x) w_n: steps z/x (odd n) and z (even n) never overflow
-        return np.cumprod(np.where(n == 0, 2.0, np.where(n % 2, z / x, z)))
-
-    prefac = abs((s + 1) / (s - z)) + abs((s - 1) / (s + z))
-    return _truncated_check(system, x, terms, lhs, ladder, abs(z) / abs(s),
-                            2.0 * max(1.0, 1.0 / abs(s)), prefac * f.tail_bound(abs(s * z)))
+    roots = [cmath.sqrt(x) for x in xs] if sqrt_xs is None else sqrt_xs
+    lhs, prefacs = [], []
+    for i, (x, z, s) in enumerate(_points(xs, zs, roots)):
+        if sqrt_xs is not None and (err := abs(s * s - x)) > 1e-12 * abs(x):
+            raise InvalidParams(f"point {i}: sqrt_x^2 differs from x by {err:.3e}")
+        if x == 0 or not abs(x) <= RADIUS_MARGIN * f.radius:
+            raise DomainViolation(f"point {i}: need 0 < |x| <= {RADIUS_MARGIN} * radius, "
+                                  f"got |x| = {abs(x)}")
+        if not abs(z) < abs(s):
+            raise DomainViolation(f"point {i}: |z| = {abs(z)} must be < |sqrt x| = {abs(s)}")
+        if min(abs(s - z), abs(s + z)) < POLE_TOL * abs(s):
+            raise PoleProximity(f"point {i}: z too close to +-sqrt(x)")
+        lhs.append(((s + 1) / (s - z)) * f(s * z) + ((s - 1) / (s + z)) * f(-s * z))
+        prefacs.append(abs((s + 1) / (s - z)) + abs((s - 1) / (s + z)))
+    tails = f.tail_bound(np.array([abs(s * z) for z, s in zip(zs, roots)])).tolist()
+    # 2 R_n(x) z^n = f_n(x) w_n: the ladder's steps z/x (odd n) and z (even n) never overflow
+    steps = np.array([(2.0, z / x, z) for x, z in zip(xs, zs)], np.complex128).reshape(-1, 3)
+    return _truncated_check(system, xs, terms, lhs,
+                            lambda n: np.cumprod(steps[:, np.where(n == 0, 0, 2 - n % 2)], axis=1),
+                            [(abs(z) / abs(s), 2.0 * max(1.0, 1.0 / abs(s)), p * tail)
+                             for z, s, p, tail in zip(zs, roots, prefacs, tails)])
 
 
 @functools.lru_cache(maxsize=8)

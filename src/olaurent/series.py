@@ -95,25 +95,25 @@ class TruncatedPowerSeries:
             return kernels.eval_poly(self.coeffs, np.ascontiguousarray(z, dtype=np.complex128))
         return kernels.eval_poly(self.coeffs, complex(z))
 
-    def tail_bound(self, s: float) -> float:
-        """Estimated magnitude of the dropped tail at ``|z| = s``.
+    def tail_bound(self, s):
+        """Estimated magnitude of the dropped tail at ``|z| = s``; ``s`` may be an array.
 
         Extrapolates geometrically from the trailing retained terms: with
-        t_k = |d_k| s^k and q the largest of the last few ratios t_k/t_{k-1},
-        the estimate is t_T q/(1-q), or ``inf`` when q >= 1.
+        t_k = |d_k| s^k and q the largest of the last min(8, T) ratios
+        t_k/t_{k-1}, the estimate is t_T q/(1-q), or ``inf`` when q >= 1.
+        Only those last terms are formed.  A float radius gives a float.
         """
-        t = np.abs(self.coeffs) * float(s) ** np.arange(self.coeffs.shape[0])
-        if self.order == 0:
-            return 0.0
         w = min(8, self.order)
-        num, den = t[-w:], t[-w - 1:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.asarray(s, dtype=np.float64)
+        k = np.arange(self.order - w, self.order + 1)
+        t = np.abs(self.coeffs[k]) * s[..., None] ** k
+        num, den = t[..., 1:], t[..., :-1]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratios = np.where(den > 0, num / np.where(den > 0, den, 1.0),
                               np.where(num > 0, np.inf, 0.0))
-        q = float(np.max(ratios))
-        if not q < 1.0:
-            return math.inf
-        return float(t[-1]) * q / (1.0 - q)
+            q = np.max(ratios, axis=-1, initial=0.0)  # T = 0: no ratio, estimate 0
+            bound = np.where(q < 1.0, t[..., -1] * q / (1.0 - q), math.inf)
+        return bound if bound.ndim else float(bound)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedPowerSeries):

@@ -185,14 +185,14 @@ def test_criterion_5_generating_function_residuals_within_tails():
             t = rng.uniform(0.25, 0.7) * phase(rng)
             z = abs(cmath.sqrt(x)) * rng.uniform(0.25, 0.6) * phase(rng)
 
-            ps = check_partial_sum_genfun(system, x, t, 80)
+            ps, = check_partial_sum_genfun(system, [x], [t], 80)
             floor = 1e-13 * (1 + abs(ps.lhs))
             if ps.residual > ps.tail_bound + floor:
                 bound_fails += 1
             worst_ps = max(worst_ps, ps.residual)
 
-            for root in (None, -cmath.sqrt(x)):
-                lp = check_laurent_genfun(system, x, z, 80, sqrt_x=root)
+            for roots in (None, [-cmath.sqrt(x)]):
+                lp, = check_laurent_genfun(system, [x], [z], 80, sqrt_xs=roots)
                 floor = 1e-13 * (1 + abs(lp.lhs))
                 if lp.residual > lp.tail_bound + floor:
                     bound_fails += 1
@@ -201,7 +201,7 @@ def test_criterion_5_generating_function_residuals_within_tails():
             for check, point in ((check_partial_sum_genfun, t), (check_laurent_genfun, z)):
                 prev = None
                 for terms in ladder:
-                    res = check(system, x, point, terms)
+                    res, = check(system, [x], [point], terms)
                     floor = 1e-13 * (1 + abs(res.lhs))
                     if prev is not None and res.residual > prev and res.residual > floor:
                         mono_fails += 1

@@ -458,10 +458,9 @@ def test_failing_genfun_check_says_why_on_stderr(capsys, monkeypatch):
     # exit 3 used to come with an empty stderr, which the benchmark counts as wrong
     real = cli.check_laurent_genfun
 
-    def missed(system, x, z, terms):
-        check = real(system, x, z, terms)
-        return type(check)(residual=check.residual + 1.0, tail_bound=check.tail_bound,
-                           lhs=check.lhs)
+    def missed(system, xs, zs, terms):
+        return [type(check)(residual=check.residual + 1.0, tail_bound=check.tail_bound,
+                            lhs=check.lhs) for check in real(system, xs, zs, terms)]
 
     monkeypatch.setattr(cli, "check_laurent_genfun", missed)
     code = main(["genfun-check", "--family", "exponential", "--samples", "3", "--terms", "30"])

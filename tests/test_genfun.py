@@ -42,26 +42,26 @@ def floor_of(check):
 
 @pytest.mark.parametrize("t", [0.2, 0.4, 0.6])
 def test_partial_sum_identity_at_x_zero(exp_sys, t):
-    chk = check_partial_sum_genfun(exp_sys, 0.0, t, 80)
+    chk, = check_partial_sum_genfun(exp_sys, [0.0], [t], 80)
     assert chk.lhs == pytest.approx(1 / (1 - t), rel=1e-14)
     assert chk.residual <= 1e-13
 
 
 def test_partial_sum_identity_geometric(geo_sys):
-    chk = check_partial_sum_genfun(geo_sys, 0.3, 0.4, 40)
+    chk, = check_partial_sum_genfun(geo_sys, [0.3], [0.4], 40)
     assert chk.residual <= 1e-10
     assert chk.residual <= chk.tail_bound + floor_of(chk)
 
 
 def test_partial_sum_identity_exponential(exp_sys):
-    chk = check_partial_sum_genfun(exp_sys, 1.5, 0.5, 60)
+    chk, = check_partial_sum_genfun(exp_sys, [1.5], [0.5], 60)
     assert chk.residual <= 1e-10
 
 
 def test_partial_sum_residual_halves_geometrically(geo_sys):
-    res = {T: check_partial_sum_genfun(geo_sys, 0.3, 0.45, T).residual
+    res = {T: check_partial_sum_genfun(geo_sys, [0.3], [0.45], T)[0].residual
            for T in (10, 20, 40, 80)}
-    chk = check_partial_sum_genfun(geo_sys, 0.3, 0.45, 10)
+    chk, = check_partial_sum_genfun(geo_sys, [0.3], [0.45], 10)
     floor = floor_of(chk)
     for T in (10, 20, 40):
         # rate consistent with the geometric factor 0.45^T, generous headroom
@@ -72,35 +72,33 @@ def test_partial_sum_residual_halves_geometrically(geo_sys):
 
 
 def test_laurent_identity_collapses_at_z_zero(exp_sys):
-    chk = check_laurent_genfun(exp_sys, 1.0, 0.0, 40)
+    chk, = check_laurent_genfun(exp_sys, [1.0], [0.0], 40)
     assert chk.lhs == 2
     assert chk.residual <= 1e-13
 
 
 def test_laurent_identity_geometric(geo_sys):
-    chk = check_laurent_genfun(geo_sys, 0.25, 0.2, 60)
+    chk, = check_laurent_genfun(geo_sys, [0.25], [0.2], 60)
     assert chk.residual <= 1e-9
     assert chk.residual <= chk.tail_bound + floor_of(chk)
 
 
 def test_laurent_identity_other_branch(geo_sys):
-    chk = check_laurent_genfun(
-        geo_sys, 0.25, 0.2, 60, sqrt_x=-0.5)
+    chk, = check_laurent_genfun(geo_sys, [0.25], [0.2], 60, sqrt_xs=[-0.5])
     assert chk.residual <= 1e-9
 
 
 def test_branch_invariance_of_left_side(geo_sys):
-    a = check_laurent_genfun(geo_sys, 0.25 + 0.1j, 0.15, 60)
+    a, = check_laurent_genfun(geo_sys, [0.25 + 0.1j], [0.15], 60)
     s = complex(np.sqrt(complex(0.25 + 0.1j)))
-    b = check_laurent_genfun(
-        geo_sys, 0.25 + 0.1j, 0.15, 60, sqrt_x=-s)
+    b, = check_laurent_genfun(geo_sys, [0.25 + 0.1j], [0.15], 60, sqrt_xs=[-s])
     assert abs(a.lhs - b.lhs) <= 1e-9 * (1 + abs(a.lhs))
 
 
 def test_laurent_residual_shrinks_with_doubling(geo_sys):
-    res = {T: check_laurent_genfun(geo_sys, 0.25, 0.2, T).residual
+    res = {T: check_laurent_genfun(geo_sys, [0.25], [0.2], T)[0].residual
            for T in (10, 20, 40, 80)}
-    chk = check_laurent_genfun(geo_sys, 0.25, 0.2, 10)
+    chk, = check_laurent_genfun(geo_sys, [0.25], [0.2], 10)
     floor = floor_of(chk)
     ratio = 0.2 / 0.5
     for T in (10, 20, 40):
@@ -115,9 +113,9 @@ def test_residuals_sit_under_tail_estimate(geo_sys, exp_sys, seed):
         x = rho * rng.uniform(0.25, 0.6) * np.exp(2j * np.pi * rng.uniform())
         t = rng.uniform(0.25, 0.7) * np.exp(2j * np.pi * rng.uniform())
         z = abs(np.sqrt(x)) * rng.uniform(0.25, 0.6) * np.exp(2j * np.pi * rng.uniform())
-        ps = check_partial_sum_genfun(sysK, complex(x), complex(t), 80)
+        ps, = check_partial_sum_genfun(sysK, [complex(x)], [complex(t)], 80)
         assert ps.residual <= ps.tail_bound + floor_of(ps)
-        la = check_laurent_genfun(sysK, complex(x), complex(z), 80)
+        la, = check_laurent_genfun(sysK, [complex(x)], [complex(z)], 80)
         assert la.residual <= la.tail_bound + floor_of(la)
 
 
@@ -132,8 +130,55 @@ def test_dropped_partial_sums_sit_under_the_series_majorant(capsys):
     for row in rows:
         key = "t" if row["kind"] == "partial_sum" else "z"
         check = check_partial_sum_genfun if key == "t" else check_laurent_genfun
-        chk = check(system, complex(*row["x"]), complex(*row[key]), 0)
+        chk, = check(system, [complex(*row["x"])], [complex(*row[key])], 0)
         assert chk.residual < chk.tail_bound + floor_of(chk), row
+
+
+COMPLEX_EXPLICIT = FamilySpec("explicit", radius=1.25, coeffs=[1.0] + [
+    complex(0.8 ** k * np.exp(1j * k)) for k in range(1, 90)])
+BATCH_FAMILIES = [FamilySpec("geometric"), FamilySpec("exponential"),
+                  FamilySpec("exp-binomial", b=1.0, a=[0.5], family_lambda=[1.0]), COMPLEX_EXPLICIT]
+
+
+def bits(check):
+    return np.array([check.residual, check.tail_bound, check.lhs]).tobytes()
+
+
+@pytest.mark.parametrize("terms", [0, 8, 80])
+@pytest.mark.parametrize("family", BATCH_FAMILIES, ids=["geometric", "exponential",
+                                                         "exp-binomial", "complex-explicit"])
+def test_a_batch_is_its_one_point_checks_bitwise(family, terms):
+    system = build_system(realize(family, cli._series_order(family, terms)), terms)
+    rng = np.random.default_rng(terms)
+    xs = [min(family.radius, 3.0) * rng.uniform(0.2, 0.6) * cli._phase(rng) for _ in range(20)]
+    ts = [rng.uniform(0.2, 0.7) * cli._phase(rng) for _ in xs]
+    zs = [0j] + [x ** 0.5 * rng.uniform(0.2, 0.6) * cli._phase(rng) for x in xs[1:]]
+    roots = [-(x ** 0.5) for x in xs]
+    for check, points, kwargs in ((check_partial_sum_genfun, ts, {}),
+                                  (check_laurent_genfun, zs, {}),
+                                  (check_laurent_genfun, zs, {"sqrt_xs": roots})):
+        batch = check(system, xs, points, terms, **kwargs)
+        assert len(batch) == len(xs)
+        for i, got in enumerate(batch):
+            one = {k: [v[i]] for k, v in kwargs.items()}
+            assert bits(got) == bits(check(system, [xs[i]], [points[i]], terms, **one)[0]), i
+
+
+@pytest.mark.parametrize("terms", [0, 8, 80])
+@pytest.mark.parametrize("flag", [
+    "geometric", '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}',
+], ids=["geometric", "exp-binomial"])
+def test_each_report_row_is_its_one_point_check_bitwise(capsys, flag, terms):
+    assert cli.main(["genfun-check", "--family", flag, "--terms", str(terms), "--seed", "3"]) == 0
+    rows = json.loads(capsys.readouterr().out)["samples"]
+    family = cli._family_flag(flag)
+    system = build_system(realize(family, cli._series_order(family, terms)), terms)
+    for row in rows:
+        key = "t" if row["kind"] == "partial_sum" else "z"
+        check = check_partial_sum_genfun if key == "t" else check_laurent_genfun
+        chk, = check(system, [complex(*row["x"])], [complex(*row[key])], terms)
+        bound = chk.tail_bound + cli.GENFUN_FLOOR * (1 + abs(chk.lhs))
+        assert (row["residual"].hex(), row["bound"].hex()) == (chk.residual.hex(), bound.hex()), row
 
 
 # -- domain and parameter guards ----------------------------------------------
@@ -141,31 +186,56 @@ def test_dropped_partial_sums_sit_under_the_series_majorant(capsys):
 
 def test_sample_validation(geo_sys):
     with pytest.raises(InvalidParams, match="terms must be >= 0"):
-        check_partial_sum_genfun(geo_sys, 0.3, 0.4, -1)
+        check_partial_sum_genfun(geo_sys, [0.3], [0.4], -1)
     with pytest.raises(InvalidParams, match="terms must be >= 0"):
-        check_laurent_genfun(geo_sys, 0.3, 0.2, -1)
+        check_laurent_genfun(geo_sys, [0.3], [0.2], -1)
     with pytest.raises(InvalidParams, match="sqrt_x"):
-        check_laurent_genfun(geo_sys, 0.3, 0.2, 10, sqrt_x=0.9)  # 0.81 != 0.3
+        check_laurent_genfun(geo_sys, [0.3], [0.2], 10, sqrt_xs=[0.9])  # 0.81 != 0.3
+    # the root guard is scaled to |x|: 1e-7 squares to 1e-14, not 1e-13, and
+    # against max(1, |x|) it passed, to a residual 1.23e7 against a bound 1.95e4
+    with pytest.raises(InvalidParams, match="point 0: sqrt_x"):
+        check_laurent_genfun(geo_sys, [1e-13], [5e-8], 10, sqrt_xs=[1e-7])
+    with pytest.raises(InvalidParams, match=r"differ in length: \[2, 1\]"):
+        check_partial_sum_genfun(geo_sys, [0.3, 0.2], [0.4], 10)
 
 
 def test_partial_sum_guards(geo_sys):
     with pytest.raises(DomainViolation):
-        check_partial_sum_genfun(geo_sys, 0.3, 1.0, 10)
+        check_partial_sum_genfun(geo_sys, [0.3], [1.0], 10)
     with pytest.raises(DomainViolation):
-        check_partial_sum_genfun(geo_sys, 0.99, 0.4, 10)
+        check_partial_sum_genfun(geo_sys, [0.99], [0.4], 10)
     with pytest.raises(InsufficientOrder):
-        check_partial_sum_genfun(geo_sys, 0.3, 0.4, 101)
+        check_partial_sum_genfun(geo_sys, [0.3], [0.4], 101)
+    # a NaN t is refused for its domain, as a NaN x is; it used to reach the
+    # tail estimate and end in TailNotNegligible ("tail estimate nan")
+    with pytest.raises(DomainViolation, match=r"point 0: \|t\| = nan"):
+        check_partial_sum_genfun(geo_sys, [0.3], [complex("nan")], 10)
+
+
+def test_a_batch_guard_names_its_first_offending_point(geo_sys):
+    xs, ts, zs = [0.3, 0.2, 0.25, 0.3, 0.1, 0.3], [0.4] * 6, [0.1] * 6
+    with pytest.raises(DomainViolation, match=r"point 3: \|t\| = 1.5"):
+        check_partial_sum_genfun(geo_sys, xs, ts[:3] + [1.5, 0.4, 1.5], 10)
+    with pytest.raises(DomainViolation, match=r"point 3: \|x\| = 0.99"):
+        check_partial_sum_genfun(geo_sys, xs[:3] + [0.99, 0.1, 0.99], ts, 10)
+    with pytest.raises(DomainViolation, match=r"point 3: \|z\| = 0.6"):
+        check_laurent_genfun(geo_sys, xs, zs[:3] + [0.6, 0.1, 0.6], 10)
+    with pytest.raises(PoleProximity, match="point 3: "):
+        check_laurent_genfun(geo_sys, [0.25] * 6, zs[:3] + [0.5 - 1e-8, 0.1, 0.5 - 1e-8], 10)
+    roots = [x ** 0.5 for x in xs]
+    with pytest.raises(InvalidParams, match="point 3: sqrt_x"):
+        check_laurent_genfun(geo_sys, xs, zs, 10, sqrt_xs=roots[:3] + [0.9, 0.1, 0.9])
 
 
 def test_laurent_guards(geo_sys):
     with pytest.raises(DomainViolation):
-        check_laurent_genfun(geo_sys, 0.0, 0.1, 10)
+        check_laurent_genfun(geo_sys, [0.0], [0.1], 10)
     with pytest.raises(DomainViolation):
-        check_laurent_genfun(geo_sys, 0.25, 0.6, 10)
+        check_laurent_genfun(geo_sys, [0.25], [0.6], 10)
     with pytest.raises(PoleProximity):
-        check_laurent_genfun(geo_sys, 0.25, 0.5 - 1e-8, 10)  # 1e-8 < POLE_TOL |sqrt x|
+        check_laurent_genfun(geo_sys, [0.25], [0.5 - 1e-8], 10)  # 1e-8 < POLE_TOL |sqrt x|
     # the pole guard is scaled to |sqrt x|: z = 0 stays clear of +-sqrt(x) at any x
-    assert check_laurent_genfun(geo_sys, 1e-13, 0.0, 10).lhs == pytest.approx(2)
+    assert check_laurent_genfun(geo_sys, [1e-13], [0.0], 10)[0].lhs == pytest.approx(2)
 
 
 # -- coefficient extraction -----------------------------------------------------

@@ -127,6 +127,37 @@ def test_tail_bound_shrinks_with_radius():
     assert geo.tail_bound(0.25) < geo.tail_bound(0.5) < geo.tail_bound(0.8)
 
 
+def every_term_tail_bound(series, s):
+    """The estimate with every t_k = |d_k| s^k formed: the reference for the last-terms form."""
+    t = np.abs(series.coeffs) * float(s) ** np.arange(series.coeffs.shape[0])
+    if series.order == 0:
+        return 0.0
+    w = min(8, series.order)
+    num, den = t[-w:], t[-w - 1:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(den > 0, num / np.where(den > 0, den, 1.0),
+                          np.where(num > 0, np.inf, 0.0))
+    q = float(np.max(ratios))
+    return math.inf if not q < 1.0 else float(t[-1]) * q / (1.0 - q)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1.0], [1.0, 0.5], 0.5 ** np.arange(81), 1 / np.cumprod(np.r_[1.0, np.arange(1.0, 81)]),
+    np.r_[1.0, 0.5 ** np.arange(1, 40), 0.0, 0.0], 1.5 ** np.arange(30),
+    np.exp(1j * np.arange(90)) * 0.8 ** np.arange(90),
+], ids=["order-0", "order-1", "geometric", "exponential", "zero-end", "growing", "complex"])
+def test_tail_bound_reads_only_its_last_terms_bitwise(coeffs):
+    series = tps(coeffs)
+    radii = np.array([0.0, 1e-12, 0.3, 0.7, 1.0, 1.26, 2.5, math.nan])
+    batch = series.tail_bound(radii)
+    assert batch.shape == radii.shape
+    for s, got in zip(radii, batch):
+        one = series.tail_bound(float(s))
+        assert type(one) is float
+        assert np.float64(one).tobytes() == got.tobytes() == np.float64(
+            every_term_tail_bound(series, s)).tobytes(), s
+
+
 # -- Laurent polynomials ------------------------------------------------------
 
 
