@@ -48,6 +48,7 @@ from .finite import (
     build_Q,
     represent_functional,
     solve_moments,
+    system_order,
 )
 from .functional import ContourSpec, apply_L, contour_moments, exact_moments, gram_matrix
 from .genfun import check_laurent_genfun, check_partial_sum_genfun
@@ -337,18 +338,19 @@ def cmd_finite(args) -> int:
         if args.given & {"ncap", "family"}:
             raise InvalidParams("--spec sets n_cap and the coefficients; drop --ncap and --family")
         fspec = FiniteSystemSpec.from_json(_load_json_arg(args.spec, "finite spec"))
+        n_cap, config = fspec.n_cap, {"finite_spec": fspec.to_json()}
     else:
-        # the default system checks n_cap before a family realizes 4 n_cap coefficients
-        fspec = FiniteSystemSpec(n_cap=args.ncap)
-        if "family" in args.given:
-            source = realize(args.family, 4 * fspec.n_cap)
-            fspec = FiniteSystemSpec.from_partial_sums(source, fspec.n_cap)
-    level = fspec.n_cap if args.level is None else args.level
-    if not 1 <= level <= 2 * fspec.n_cap:
-        raise InvalidParams(f"level must be in [1, 2 n_cap = {2 * fspec.n_cap}], got {level}")
+        # a family's own recurrence gives back its partial sums, Q_k = R_k, so
+        # its system is R_0..R_{4 n_cap}, realized once n_cap is checked
+        n_cap, config = args.ncap, {"family": args.family.to_json(), "n_cap": args.ncap}
+        source = realize(args.family, system_order(n_cap))
+        system = build_system(source, 4 * n_cap)
+    level = n_cap if args.level is None else args.level
+    if not 1 <= level <= 2 * n_cap:
+        raise InvalidParams(f"level must be in [1, 2 n_cap = {2 * n_cap}], got {level}")
 
-    Q = build_Q(fspec)
-    table = solve_moments(fspec, 2 * fspec.n_cap)
+    Q = build_Q(fspec) if source is None else system.R
+    table = solve_moments(Q, 2 * n_cap)
     solve = FunctionalSolve.from_moments(table, level)
     exact_dev = a_rel = None
     if source is not None:
@@ -369,7 +371,7 @@ def cmd_finite(args) -> int:
     rep_res = max(map(rep_residual, range(2 * level + 1)))
 
     report = {
-        "config": {"finite_spec": fspec.to_json(), "level": level},
+        "config": {**config, "level": level},
         "a": _pairs(solve.a),
         "s": _pairs(solve.s),
         "radius": measure.radius,

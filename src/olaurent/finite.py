@@ -1,17 +1,17 @@
 """Finite recurrence systems and atomic representing measures.
 
-A finite system prescribes nonzero recurrence coefficients g_1..g_{4n}
-and f_1..f_{4n}.  Building Q_0..Q_{4n} and imposing L(Q_0) = 1,
-L(Q_k) = 0 determines the moments mu_m for |m| <= 2n by a triangular
-solve: each Q_k introduces exactly one new extreme exponent, whose
-coefficient, the pivot, is exactly 1 (odd k) or g_1 ... g_k (even k).
+A finite system is the exact Q_0..Q_{4n} of a two-step recurrence: the
+one that nonzero g_1..g_{4n}, f_1..f_{4n} prescribe (:func:`build_Q`),
+or a source's own, whose Q_k are its R_k (:mod:`olaurent.systems`).
+Imposing L(Q_0) = 1, L(Q_k) = 0 determines the moments mu_m for
+|m| <= 2n by a triangular solve: each Q_k introduces exactly one new
+extreme exponent, whose coefficient, the pivot, is exactly 1 (odd k)
+or g_1 ... g_k (even k).
 
-The moment map amplifies any rounding of the Q_k or g_k past use (the
-pivot of the exponential family's Q_16 is 1/16!), so :func:`solve_moments`
-solves on the exact Q_k of :func:`~olaurent.systems.two_step`, run once
-per spec and returned by :func:`build_Q`, in fixed point at a precision
-scaled to the pivot amplification, and rounds each moment once; a
-derived spec's g_k, f_k are each rounded once from the d_k.
+The moment map amplifies any rounding of the Q_k past use (the pivot of
+the exponential family's Q_16 is 1/16!), so :func:`solve_moments`
+solves on the exact Q_k in fixed point, at a precision scaled to the
+pivot amplification, and rounds each moment once.
 
 With |a| = |mu_{-level}| > 2**-SOLVE_GUARD_BITS, the solve's error, and
 s_k = mu_{k-level}/a in doubles (one that overflows is refused where it
@@ -54,7 +54,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -70,13 +69,14 @@ from .errors import (
 from . import exact
 from .families import MAX_ORDER
 from .functional import MomentTable
-from .series import LaurentPoly, TruncatedPowerSeries
-from .systems import _own_steps, _validate_source, two_step
+from .series import LaurentPoly
+from .systems import two_step
 
 __all__ = [
     "FiniteSystemSpec",
     "FunctionalSolve",
     "AtomicMeasure",
+    "system_order",
     "build_Q",
     "solve_moments",
     "build_atomic_measure",
@@ -87,6 +87,15 @@ SOLVE_GUARD_BITS = 64
 
 DEFAULT_G = 1.0 + 0j
 DEFAULT_F = -1.0 + 0j
+
+
+def system_order(n_cap: int) -> int:
+    """4 n_cap, the last index of a finite system of size n_cap, once n_cap is checked."""
+    if n_cap < 1:
+        raise InvalidParams("n_cap must be >= 1")
+    if 4 * n_cap > MAX_ORDER:
+        raise InvalidParams(f"4 n_cap = {4 * n_cap} exceeds MAX_ORDER = {MAX_ORDER}")
+    return 4 * n_cap
 
 
 @dataclass(frozen=True)
@@ -102,11 +111,7 @@ class FiniteSystemSpec:
     f_rec: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        if self.n_cap < 1:
-            raise InvalidParams("n_cap must be >= 1")
-        full = 4 * self.n_cap
-        if full > MAX_ORDER:
-            raise InvalidParams(f"4 n_cap = {full} exceeds MAX_ORDER = {MAX_ORDER}")
+        full = system_order(self.n_cap)
         g = tuple(complex(v) for v in self.g)
         f = tuple(complex(v) for v in self.f_rec)
         if len(g) > full or len(f) > full:
@@ -119,12 +124,6 @@ class FiniteSystemSpec:
             raise InvalidParams("every g_k and f_k must be finite")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f_rec", f)
-
-    @classmethod
-    def from_partial_sums(cls, source: TruncatedPowerSeries, n_cap: int) -> "FiniteSystemSpec":
-        """Coefficients of the source's own recurrence, out to index 4n; only a g_k is refused."""
-        g, f_rec = _own_steps(_validate_source(source, 4 * n_cap))
-        return cls(n_cap=n_cap, g=g[1:], f_rec=f_rec[1:])
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteSystemSpec":
@@ -150,11 +149,6 @@ class FiniteSystemSpec:
             "g": [[v.real, v.imag] for v in self.g],
             "f_rec": [[v.real, v.imag] for v in self.f_rec],
         }
-
-    @cached_property
-    def exact_Q(self) -> tuple:
-        """The exact Q_1..Q_{4n} of :func:`~olaurent.systems.two_step`, run once."""
-        return tuple(two_step(self.g, self.f_rec))
 
 
 @dataclass(frozen=True)
@@ -240,7 +234,7 @@ class AtomicMeasure:
 
 def build_Q(spec: FiniteSystemSpec) -> tuple[LaurentPoly, ...]:
     """The exact Q_0..Q_{4n} of the finite recurrence."""
-    return (LaurentPoly({0: 1}), *spec.exact_Q)
+    return (LaurentPoly({0: 1}), *two_step(spec.g, spec.f_rec))
 
 
 def _round_div(a, b: int):
@@ -250,34 +244,39 @@ def _round_div(a, b: int):
     return exact.Gaussian(_round_div(a.real, b), _round_div(a.imag, b))
 
 
-def solve_moments(spec: FiniteSystemSpec, window: int) -> MomentTable:
+def solve_moments(Q: tuple[LaurentPoly, ...], window: int) -> MomentTable:
     """Triangular solve of L(Q_0) = 1, L(Q_k) = 0 for mu over [-window, window].
 
     Q_{2m+1} determines mu_{-m-1} (pivot at exponent -m-1); Q_{2m}
-    determines mu_m (pivot at exponent m).
+    determines mu_m (pivot at exponent m).  So `Q` holds the exact
+    Q_0..Q_{2 window} (more are ignored), Q_0 = 1 and each Q_k supported
+    on exactly [-ceil(k/2), floor(k/2)]; any other Q_k is refused.
 
-    The Q_k are the exact ones of :func:`~olaurent.systems.two_step`,
-    whose denominator cancels in each row.  The solve runs in fixed
-    point over 2**P, the table's ``denominator``, on Python integers:
-    every product and sum is exact, and each division by a pivot, as
-    num * conj(pivot) over the integer |pivot|^2, rounds each part once
-    to the nearest multiple of 2**-P.  A division
-    error spreads to later moments by the factor sum |c_e| / |pivot| of
-    each row that uses it; P - SOLVE_GUARD_BITS is the log2 of the
-    largest propagated factor, rounded up, so every solved moment lies
-    within 2**-SOLVE_GUARD_BITS of the exact solution, and each is then
+    The denominator of each Q_k cancels in its row.  The solve runs in
+    fixed point over 2**P, the table's ``denominator``, on Python
+    integers: every product and sum is exact, and each division by a
+    pivot, as num * conj(pivot) over the integer |pivot|^2, rounds each
+    part once to the nearest multiple of 2**-P.  A division error
+    spreads to later moments by the factor sum |c_e| / |pivot| of each
+    row that uses it; P - SOLVE_GUARD_BITS is the log2 of the largest
+    propagated factor, rounded up, so every solved moment lies within
+    2**-SOLVE_GUARD_BITS of the exact solution, and each is then
     rounded to a double once.
     """
     if window < 0:
         raise InvalidParams("window must be >= 0")
-    if len(spec.g) < 2 * window:
-        raise InsufficientOrder(f"need Q_0..Q_{2 * window}, have {len(spec.g)}")
+    if len(Q) <= 2 * window:
+        raise InsufficientOrder(f"need Q_0..Q_{2 * window}, given {len(Q)} polynomials")
+    if Q[0] != LaurentPoly({0: 1}):
+        raise InvalidParams("Q_0 must be 1")
     # pass 1: exact rows and the log2 error bound of each moment in units
     # of 2**-P (mu_0 = 1 carries none); the common scale of a row cancels
     bound = {0: -math.inf}
     rows = []
-    for k, Q in enumerate(spec.exact_Q[:2 * window], start=1):
-        lo, q = Q.lo, Q.numerators
+    for k in range(1, 2 * window + 1):
+        lo, q = Q[k].lo, Q[k].numerators
+        if [lo, lo + len(q) - 1] != [-((k + 1) // 2), k // 2]:    # [-ceil(k/2), floor(k/2)]
+            raise InvalidParams(f"Q_{k} must span exactly [{-((k + 1) // 2)}, {k // 2}]")
         # the new extreme exponent: the bottom one at odd k, the top one at even k
         p, others = (0, slice(1, None)) if k % 2 == 1 else (len(q) - 1, slice(0, -1))
         new, exps, pivot, c = lo + p, range(lo, lo + len(q))[others], q[p], q[others]

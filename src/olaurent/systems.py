@@ -26,7 +26,8 @@ placeholder.  Each value is one operation on the double d_k.
 The recurrence needs products and sums only, so :func:`two_step` runs it
 exactly on the double g_k and f^rec_k and yields each exact Q_n as a
 :class:`~olaurent.series.LaurentPoly`, for :func:`build_by_recurrence`
-and the finite systems of :mod:`olaurent.finite` alike.
+and :func:`~olaurent.finite.build_Q` alike.  A source's own finite
+system is its exact R_n, :attr:`OLPSystem.R`, and runs no recurrence.
 
 On a source's own data, f^rec_k = -g_k, a step never changes a
 coefficient it was handed: coefficient i of the exact Q_n is g_1 ... g_i
@@ -147,13 +148,9 @@ def recurrence_data(source: TruncatedPowerSeries, K: int) -> RecurrenceData:
     c = _checked("c", [1.0 + 0j] + [-d[k - 1] / d[k] for k in range(1, K + 1)])
     lam = _checked("recur_lambda", [0j, 1.0 + 0j][:K + 1] + [a / b for a, b in zip(d, d[1:K])])
     xi = _checked("xi", [1 / v for v in d])
-    return RecurrenceData(c, lam, xi, *_own_steps(d), K=K)
-
-
-def _own_steps(d: list[complex]) -> tuple[tuple, tuple]:
-    """g_k = d_k/d_{k-1} and f^rec_k = -g_k of d_0..d_K; index 0 of each is an unused 0."""
-    g = _checked("g", [0j] + [d[k] / d[k - 1] for k in range(1, len(d))])
-    return g, (0j, *(0 - v for v in g[1:]))   # 0 - g: no -0.0 imaginary parts in reports
+    g = _checked("g", [0j] + [d[k] / d[k - 1] for k in range(1, K + 1)])
+    f_rec = (0j, *(0 - v for v in g[1:]))   # 0 - g: no -0.0 imaginary parts in reports
+    return RecurrenceData(c, lam, xi, g, f_rec, K=K)
 
 
 def _checked(name: str, values: list) -> tuple:

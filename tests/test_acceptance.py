@@ -233,24 +233,23 @@ def test_criterion_6_series_extraction_by_contour_matches_direct():
 
 def test_criterion_7_finite_systems_measure_and_representation(tmp_path):
     ncap = 3
-    specs = []
+    systems = []
     for name, fam in families():
-        specs.append((f"derived/{name}", FiniteSystemSpec.from_partial_sums(
-            realize(fam, 4 * ncap), ncap)))
+        # a family's finite system is its own R_0..R_{4 n_cap}
+        systems.append((f"derived/{name}", build_system(realize(fam, 4 * ncap), 4 * ncap).R))
     rng = np.random.default_rng(77)
     for i in range(5):
         g = tuple(1 + 0.05 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                   for _ in range(4 * ncap))
         f = tuple(-1 + 0.05 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                   for _ in range(4 * ncap))
-        specs.append((f"random/{i}", FiniteSystemSpec(n_cap=ncap, g=g, f_rec=f)))
+        systems.append((f"random/{i}", build_Q(FiniteSystemSpec(n_cap=ncap, g=g, f_rec=f))))
 
     ok = True
     wmin_ratio, worst_mom, worst_off, diag_min = np.inf, 0.0, 0.0, np.inf
     degenerate = []
-    for label, spec in specs:
-        Q = build_Q(spec)
-        table = solve_moments(spec, 2 * ncap)
+    for label, Q in systems:
+        table = solve_moments(Q, 2 * ncap)
         try:
             solves = [FunctionalSolve.from_moments(table, ncap),
                       FunctionalSolve.from_moments(table, 2 * ncap)]
@@ -294,8 +293,7 @@ def test_criterion_8_solved_moments_match_exact_moments():
     parts, ok = [], True
     for name, fam in families():
         src = realize(fam, 12)
-        spec = FiniteSystemSpec.from_partial_sums(src, 3)
-        solved = solve_moments(spec, 6)
+        solved = solve_moments(build_system(src, 12).R, 6)
         exact = exact_moments(src, 6)
         worst = max(abs(solved[m] - exact[m]) for m in range(-6, 7))
         ok &= worst <= 1e-10

@@ -22,7 +22,6 @@ from olaurent import FamilySpec, LaurentPoly, TruncatedPowerSeries, cli, gram_ma
 from olaurent.cli import main
 from olaurent.errors import UnrepresentableValue
 from olaurent.families import MAX_ORDER
-from olaurent.finite import FiniteSystemSpec
 from olaurent.systems import NormalizationReport, recurrence_data
 
 
@@ -316,7 +315,9 @@ def test_finite_derived_from_family(tmp_path):
     assert rep["min_weight"] >= 1 / (2 * M)
     assert rep["moment_residual_max"] <= 1e-10
     assert rep["representation_residual_max"] <= 1e-10
-    assert rep["config"]["finite_spec"]["n_cap"] == 2
+    # the config names the family whose own R_0..R_8 were solved, not a spec
+    assert rep["config"] == {"family": FamilySpec("exponential").to_json(), "n_cap": 2,
+                             "level": 2, "format": "json"}
 
 
 def _check_finite_matches_moments(capsys, family, ncap):
@@ -336,17 +337,17 @@ def _check_finite_matches_moments(capsys, family, ncap):
 
 
 def test_a_finite_system_derived_from_a_family_refuses_only_what_it_reads(tmp_path):
-    # c_2 = -5e309 and xi_2 = 1e310 overflow, but the system reads only g
-    # and f_rec, which a double holds (g_2 = 2e-310 is subnormal, not 0)
+    # c_2 = -5e309 and xi_2 = 1e310 overflow, but the system reads only
+    # d_0..d_4, which a double holds (d_2 = 1e-310 is subnormal, not 0)
     family = '{"kind": "explicit", "coeffs": [1, 0.5, 1e-310, 1e-160, 1e-10], "radius": 1}'
     code, rep = run(tmp_path, "finite", "--family", family, "--ncap", "1")
     assert code == 0
-    assert rep["config"]["finite_spec"]["g"][1] == [2e-310, 0.0]
+    assert rep["config"]["family"]["coeffs"][2] == [1e-310, 0.0]
     assert rep["moment_residual_max"] <= rep["moment_error_bound"]
-    # exponential at 4 n_cap = 172: xi_171 = 171! overflows, g_k = 1/k does not
-    spec = FiniteSystemSpec.from_partial_sums(realize(FamilySpec("exponential"), 172), 43)
-    assert spec.g[170] == pytest.approx(1 / 171, rel=1e-12)   # d_171 is subnormal
-    assert spec.f_rec == tuple(0 - v for v in spec.g)
+    # exponential at 4 n_cap = 172: xi_171 = 171! overflows, and d_171 is subnormal
+    code, rep = run(tmp_path, "finite", "--family", "exponential", "--ncap", "43", "--level", "1")
+    assert code == 0
+    assert rep["a_relative_deviation"] == 0
 
 
 def test_finite_exponential_ncap_8_matches_the_exact_moments(capsys):
@@ -582,14 +583,10 @@ def test_finite_refuses_non_finite_spec_values(tmp_path, capsys, bad):
      "--order", "2"],                                          # c_1 = -1e320 overflows
     ["build", "--family", '{"kind": "explicit", "coeffs": [1, 1e-200, 1e200], "radius": 1}',
      "--order", "2"],                                          # c_2 underflows to -0
-    # c_2 underflows as above, but a finite system reads only g and f_rec:
-    # it is refused because g_2 = 1e400 overflows
-    ["finite", "--family",
-     '{"kind": "explicit", "coeffs": [1, 1e-200, 1e200, 1, 1], "radius": 1}', "--ncap", "1"],
     ["moments", "--family", "exponential", "--window", "180"],  # d_178 = 1/178! underflows
     ["ortho", "--family", "geometric", "--order", "120", "--radius", "0.05",
      "--nodes", "16"],                                         # mu~_{-120} ~ 400^120 overflows
-], ids=["exponential-172", "overflowing-c1", "underflowing-c2", "finite-underflowing-c2",
+], ids=["exponential-172", "overflowing-c1", "underflowing-c2",
         "exponential-underflow-178", "contour-moment-overflow"])
 def test_unrepresentable_recurrence_data_is_refused(capsys, argv):
     code = main(argv)
@@ -846,6 +843,30 @@ def test_an_overflowing_residual_names_what_overflowed(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: UnrepresentableValue: representation_residual at k = 2: ")
     assert len(err.splitlines()) == 1
+
+
+def test_a_finite_family_system_reads_no_recurrence_coefficient(tmp_path):
+    # c_2 underflows to -0 and g_2 = 1e400 overflows a double; the family
+    # path used to round g_k and refuse g_2 (exit 3), but it solves on the
+    # family's own R_0..R_4, which read only the double d_0..d_4
+    family = '{"kind": "explicit", "coeffs": [1, 1e-200, 1e200, 1, 1], "radius": 1}'
+    code, rep = run(tmp_path, "finite", "--family", family, "--ncap", "1", "--level", "2")
+    assert code == 0
+    assert rep["moment_residual_max"] <= rep["moment_error_bound"]
+
+
+EB_UNIT = '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}'
+
+
+@pytest.mark.parametrize("family, ncaps", [
+    ("exponential", range(2, 17)), (EB_UNIT, range(2, 21)),
+], ids=["exponential", "exp-binomial"])
+def test_a_family_solve_gives_a_to_the_last_bit(capsys, family, ncaps):
+    # the solve on g_k rounded to doubles read a_relative_deviation 3.2e-7
+    # at exp-binomial n_cap 16 and 3.4e-3 at n_cap 20
+    for ncap in ncaps:
+        assert main(["finite", "--family", family, "--ncap", str(ncap)]) == 0, ncap
+        assert strict_loads(capsys.readouterr().out)["a_relative_deviation"] <= 1e-15, ncap
 
 
 def test_an_overflowing_s_k_is_refused_where_it_is_divided(tmp_path, capsys):

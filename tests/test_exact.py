@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from olaurent import FiniteSystemSpec, exact_moments, recurrence_data, solve_moments
+from olaurent import build_system, exact_moments, recurrence_data, solve_moments
 from olaurent.errors import InvalidParams, UnrepresentableValue
 from olaurent.exact import Gaussian, as_number, scaled, split, to_complex
 from olaurent.systems import two_step
@@ -116,7 +116,7 @@ def test_real_inputs_never_leave_int(family, request):
     assert all(type(v) is int for v in exact_moments(src, 24).values)
     rd = recurrence_data(src, 24)
     assert all(type(c) is int for q in two_step(rd.g[1:], rd.f_rec[1:]) for c in q.numerators)
-    table = solve_moments(FiniteSystemSpec.from_partial_sums(src, 4), 8)
+    table = solve_moments(build_system(src, 16).R, 8)
     assert all(type(v) is int for v in table.values)
 
 

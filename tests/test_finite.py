@@ -107,14 +107,12 @@ def test_shape_alternates_between_extremes():
             assert poly.max_exponent == k // 2
 
 
-def test_derived_spec_reproduces_source_system(geometric):
-    # geometric has xi_k d_k = 1, so the recurrence output IS R_k
-    spec = FiniteSystemSpec.from_partial_sums(geometric, 2)
-    q = build_Q(spec)
-    sysK = build_system(geometric, 8)
-    for k in range(9):
-        diff = q[k] - sysK.R[k]
-        assert all(abs(c) <= 1e-12 for _, c in diff.items())
+@pytest.mark.parametrize("ncap", range(1, 5))
+def test_default_spec_is_the_geometric_system(ncap):
+    # g_k = 1, f_k = -1 is the geometric family's own data, whose
+    # recurrence gives back its partial sums exactly
+    R = build_system(realize(FamilySpec("geometric"), 4 * ncap), 4 * ncap).R
+    assert build_Q(FiniteSystemSpec(ncap)) == R
 
 
 @pytest.mark.parametrize("family, ncap, tol", [
@@ -127,8 +125,7 @@ def test_derived_spec_reproduces_source_system(geometric):
 ], ids=["geometric-2", "exponential-4", "exponential-6", "exponential-8"])
 def test_solved_moments_match_exact_moments(family, ncap, tol):
     src = realize(family, 4 * ncap)
-    spec = FiniteSystemSpec.from_partial_sums(src, ncap)
-    solved = solve_moments(spec, 2 * ncap)
+    solved = solve_moments(build_system(src, 4 * ncap).R, 2 * ncap)
     exact = exact_moments(src, 2 * ncap)
     assert solved[0] == 1
     for m in range(-2 * ncap, 2 * ncap + 1):
@@ -137,17 +134,32 @@ def test_solved_moments_match_exact_moments(family, ncap, tol):
 
 def test_solved_moments_match_exact_moments_rational():
     src = realize(RATIONAL, 24)
-    spec = FiniteSystemSpec.from_partial_sums(src, 3)
-    solved = solve_moments(spec, 6)
+    solved = solve_moments(build_system(src, 12).R, 6)
     exact = exact_moments(src, 6)
     for m in range(-6, 7):
         assert abs(solved[m] - exact[m]) <= 1e-10 * (1 + abs(exact[m]))
 
 
 def test_solve_needs_enough_polynomials():
-    spec = FiniteSystemSpec(n_cap=1)
-    with pytest.raises(InsufficientOrder, match=r"need Q_0..Q_6, have 4"):
-        solve_moments(spec, 3)
+    Q = build_Q(FiniteSystemSpec(n_cap=1))
+    with pytest.raises(InsufficientOrder, match=r"^need Q_0..Q_6, given 5 polynomials$"):
+        solve_moments(Q, 3)
+    assert solve_moments(Q, 2) == solve_moments(Q + (LaurentPoly({9: 1}),), 2)
+
+
+def test_solve_reads_each_pivot_from_the_support_of_its_q_k():
+    # Q_k must span exactly [-ceil(k/2), floor(k/2)]: Q_2 = x^-1 + x spans
+    # [-1, 1], and -(k + 1) // 2 = -2 at k = 2 is one too deep
+    Q = build_Q(FiniteSystemSpec(n_cap=1))
+    inside = Q[:2] + (LaurentPoly({-1: 1, 1: 1}),)
+    assert solve_moments(inside, 1).window == 1
+    outside = Q[:2] + (LaurentPoly({-2: 1, 1: 1}),)
+    with pytest.raises(InvalidParams, match=r"^Q_2 must span exactly \[-1, 1\]$"):
+        solve_moments(outside, 1)
+    with pytest.raises(InvalidParams, match=r"^Q_1 must span exactly \[-1, 0\]$"):
+        solve_moments((Q[0], LaurentPoly({0: 1}), Q[2]), 1)
+    with pytest.raises(InvalidParams, match=r"^Q_0 must be 1$"):
+        solve_moments((LaurentPoly({0: 2}), *Q[1:]), 1)
 
 
 def test_functional_solve_normalizes(geometric):
@@ -233,9 +245,8 @@ def test_representation_reproduces_normalizing_moment(geometric):
 
 
 def test_representation_kills_first_polynomial(geometric):
-    spec = FiniteSystemSpec.from_partial_sums(geometric, 1)
-    q = build_Q(spec)
-    solve = FunctionalSolve.from_moments(solve_moments(spec, 2), 1)
+    q = build_system(geometric, 4).R
+    solve = FunctionalSolve.from_moments(solve_moments(q, 2), 1)
     measure = build_atomic_measure(solve.s)
     assert abs(represent_functional(solve, measure, q[1])) <= 1e-10
 
@@ -272,10 +283,8 @@ def test_orthogonality_survives_the_measure_representation():
     # representation must run at the doubled level with a doubled-window
     # measure; through it the solved functional must stay diagonal
     ncap = 2
-    spec = FiniteSystemSpec.from_partial_sums(
-        realize(FamilySpec("exponential"), 4 * ncap), ncap)
-    q = build_Q(spec)
-    table = solve_moments(spec, 2 * ncap)
+    q = build_system(realize(FamilySpec("exponential"), 4 * ncap), 4 * ncap).R
+    table = solve_moments(q, 2 * ncap)
     solve = FunctionalSolve.from_moments(table, 2 * ncap)
     measure = build_atomic_measure(solve.s)
     for k in range(2 * ncap + 1):
@@ -330,7 +339,7 @@ def test_solve_is_within_guard_of_the_exact_rational_solution(seed):
     rng = np.random.default_rng(seed)
     g = tuple(complex(*rng.uniform(0.2, 1.2, 2)) for _ in range(12))
     f = tuple(complex(*rng.uniform(-1.2, -0.2, 2)) for _ in range(12))
-    table = solve_moments(FiniteSystemSpec(n_cap=3, g=g, f_rec=f), 6)
+    table = solve_moments(build_Q(FiniteSystemSpec(n_cap=3, g=g, f_rec=f)), 6)
     exact = _rational_solve(_rational_Q(g, f), 6)
     tol = Fraction(1, 2 ** SOLVE_GUARD_BITS)
     for m in range(-6, 7):
@@ -477,7 +486,7 @@ def test_an_s_0_that_misses_one_is_refused():
     rng = np.random.default_rng(77)
     g = tuple(1 + 0.05 * complex(*rng.uniform(-1, 1, 2)) for _ in range(12))
     f = tuple(-1 + 0.05 * complex(*rng.uniform(-1, 1, 2)) for _ in range(12))
-    table = solve_moments(FiniteSystemSpec(3, g, f), 6)
+    table = solve_moments(build_Q(FiniteSystemSpec(3, g, f)), 6)
     solve = FunctionalSolve.from_moments(table, 3)
     assert table[-3] / solve.a != 1
     assert solve.s[0] == 1 and math.copysign(1.0, solve.s[0].imag) == 1.0
