@@ -39,9 +39,9 @@ unity are irrational, and :func:`build_atomic_measure` holds them in
 fixed point, each rounded once to F = ceil(dps log2 10) bits (dps, in
 decimal digits, grows with r^N), from one integer Newton iteration for
 the primitive root.  The weights, the moment table M_0..M_N and every L(Q)
-are then exact integer sums over those roots, each rounded to a double
-once, at the reporting boundary.  Rounded roots are the only error, and
-they move each moment by at most
+are then exact integer sums over those roots (N+1 rows each: atom M-j
+mirrors atom j), each rounded to a double once, at the reporting
+boundary.  Rounded roots are the only error; each moment moves by at most
 
     |M_k - s_k| <= 2**(1-F) r^N (1 + 2 sum_k |t_k|)
 
@@ -377,7 +377,12 @@ def build_atomic_measure(s) -> AtomicMeasure:
         M_k = r^k sum_j w_j R_{jk} / 2**F
 
     are exact integer numerators over M 2**(S+F) and M 2**(S+2F), and
-    ``atoms`` rounds each weight and r R_j / 2**F once.
+    ``atoms`` rounds each weight and r R_j / 2**F once.  M is odd and
+    R_{M-q} = conj R_q bitwise (:func:`_unit_roots`), so with A_j, B_j the
+    sums over k of Re T_k Re R_{jk}, Im T_k Im R_{jk} (j = 0..N), w_j and
+    w_{M-j} have numerators 2**(S+F) + 2 (A_j +- B_j), and Re M_k, Im M_k sum
+    w_j + w_{M-j} (w_0 alone), w_j - w_{M-j} against Re R_{jk}, Im R_{jk}: the
+    same integers as the full sums, from N+1 rows each, not 2N+1.
 
     Error bound.  Each part of eps_q is within (1/2 + 2**-10) 2**-F, so
     |eps_q| <= u = 0.709 2**-F.  With T = sum_k |t_k| <= 1/4, each weight
@@ -424,19 +429,21 @@ def build_atomic_measure(s) -> AtomicMeasure:
     cos, sin = [re for re, _ in roots], [im for _, im in roots]
     parts = [exact.split(v) for v in s_arr[1:].tolist()]
     S = max((scale + e * k for k, (_, scale) in enumerate(parts, 1)), default=0)
-    t = [v << (S - scale - e * k) for k, (v, scale) in enumerate(parts, 1)]
+    t = [0] + [v << (S - scale - e * k) for k, (v, scale) in enumerate(parts, 1)]
     t_re, t_im = [v.real for v in t], [v.imag for v in t]
     one = 1 << (S + F)
-    weights = []
-    for j in range(m):
-        jk = [j * k % m for k in range(1, n + 1)]
-        weights.append(one + 2 * (sum(map(mul, t_re, [cos[q] for q in jk]))
-                                  + sum(map(mul, t_im, [sin[q] for q in jk]))))
+    # row j holds R_{jk} for k = 0..N; jk = kj, so row k also serves moment k
+    cos_rows = [[cos[j * k % m] for k in range(n + 1)] for j in range(n + 1)]
+    sin_rows = [[sin[j * k % m] for k in range(n + 1)] for j in range(n + 1)]
+    A = [sum(map(mul, t_re, row)) for row in cos_rows]
+    B = [sum(map(mul, t_im, row)) for row in sin_rows]
+    weights = ([one + 2 * (a + b) for a, b in zip(A, B)]
+               + [one + 2 * (a - b) for a, b in zip(A[:0:-1], B[:0:-1])])
+    sums, diffs = [weights[0]] + [2 * one + 4 * a for a in A[1:]], [4 * b for b in B]
     moments = []
     for k in range(n + 1):
-        jk = [j * k % m for j in range(m)]
-        re = sum(map(mul, weights, [cos[q] for q in jk])) << e * k
-        im = sum(map(mul, weights, [sin[q] for q in jk])) << e * k
+        re = sum(map(mul, sums, cos_rows[k])) << e * k
+        im = sum(map(mul, diffs, sin_rows[k])) << e * k
         moments.append(exact.Gaussian(re, im) if im else re)
     den = m << (S + F)
     atoms = tuple((exact.to_complex(exact.Gaussian(*root), 1 << (F - e)),

@@ -28,8 +28,8 @@ and one Horner pass of f over the nodes serves every n.
 Each check takes equal-length sequences of points, ``check_partial_sum_genfun(system, xs,
 ts, terms)`` and ``check_laurent_genfun(system, xs, zs, terms, sqrt_xs=None)``, and returns
 one :class:`GenfunCheck` per point, in order; a guard names the index of the point it
-refuses.  Evaluations of f go through the truncated source series, so points are required
-to sit inside the convergence disc with a fixed safety margin.
+refuses.  A check evaluates f on the truncated source series, at all of its points in one
+call, so points must sit inside the convergence disc with a fixed safety margin.
 """
 
 from __future__ import annotations
@@ -100,14 +100,14 @@ def _points(*columns) -> list[tuple]:
 def check_partial_sum_genfun(system: OLPSystem, xs, ts, terms: int) -> list[GenfunCheck]:
     """Residual of f(xt)/(1-t) against sum_{n<=terms} f_n(x) t^n at each point (x, t)."""
     f = system.source
-    lhs = []
-    for i, (x, t) in enumerate(_points(xs, ts)):
+    for i, (x, t) in enumerate(points := _points(xs, ts)):
         if not abs(t) < 1:
             raise DomainViolation(f"point {i}: |t| = {abs(t)} must be < 1")
         if not abs(x) <= RADIUS_MARGIN * f.radius:
             raise DomainViolation(f"point {i}: |x| = {abs(x)} outside margin "
                                   f"{RADIUS_MARGIN} * radius")
-        lhs.append(f(x * t) / (1 - t))
+    values = kernels.eval_poly(f.coeffs, [complex(x * t) for x, t in points])
+    lhs = [v / (1 - t) for v, (_, t) in zip(values, points)]
     tails = f.tail_bound(np.array([abs(x * t) for x, t in zip(xs, ts)])).tolist()
     return _truncated_check(system, xs, terms, lhs,
                             lambda n: np.asarray(ts, np.complex128)[:, None] ** n,
@@ -123,8 +123,8 @@ def check_laurent_genfun(system: OLPSystem, xs, zs, terms: int, sqrt_xs=None) ->
     """
     f = system.source
     roots = [cmath.sqrt(x) for x in xs] if sqrt_xs is None else sqrt_xs
-    lhs, prefacs = [], []
-    for i, (x, z, s) in enumerate(_points(xs, zs, roots)):
+    points, prefacs = _points(xs, zs, roots), []
+    for i, (x, z, s) in enumerate(points):
         if sqrt_xs is not None and (err := abs(s * s - x)) > 1e-12 * abs(x):
             raise InvalidParams(f"point {i}: sqrt_x^2 differs from x by {err:.3e}")
         if x == 0 or not abs(x) <= RADIUS_MARGIN * f.radius:
@@ -134,8 +134,11 @@ def check_laurent_genfun(system: OLPSystem, xs, zs, terms: int, sqrt_xs=None) ->
             raise DomainViolation(f"point {i}: |z| = {abs(z)} must be < |sqrt x| = {abs(s)}")
         if min(abs(s - z), abs(s + z)) < POLE_TOL * abs(s):
             raise PoleProximity(f"point {i}: z too close to +-sqrt(x)")
-        lhs.append(((s + 1) / (s - z)) * f(s * z) + ((s - 1) / (s + z)) * f(-s * z))
         prefacs.append(abs((s + 1) / (s - z)) + abs((s - 1) / (s + z)))
+    sz = [complex(s * z) for _, z, s in points]
+    values = kernels.eval_poly(f.coeffs, sz + [complex(-s * z) for _, z, s in points])
+    lhs = [((s + 1) / (s - z)) * plus + ((s - 1) / (s + z)) * minus
+           for (_, z, s), plus, minus in zip(points, values, values[len(points):])]
     tails = f.tail_bound(np.array([abs(s * z) for z, s in zip(zs, roots)])).tolist()
     # 2 R_n(x) z^n = f_n(x) w_n: the ladder's steps z/x (odd n) and z (even n) never overflow
     steps = np.array([(2.0, z / x, z) for x, z in zip(xs, zs)], np.complex128).reshape(-1, 3)

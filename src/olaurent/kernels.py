@@ -3,7 +3,7 @@
 On contiguous complex arrays:
 
 * ``eval_poly(coeffs, pts, dtype)`` -- the one Horner loop, ascending coeffs;
-  a scalar point runs in Python complex arithmetic
+  a scalar point, or a list of them, runs in Python complex arithmetic
 * ``cauchy_product(a, b, n)``       -- truncated convolution, n output terms
 * ``reciprocal_coeffs(a)``          -- coefficients of 1/sum(a_k z^k)
 
@@ -33,21 +33,25 @@ def backend() -> str:
 
 
 def eval_poly(coeffs: np.ndarray, pts, dtype=np.complex128):
-    """Horner evaluation, accumulating in `dtype`, at an ndarray of points or at one scalar point.
+    """Horner evaluation, accumulating in `dtype`, at an ndarray of points, a scalar or a list.
 
-    The coefficients enter as Python numbers, which numpy adds in the
-    array's dtype.  A point that is not an ndarray is a scalar: in the
-    default dtype it runs in Python complex arithmetic, which rounds like
+    The coefficients enter as Python numbers, converted once per call, which
+    numpy adds in the array's dtype.  A scalar, and each scalar of a list,
+    runs in Python complex arithmetic in the default dtype, which rounds like
     numpy's complex128 scalars at about half their cost, and gives a
-    ``complex``.
+    ``complex``; a list gives a list, so its points share one conversion.
     """
+    rest = coeffs[-2::-1].tolist()
+
+    def horner(acc, z):
+        for c in rest:
+            acc = acc * z + c
+        return acc
+
     if isinstance(pts, np.ndarray):
-        acc = np.full(pts.shape, coeffs[-1], dtype=dtype)
-    else:
-        acc = dtype(coeffs[-1]).item()
-    for c in coeffs[-2::-1].tolist():
-        acc = acc * pts + c
-    return acc
+        return horner(np.full(pts.shape, coeffs[-1], dtype=dtype), pts)
+    top = dtype(coeffs[-1]).item()
+    return [horner(top, z) for z in pts] if isinstance(pts, list) else horner(top, pts)
 
 
 def cauchy_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

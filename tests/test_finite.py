@@ -29,7 +29,7 @@ from olaurent import (
     solve_moments,
     two_step,
 )
-from olaurent import cli, finite
+from olaurent import cli, exact, finite
 from olaurent.finite import SOLVE_GUARD_BITS
 from olaurent.errors import (
     InsufficientOrder,
@@ -426,6 +426,40 @@ def test_atoms_are_bitwise_those_of_a_wide_mpmath_construction(n):
     s = [1.0] + [complex(*rng.uniform(-1, 1, 2)) for _ in range(n)]
     measure = build_atomic_measure(s)
     assert _bits(measure.atoms) == _bits(_mpmath_atoms(s, measure.radius, 2 * measure.precision))
+
+
+def _direct_sums(s, measure):
+    """The measure's weight and moment numerators as the M x N sums over every atom, on its r and F."""
+    n = len(s) - 1
+    m = 2 * n + 1
+    F, e = math.ceil(measure.precision * math.log2(10)), math.frexp(measure.radius)[1] - 1
+    roots = finite._unit_roots(m, F)
+    parts = [exact.split(v) for v in s[1:]]
+    S = max((scale + e * k for k, (_, scale) in enumerate(parts, 1)), default=0)
+    t = [v << (S - scale - e * k) for k, (v, scale) in enumerate(parts, 1)]
+    weights = []
+    for j in range(m):
+        jk = [roots[j * k % m] for k in range(1, n + 1)]
+        weights.append((1 << (S + F)) + 2 * sum(v.real * re + v.imag * im
+                                                for v, (re, im) in zip(t, jk)))
+    moments = []
+    for k in range(n + 1):
+        jk = [roots[j * k % m] for j in range(m)]
+        moments.append((sum(w * re for w, (re, _) in zip(weights, jk)) << e * k,
+                        sum(w * im for w, (_, im) in zip(weights, jk)) << e * k))
+    return [w << F for w in weights], moments, m << (S + 2 * F)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_the_paired_atoms_give_the_direct_sums_exactly(n):
+    rng = np.random.default_rng(200 + n)
+    for s in ([1.0] + [complex(*rng.uniform(-2, 2, 2)) for _ in range(n)],
+              [1.0] + rng.uniform(-2, 2, n).tolist()):
+        measure = build_atomic_measure(s)
+        weights, moments, den = _direct_sums(s, measure)
+        assert list(measure.wide_weights) == weights
+        assert [(v.real, v.imag) for v in measure.wide_moments] == moments
+        assert measure.denominator == den
 
 
 def _complex_fraction(v, den=1):

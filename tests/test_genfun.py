@@ -1,5 +1,6 @@
 """Generating-function identities and contour extraction of R_n."""
 
+import cmath
 import json
 import warnings
 
@@ -162,6 +163,28 @@ def test_a_batch_is_its_one_point_checks_bitwise(family, terms):
         for i, got in enumerate(batch):
             one = {k: [v[i]] for k, v in kwargs.items()}
             assert bits(got) == bits(check(system, [xs[i]], [points[i]], terms, **one)[0]), i
+
+
+def hexes(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("family", BATCH_FAMILIES, ids=["geometric", "exponential",
+                                                         "exp-binomial", "complex-explicit"])
+def test_each_left_side_is_formed_from_scalar_f_calls_bitwise(family):
+    # a check evaluates f at all of its points in one call; one scalar call per point is the reference
+    system = build_system(realize(family, cli._series_order(family, 80)), 80)
+    f, rng = system.source, np.random.default_rng(7)
+    xs = [min(family.radius, 3.0) * rng.uniform(0.2, 0.6) * cli._phase(rng) for _ in range(20)]
+    ts = [rng.uniform(0.2, 0.7) * cli._phase(rng) for _ in xs]
+    zs = [0j] + [x ** 0.5 * rng.uniform(0.2, 0.6) * cli._phase(rng) for x in xs[1:]]
+    got = check_partial_sum_genfun(system, xs, ts, 80)
+    assert hexes(c.lhs for c in got) == hexes(f(x * t) / (1 - t) for x, t in zip(xs, ts))
+    for roots in (None, [-(x ** 0.5) for x in xs]):
+        got = check_laurent_genfun(system, xs, zs, 80, sqrt_xs=roots)
+        expect = [((s + 1) / (s - z)) * f(s * z) + ((s - 1) / (s + z)) * f(-s * z)
+                  for z, s in zip(zs, roots or [cmath.sqrt(x) for x in xs])]
+        assert hexes(c.lhs for c in got) == hexes(expect)
 
 
 @pytest.mark.parametrize("terms", [0, 8, 80])

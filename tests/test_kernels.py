@@ -21,12 +21,17 @@ def test_eval_poly_is_horner():
 
 def test_eval_poly_at_a_scalar_rounds_like_python_horner():
     coeffs, pts = sample_inputs(3)
+    expect = []
     for z in pts[:10]:
         z = complex(z)
         acc = complex(coeffs[-1])
         for c in coeffs[-2::-1]:
             acc = acc * z + complex(c)
         assert complex(kernels.eval_poly(coeffs, z)) == acc
+        expect.append(acc)
+    # a list of points is each point's scalar evaluation
+    assert kernels.eval_poly(coeffs, pts[:10].tolist()) == expect
+    assert kernels.eval_poly(coeffs, []) == []
 
 
 def test_cauchy_product_truncates():
