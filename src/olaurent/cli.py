@@ -1,8 +1,10 @@
 """Command-line front end emitting machine-readable reports.
 
 Subcommands: ``build`` (R_0..R_K plus recurrence data and the
-normalization cross-check), ``ortho`` (Gram matrix, optional contour
-route agreement), ``moments`` (exact moment table), ``genfun-check``
+normalization cross-check), ``ortho`` (Gram matrix; with ``--radius``,
+the route disagreement max |G(delta)| / (1 + |G|) for the float Gram of
+the exact moment difference delta = mu~ - mu, and its rounding bound
+``route_disagreement_bound``), ``moments`` (exact moment table), ``genfun-check``
 (randomized residual checks of both generating-function identities) and
 ``finite`` (finite-system solve, atomic measure, representation
 residuals).
@@ -50,7 +52,14 @@ from .finite import (
     solve_moments,
     system_order,
 )
-from .functional import ContourSpec, apply_L, contour_moments, exact_moments, gram_matrix
+from .functional import (
+    ContourSpec,
+    apply_L,
+    contour_moments,
+    difference_gram,
+    exact_moments,
+    gram_matrix,
+)
 from .genfun import check_laurent_genfun, check_partial_sum_genfun
 from .systems import build_system, check_normalization, recurrence_data
 
@@ -257,12 +266,21 @@ def cmd_ortho(args) -> int:
         "min_abs_diag": float(np.min(np.abs(np.diag(gram)))),
     }
     if spec is not None:
-        contour = gram_matrix(system, contour_moments(source, spec, window))
-        worst = float(np.max(np.abs(contour - gram) / (1 + np.abs(gram))))
+        diff, err = difference_gram(system, moments, contour_moments(source, spec, window))
+        scale = 1 + np.abs(gram)
+        worst = float(np.max(np.abs(diff) / scale))
         if not math.isfinite(worst):
             raise UnrepresentableValue("route disagreement overflows a double")
+        # |G(delta)| <= |diff| + err; each rounded |diff| / scale is within 6u
+        # of its quotient and err / scale within 5u of its own, which the
+        # factors 1 + 2**-48 and 2**-49 = 16u cover; the ulp covers this sum
+        bound = math.nextafter(float(np.max(err / scale)) * (1 + 2.0 ** -48)
+                               + 2.0 ** -49 * worst, math.inf)
+        if not math.isfinite(bound):
+            raise UnrepresentableValue("route disagreement bound overflows a double")
         report["contour"] = {"radius": radius, "nodes": nodes,
-                             "max_route_disagreement": worst}
+                             "max_route_disagreement": worst,
+                             "route_disagreement_bound": bound}
     _emit(args, report)
     return 0
 

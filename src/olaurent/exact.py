@@ -58,6 +58,9 @@ class Gaussian:
     def __sub__(self, other) -> Gaussian:
         return Gaussian(self.real - other.real, self.imag - other.imag)
 
+    def __rsub__(self, n: int) -> Gaussian:
+        return Gaussian(n - self.real, -self.imag)
+
     def __mul__(self, other) -> Gaussian:
         a, b, c, d = self.real, self.imag, other.real, other.imag
         return Gaussian(a * c - b * d, a * d + b * c)

@@ -18,7 +18,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import olaurent
-from olaurent import FamilySpec, LaurentPoly, TruncatedPowerSeries, cli, gram_matrix, realize
+from olaurent import (
+    ContourSpec,
+    FamilySpec,
+    LaurentPoly,
+    MomentTable,
+    TruncatedPowerSeries,
+    build_system,
+    cli,
+    contour_moments,
+    exact_moments,
+    gram_matrix,
+    realize,
+)
 from olaurent.cli import main
 from olaurent.errors import UnrepresentableValue
 from olaurent.families import MAX_ORDER
@@ -755,7 +767,7 @@ def test_the_gram_text_is_json_dumps_of_the_pair_form(capsys, monkeypatch, name,
     argv = ["ortho", "--family", GRAM_TEXT_FAMILIES.get(name, "geometric"), "--order", str(K)]
     code = main(argv + (["--radius", GRAM_TEXT_RADII[name]] if contour else []))
     text, err = capsys.readouterr()
-    G = grams[0]   # the exact Gram, which the report prints; a contour's is only compared
+    G = grams[0]   # the exact Gram, which the report prints; a contour takes its difference
     if name in ("nan", "inf"):
         # refused as json.dumps(allow_nan=False) refuses it, and no report is written
         assert (code, text) == (3, "")
@@ -764,7 +776,7 @@ def test_the_gram_text_is_json_dumps_of_the_pair_form(capsys, monkeypatch, name,
             cli._gram_text(G)
         return
     assert code == 0, err
-    assert len(grams) == 1 + contour
+    assert len(grams) == 1
     report = strict_loads(text)
     report["gram"] = cli._pairs(G)
     assert text == json.dumps(report, sort_keys=True, separators=(",", ":"),
@@ -772,6 +784,59 @@ def test_the_gram_text_is_json_dumps_of_the_pair_form(capsys, monkeypatch, name,
     assert cli._gram_text(G) == cli._json(cli._pairs(G))
     if name == "signed-zeros":
         assert "[[[1.0,0.0],[-0.0,0.0],[0.0,-0.0]],[[-0.0,-0.0]," in text
+
+
+@pytest.mark.parametrize("name", list(GRAM_TEXT_FAMILIES))
+def test_the_route_figure_is_within_its_bound_of_the_exact_gram_of_delta(capsys, name):
+    for K in (8, 12, 20):
+        assert main(["ortho", "--family", GRAM_TEXT_FAMILIES[name], "--order", str(K),
+                     "--radius", GRAM_TEXT_RADII[name]]) == 0
+        contour = strict_loads(capsys.readouterr().out)["contour"]
+        source = realize(cli._family_flag(GRAM_TEXT_FAMILIES[name]), 64)
+        system, window = build_system(source, K), 2 * math.ceil(K / 2)
+        moments = exact_moments(source, window)
+        quadrature = contour_moments(source, ContourSpec(float(GRAM_TEXT_RADII[name])), window)
+        den = math.lcm(moments.denominator, quadrature.denominator)
+        delta = MomentTable(window, tuple(den // quadrature.denominator * q
+                                          - den // moments.denominator * m
+                                          for q, m in zip(quadrature.values, moments.values)), den)
+        # each reference entry is rounded once and its quotient in doubles:
+        # within 4u of the exact figure, which the 2**-50 (8u) term allows
+        exact = np.max(np.abs(gram_matrix(system, delta))
+                       / (1 + np.abs(gram_matrix(system, moments))))
+        assert 0 < contour["route_disagreement_bound"] <= 1e-12 * contour["max_route_disagreement"]
+        assert (abs(contour["max_route_disagreement"] - exact)
+                <= contour["route_disagreement_bound"] + 2.0 ** -50 * exact), (name, K)
+
+
+@pytest.mark.parametrize("mu, error", [
+    # mu~_0 - mu_0 = 2**1100 has no double
+    ([0, 0, 1 + 2 ** 1100, 0, 0], "exact value of magnitude ~2**1101 overflows a double"),
+    # each delta is a double, but G[1, 1] = delta_{-2} + 2 delta_{-1} + delta_0 is not
+    ([1.5e308, 1.5e308, 1, 0, 0], "route disagreement overflows a double"),
+    # G[0, 1] = delta_{-1} + delta_0 = 0, but |delta_{-1}| + |delta_0| is no double
+    ([0, 1e308, 1 - 1e308, 0, 0], "route disagreement bound overflows a double"),
+], ids=["delta", "gram", "bound"])
+def test_an_overflowing_route_comparison_is_refused(capsys, monkeypatch, mu, error):
+    table = MomentTable(2, tuple(int(v) for v in mu), 1)
+    monkeypatch.setattr(cli, "contour_moments", lambda source, spec, window: table)
+    code = main(["ortho", "--order", "2", "--radius", "0.5"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (3, "", f"error: UnrepresentableValue: {error}\n")
+
+
+@pytest.mark.parametrize("name", ["exponential", "complex"])
+def test_a_k_80_contour_report_is_the_same_in_two_processes(name):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "olaurent.cli", "ortho", "--family", GRAM_TEXT_FAMILIES[name],
+            "--order", "80", "--radius", "0.8"]
+    first, second = (subprocess.run(argv, capture_output=True, env=env, timeout=120)
+                     for _ in range(2))
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout and first.stderr == second.stderr == b""
+    assert strict_loads(first.stdout.decode())["contour"]["route_disagreement_bound"] > 0
 
 
 B_HUGE = '{"kind": "exp-binomial", "b": 1e200, "a": [0.5], "family_lambda": [1.0]}'

@@ -41,6 +41,7 @@ def test_gaussian_arithmetic_matches_fraction_pairs(a, b):
     assert pair(total) == add(x, y) and pair(b + a) == add(x, y)
     assert pair(a * b) == mul(x, y) and pair(b * a) == mul(x, y)
     assert pair(-a) == (-x[0], -x[1])
+    assert pair(a - b) == add(x, (-y[0], -y[1])) and pair(b - a) == add(y, (-x[0], -x[1]))
     assert pair(a << 7) == (x[0] * 128, x[1] * 128)
     assert pair(a.conjugate()) == (x[0], -x[1])
     # solve_moments skips zero coefficients, so a zero sum must be falsy

@@ -513,6 +513,62 @@ def test_bound_holds_for_radii_up_to_2_96(seed):
     assert worst <= measure.error_bound
 
 
+def _positivity_sum(s, r):
+    """2 sum |s_k| r^-k as the radius search evaluates it."""
+    mags = np.abs(np.asarray(s, dtype=np.complex128)[1:])
+    return 2.0 * float(np.sum(mags * r ** -np.arange(1, len(s))))
+
+
+def _doubling_search(s):
+    """(r, fluct) of the radius search as a doubling from r = 1, or (None, fluct at 2**120)."""
+    r = 1.0
+    while (fluct := _positivity_sum(s, r)) > 0.5:
+        if r == 2.0 ** 120:
+            return None, fluct
+        r *= 2.0
+    return r, fluct
+
+
+def _search_cases():
+    rng = np.random.default_rng(33)
+    for n in range(17):
+        for _ in range(4):
+            rho = 2.0 ** rng.uniform(-10, min(125, 1000 / max(n, 1)))
+            mags = rng.uniform(0.01, 1, n) * rho ** np.arange(1, n + 1)
+            phases = np.exp(2j * np.pi * rng.uniform(size=n))
+            yield [1.0, *(mags * phases)]
+            yield [1.0, *(mags * np.sign(rng.uniform(-1, 1, n)))]
+    # a term of exactly 1/2 at r = 2**j passes there, one ulp more fails
+    for k, j in ((1, 3), (2, 40), (5, 7), (16, 60)):
+        edge = 2.0 ** (k * j - 2)
+        for v in (edge, np.nextafter(edge, np.inf), np.nextafter(edge, 0)):
+            yield [1.0] + [0.0] * (k - 1) + [v]
+    # the s of the specs whose search lands at 2**96 and runs past 2**120
+    yield [1.0, -1e19, -1e57]
+    yield [1.0, -1e19, -1e78]
+    yield [1.0, 0.75 * 2.0 ** 120]
+    yield [1.0, 2.0 ** 130, 1.0]
+
+
+def test_the_radius_search_ends_where_the_doubling_from_one_does():
+    for s in _search_cases():
+        start = finite._search_start(np.abs(np.asarray(s, dtype=np.complex128)[1:]))
+        # the search may start there: every smaller power of two fails, and so does the start
+        assert all(_positivity_sum(s, 2.0 ** j) > 0.5 for j in range(start)), s
+        assert start == 0 or _positivity_sum(s, 2.0 ** start) > 0.5, s
+        r, fluct = _doubling_search(s)
+        if r is None:
+            with pytest.raises(RadiusInvalid, match=rf"= {fluct:.3e} > 1/2 at r = 2\*\*120".replace(
+                    "+", r"\+")):
+                build_atomic_measure(s)
+            continue
+        measure = build_atomic_measure(s)
+        F = math.ceil(measure.precision * math.log2(10))
+        assert measure.radius == r, s
+        bound = math.ldexp(1.0 + fluct, 1 - F + round(math.log2(r)) * (len(s) - 1))
+        assert measure.error_bound == math.nextafter(bound, math.inf), s
+
+
 def test_an_s_0_that_misses_one_is_refused():
     # criterion 7's complex spec 0: a / a in complex doubles is 1 - 3.97e-17j,
     # so from_moments sets s_0 = 1 exactly; the weights are built for

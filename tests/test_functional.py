@@ -30,7 +30,7 @@ from olaurent.errors import (
     UnsupportedFamily,
     WindowExceeded,
 )
-from olaurent.functional import MAX_NODES, MomentTable, contour_moments
+from olaurent.functional import MAX_NODES, MomentTable, contour_moments, difference_gram
 
 
 def test_moment_values_geometric(geometric):
@@ -469,3 +469,62 @@ def test_an_entry_that_cancels_to_zero_is_not_rounded(monkeypatch, geometric):
     assert G.tobytes() == _dense_gram(build_system(geometric, 2), table).tobytes()
     assert np.array_equal(G, [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
     assert count == 2
+
+
+def _delta_table(moments, quadrature):
+    """delta = mu~ - mu as one exact MomentTable over the tables' common denominator."""
+    den = math.lcm(moments.denominator, quadrature.denominator)
+    a, b = den // moments.denominator, den // quadrature.denominator
+    return MomentTable(window=moments.window, denominator=den,
+                       values=tuple(b * q - a * m for q, m in zip(quadrature.values,
+                                                                  moments.values)))
+
+
+def _route_cases():
+    """(name, source, radius): the stock families at their workload radii and 0.5; a complex one."""
+    for spec, c in zip(STOCK, (0.5, 0.8, 0.7)):
+        for radius in sorted({c, 0.5}):
+            yield spec.kind, realize(spec, 80), radius
+    yield "complex", _complex_source(np.random.default_rng(19), 80), 0.8
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 8, 12, 20, 80])
+def test_the_difference_gram_is_within_its_bound_of_the_exact_gram_of_delta(K):
+    window = 2 * math.ceil(K / 2)
+    for kind, src, radius in _route_cases():
+        system = build_system(src, K)
+        moments = exact_moments(src, window)
+        quadrature = contour_moments(src, ContourSpec(radius=radius), window)
+        G, E = difference_gram(system, moments, quadrature)
+        # the reference rounds each exact entry once, by at most 2**-53 of
+        # itself, so this is stricter than |G - exact| <= E
+        ref = gram_matrix(system, _delta_table(moments, quadrature))
+        assert np.all(np.abs(G - ref) + 2.0 ** -52 * np.abs(ref) <= E), (kind, radius)
+        # the route figure as two exact Grams gave it, each rounded apart:
+        # that moves it by up to 2u (1 + |G~| / (1 + |G|)) from the exact figure
+        exact = gram_matrix(system, moments)
+        two_grams = np.max(np.abs(gram_matrix(system, quadrature) - exact) / (1 + np.abs(exact)))
+        figure = np.max(np.abs(G) / (1 + np.abs(exact)))
+        assert abs(figure - two_grams) <= 1e-12 * two_grams + 2.0 ** -51, (kind, radius)
+
+
+def test_the_difference_gram_bound_holds_every_term_of_its_derivation():
+    # the docstring's terms, from R_n's own coefficients: the products'
+    # (2g + g^2) M and the once-rounded delta's u/(1 - u) M
+    u = 2.0 ** -53
+    for K in (0, 1, 8, 20):
+        c, N = math.ceil(K / 2), K + 1
+        g = math.sqrt(2) * 2 * N * u / (1 - 2 * N * u)
+        for kind, src, radius in _route_cases():
+            system = build_system(src, K)
+            moments = exact_moments(src, 2 * c)
+            quadrature = contour_moments(src, ContourSpec(radius=radius), 2 * c)
+            _, E = difference_gram(system, moments, quadrature)
+            delta = _delta_table(moments, quadrature)
+            A = np.zeros((N, N), dtype=complex)
+            for n, R in enumerate(system.R):
+                A[n, R.min_exponent + c:R.max_exponent + c + 1] = R.coeffs
+            H = np.array([[delta[i + j - 2 * c] for j in range(N)] for i in range(N)])
+            M = np.abs(A) @ np.abs(H) @ np.abs(A).T
+            assert np.all(E >= (2 * g + g * g + u / (1 - u)) * M), (kind, radius, K)
+
