@@ -35,9 +35,11 @@ __all__ = ["FamilySpec", "realize", "reciprocal_closed_form", "MAX_ORDER"]
 KINDS = {"geometric": (), "exponential": (), "exp-binomial": ("b", "a", "family_lambda"),
          "explicit": ("coeffs", "radius")}
 
-# largest order or index K.  The exact recurrence holds ~K^3 bits: at 4 n_cap =
-# 512 a finite spec of generic real double g takes ~330 MB and ~24 s, a family's
-# own R_n, which run no recurrence, ~32 MB and ~0.6 s (2-core Xeon, level 1)
+# largest order or index K.  The exact recurrence holds ~K^3 bits and the solve
+# takes the time: at 4 n_cap = 512 a finite spec of generic real double g takes
+# ~340 MB and ~20 s (~2 s recurrence, ~18 s solve), a complex one ~660 MB and
+# ~120 s, a family's own R_n, which run no recurrence, ~32 MB and ~0.6 s
+# (2-core Xeon, level 1)
 MAX_ORDER = 512
 
 

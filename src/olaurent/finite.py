@@ -361,33 +361,13 @@ def _unit_roots(m: int, bits: int) -> list[tuple[int, int]]:
     return half + [(half[m - q][0], -half[m - q][1]) for q in range(m // 2 + 1, m)]
 
 
-def _search_start(mags: np.ndarray) -> int:
-    """The largest e <= 120 at which one term alone fails 2 sum |s_k| 2**(-ek) <= 1/2, else 0.
-
-    A float sum of nonnegative terms is at least its largest term, and at
-    r = 2**j the term 2 |s_k| r^{-k} is exact, so it fails the sum alone
-    when |s_k| > 2**(jk - 2).  With |s_k| = m 2**p, 1/2 <= m < 1, that is
-    jk <= p, or jk = p + 1 and m > 1/2: every j <= (p + [m > 1/2]) // k.
-    So every r = 2**j, j <= e, fails the sum when e > 0.  The exponent is
-    read exactly, so no margin is kept for a float log.
-    """
-    start = 0
-    for k, v in enumerate(mags.tolist(), 1):
-        if v:
-            m, p = math.frexp(v)
-            start = max(start, (p + (m > 0.5)) // k)
-    return min(start, 120)
-
-
 def build_atomic_measure(s) -> AtomicMeasure:
     """Equal-angle atoms on a circle matching the moments s_0..s_N.
 
     The radius search doubles r until the positivity bound
     2 sum |s_k| r^{-k} <= 1/2 holds, which caps the weight fluctuation
     and keeps every w_j >= 1/(2M); if that still fails at r = 2**120,
-    :class:`RadiusInvalid` carries the sum.  It starts from 1 or from the
-    power of two :func:`_search_start` gives, below which every r fails,
-    so it ends at the same r with the same sum.
+    :class:`RadiusInvalid` carries the sum.
 
     In fixed point: r = 2**e, t_k = s_k r^{-k} = T_k / 2**S exactly, and
     the roots are R_q = 2**F (omega^q + eps_q) from :func:`_unit_roots`.
@@ -432,7 +412,7 @@ def build_atomic_measure(s) -> AtomicMeasure:
     n = s_arr.shape[0] - 1
     m = 2 * n + 1
     mags = np.abs(s_arr[1:])
-    r = 2.0 ** _search_start(mags)
+    r = 1.0
     while (fluct := 2.0 * float(np.sum(mags * r ** -np.arange(1, n + 1)))) > 0.5:
         if r == 2.0 ** 120:
             raise RadiusInvalid(

@@ -24,9 +24,13 @@ Q_{-1} = 0, so -g_1 is one free choice, and recur_lambda_1 = 1 a
 placeholder.  Each value is one operation on the double d_k.
 
 The recurrence needs products and sums only, so :func:`two_step` runs it
-exactly on the double g_k and f^rec_k and yields each exact Q_n as a
-:class:`~olaurent.series.LaurentPoly`, for :func:`build_by_recurrence`
-and :func:`~olaurent.finite.build_Q` alike.  A source's own finite
+in exact :class:`~olaurent.series.LaurentPoly` arithmetic on the double
+g_k and f^rec_k, for :func:`build_by_recurrence` and
+:func:`~olaurent.finite.build_Q` alike.  A double is an integer over a
+power of two, and the lcm of two powers of two is the larger one, so
+Q_n is over 2**max(s_g + s_{n-1}, s_f + s_{n-2}) for g_n, f^rec_n over
+2**s_g, 2**s_f: each step shifts the numerators to that one scale and
+adds them, and nothing is ever divided out.  A source's own finite
 system is its exact R_n, :attr:`OLPSystem.R`, and runs no recurrence.
 
 On a source's own data, f^rec_k = -g_k, a step never changes a
@@ -164,40 +168,18 @@ def _checked(name: str, values: list) -> tuple:
 def two_step(g, f_rec):
     """Yield the exact Q_1, Q_2, ... of the recurrence; g[k-1], f_rec[k-1] hold g_k, f_k.
 
-    Each Q_k is a :class:`~olaurent.series.LaurentPoly` over a power of two
-    that never shrinks from step to step, with ``int`` numerators for real
-    inputs; the loop runs on its own integer lists.  A step shifts the
-    numerators of Q_{k-1} up to the new denominator and adds
-    g_k Q_{k-1} + f_k Q_{k-2}, formed on the unshifted numerators aligned
-    at the smaller of their two shifts and then shifted once.  Where the
-    numerator of f_k is minus that of g_k, as on a source's own data, the
-    sum is formed as g_k times one aligned difference, one product
-    instead of two; on a source's own data that difference is 0 at every
-    coefficient the step carries.  The add is skipped wherever the sum
-    is 0.
+    Each step is the recurrence itself in :class:`~olaurent.series.LaurentPoly`
+    arithmetic.  Every denominator is a power of two, so the lcm that ``+``
+    takes is the larger one: Q_k is over 2**max(s_g + s_{k-1}, s_f + s_{k-2}),
+    never reduced, with ``int`` numerators for real inputs.  A non-finite
+    g_k or f_k is refused at the step that reads it.
     """
-    steps = [(exact.split(a), exact.split(b)) for a, b in zip(g, f_rec)]
-    q0, s0 = [], 0              # Q_{-1} = 0
-    lo1, q1, s1 = 0, [1], 0     # Q_0 = 1
-    for k, ((gk, sg), (fk, sf)) in enumerate(steps, start=1):
-        scale = max(sg + s1, sf + s0)
-        u, v, w = scale - s1, scale - sg - s1, scale - sf - s0
-        m = min(v, w)
-        v, w = v - m, w - m
-        own = fk == -gk     # then the sum is g_k times one difference
-        # odd k: (x^{-1} + g) Q_{k-1}; even k: (1 + g x) Q_{k-1}; both put
-        # the unit part one slot below the g part, and Q_{k-2} (one entry
-        # shorter than Q_{k-1}) level with the g part
-        lo = lo1 - 1 if k % 2 == 1 else lo1
-        q = [a << u for a in q1]
-        for i, (a, b) in enumerate(zip(q1, q0), start=1):
-            t = (a << v) - (b << w) if own else ((gk * a) << v) + ((fk * b) << w)
-            if t:
-                q[i] += (gk * t if own else t) << m
-        q.append((gk * q1[-1]) << (v + m))
-        yield LaurentPoly.from_exact(lo, q, 1 << scale)
-        q0, s0 = q1, s1
-        lo1, q1, s1 = lo, q, scale
+    prev, q = LaurentPoly(), LaurentPoly({0: 1})     # Q_{-1} = 0, Q_0 = 1
+    for k, (gk, fk) in enumerate(zip(g, f_rec), start=1):
+        # odd k: x^{-1} + g_k; even k: 1 + g_k x
+        step = LaurentPoly({-1: 1, 0: gk} if k % 2 == 1 else {0: 1, 1: gk})
+        prev, q = q, step * q + LaurentPoly({0: fk}) * prev
+        yield q
 
 
 def build_by_recurrence(rd: RecurrenceData, K: int) -> tuple[LaurentPoly, ...]:
@@ -233,7 +215,7 @@ def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationR
     """
     K = min(system.K, rd.K)
     new = np.ones(K + 1, dtype=np.complex128)
-    # split all first: a non-finite g_k or f^rec_k is refused before any step, as two_step does
+    # split all first: a non-finite g_k or f^rec_k is refused before any step
     steps = [(exact.split(a), exact.split(b)) for a, b in zip(rd.g[1:K + 1], rd.f_rec[1:K + 1])]
     p, scale = 1, 0
     for n, ((gn, sg), f) in enumerate(steps, start=1):

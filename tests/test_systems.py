@@ -417,8 +417,8 @@ def test_two_step_on_a_sources_own_data_carries_every_coefficient(g, f1):
 
 
 def _reference_two_step(g, f_rec):
-    """Reference for `two_step`: each term of g_k Q_{k-1} and of f_k Q_{k-2} shifted to the
-    step's denominator and added on its own, with no alignment, factoring or skipped add."""
+    """Reference for `two_step` on integer lists: each term of g_k Q_{k-1} and of f_k Q_{k-2}
+    shifted to the step's denominator 2**max(s_g + s_{k-1}, s_f + s_{k-2}) and added on its own."""
     steps = [(exact.split(a), exact.split(b)) for a, b in zip(g, f_rec)]
     lo0, q0, s0 = 0, [], 0      # Q_{-1} = 0
     lo1, q1, s1 = 0, [1], 0     # Q_0 = 1
@@ -457,3 +457,16 @@ def test_two_step_is_bitwise_the_reference_loop(steps, own):
     got = list(systems.two_step(g, f_rec))
     want = list(_reference_two_step(g, f_rec))
     assert [_exact_form(q) for q in got] == [_exact_form(q) for q in want]
+
+
+def test_two_step_takes_every_number_form_that_split_takes():
+    # int, float and complex, numpy float64 and complex128: the same values give
+    # the same Q_k, numerator types included (a real value stays int)
+    g = [3, -(2 ** 40), 5, 1, -7, 2 ** 52 + 1]
+    f_rec = [-1, 4, -(2 ** 30), 6, 1, -3]
+    got = {form: [(q.lo, [(type(c), c.real, c.imag) for c in q.numerators], q.denominator)
+                  for q in systems.two_step([form(v) for v in g], [form(v) for v in f_rec])]
+           for form in (int, float, complex, np.float64, np.complex128)}
+    for form, qs in got.items():
+        assert qs == got[int], form
+    assert len(got[int]) == len(g) and {t for q in got[int] for t, _, _ in q[1]} == {int}
