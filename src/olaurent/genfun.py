@@ -6,30 +6,48 @@ Two identities are checked against truncated sums:
     ((s+1)/(s-z)) f(s z) + ((s-1)/(s+z)) f(-s z)
                        = 2 sum_n R_n(x) z^n                (|z| < |s|)
 
-where s is either square root of x; the left side is invariant under the
-choice of branch.  Both are one truncated sum, sum_{n<=terms} f_n(x) w_n
-with w_n = t^n or 2 z^n / x^ceil(n/2), against a left side evaluated on
-the realized d_0..d_T; so every |f_n(x)| is at most the majorant
-sum_{k<=T} |d_k| |x|^k, which bounds the dropped terms for any T >= terms
-(the CLI realizes T as its contour route does: max(terms, 64) for a stock
-family, an explicit one's own coefficients up to 64).  The second
-identity's left side does not depend on n, so one FFT of it on
-|z| = |s|/2 gives every R_n(x) as a Taylor coefficient.
+where s is either square root of x.  Both are one truncated sum,
+sum_{n<=terms} f_n(x) w_n with w_n = t^n or 2 z^n / x^ceil(n/2), against a
+left side evaluated on the realized d_0..d_T; so every |f_n(x)| is at most
+the majorant sum_{k<=T} |d_k| |x|^k, which bounds the dropped terms for any
+T >= terms (the CLI realizes T as its contour route does: max(terms, 64)
+for a stock family, an explicit one's own coefficients up to 64).
 
-That FFT needs one kernel, not two.  With g(z) = f(s z) / (s - z) the
-left side is (s+1) g(z) + (s-1) g(-z), whose coefficient n is
-(s+1) g_n + (-1)^n (s-1) g_n: 2 s g_n for even n and 2 g_n for odd n.
-Expanding 1/(s - z) gives g_n = s^(-n-1) f_n(x), so
+The second left side needs no square root.  With f's even and odd parts
+F_e(w) = sum_k d_2k w^k and F_o(w) = sum_k d_2k+1 w^k, f(+-s z) =
+F_e(x z^2) +- s z F_o(x z^2), and over the common denominator x - z^2
+every odd power of s cancels:
+
+    lhs = 2 ((x + z) F_e + x z (1 + z) F_o) / (x - z^2)
+        = 2 (F_e + z (1 + z) (F_e + x F_o) / (x - z^2)),   F_e, F_o at x z^2.
+
+The check evaluates the second form, which is 2 d_0 exactly at z = 0 (in the
+first, x / x need not round to 1), and needs no branch: the two 1/s
+prefactors, whose cancellation cost eps/|s| at small x, are gone.  With
+a = x + z and b = s (1 + z) the lhs is 2 (a F_e + b (s z F_o)) / (x - z^2), so
+the tail estimate of f at |s z|, which stands for the even and odd terms'
+dropped magnitudes together, bounds the left side's truncation error times
+2 max(|a|, |b|) / |x - z^2|.
+
+The second identity's left side does not depend on n, so one FFT of it on
+|z| = |s|/2 gives every R_n(x) as a Taylor coefficient.  That FFT keeps s
+and needs one kernel, not two.  With g(z) = f(s z) / (s - z) the left side
+is (s+1) g(z) + (s-1) g(-z), whose coefficient n is (s+1) g_n +
+(-1)^n (s-1) g_n: 2 s g_n for even n and 2 g_n for odd n.  Expanding
+1/(s - z) gives g_n = s^(-n-1) f_n(x), so
 
     R_n(x) = s g_n  (n even),    R_n(x) = g_n  (n odd),
 
-and one Horner pass of f over the nodes serves every n.
+and one Horner pass of f over the nodes serves every n.  The branch-free
+left side would serve too, but it rounds the spectrum worse: acceptance
+criterion 6's worst geometric R_n error is 4.659e-10 with g, and 1.027e-9
+or 1.380e-9 with the first or second form above.
 
 Each check takes equal-length sequences of points, ``check_partial_sum_genfun(system, xs,
-ts, terms)`` and ``check_laurent_genfun(system, xs, zs, terms, sqrt_xs=None)``, and returns
-one :class:`GenfunCheck` per point, in order; a guard names the index of the point it
-refuses.  A check evaluates f on the truncated source series, at all of its points in one
-call, so points must sit inside the convergence disc with a fixed safety margin.
+ts, terms)`` and ``check_laurent_genfun(system, xs, zs, terms)``, and returns one
+:class:`GenfunCheck` per point, in order; a guard names the index of the point it refuses.
+A check evaluates f on the truncated source series, at all of its points in one call, so
+points must sit inside the convergence disc with a fixed safety margin.
 """
 
 from __future__ import annotations
@@ -53,11 +71,16 @@ __all__ = ["GenfunCheck", "check_partial_sum_genfun", "check_laurent_genfun",
 
 RADIUS_MARGIN = 0.95
 POLE_TOL = 1e-6
+GENFUN_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
 class GenfunCheck:
-    """Residual of a truncated identity next to its finite tail estimate."""
+    """Residual of a truncated identity next to its finite tail estimate.
+
+    A check passes when its residual is at most ``bound``: the tail estimate plus a
+    rounding floor of GENFUN_FLOOR (1 + |lhs|).
+    """
 
     residual: float
     tail_bound: float
@@ -66,6 +89,14 @@ class GenfunCheck:
     def __post_init__(self):
         if not math.isfinite(self.tail_bound):
             raise TailNotNegligible(f"tail estimate {self.tail_bound} is not finite")
+
+    @property
+    def bound(self) -> float:
+        return self.tail_bound + GENFUN_FLOOR * (1 + abs(self.lhs))
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.bound
 
 
 def _truncated_check(system: OLPSystem, xs, terms: int, lhs, weights, bounds) -> list[GenfunCheck]:
@@ -114,45 +145,45 @@ def check_partial_sum_genfun(system: OLPSystem, xs, ts, terms: int) -> list[Genf
                             [(abs(t), 1.0, tail / abs(1 - t)) for t, tail in zip(ts, tails)])
 
 
-def check_laurent_genfun(system: OLPSystem, xs, zs, terms: int, sqrt_xs=None) -> list[GenfunCheck]:
+def check_laurent_genfun(system: OLPSystem, xs, zs, terms: int) -> list[GenfunCheck]:
     """Residual of the two-kernel identity against 2 sum R_n(x) z^n at each point (x, z).
 
-    ``sqrt_xs`` defaults to the principal square roots s of the x; pass other branches to
-    exercise branch invariance.  A given root must square to x within 1e-12 |x|.  z within
-    POLE_TOL |s| of +-s is refused, a guard scaled to the poles it keeps off.
+    The left side is formed in x alone, from F_e and F_o at x z^2 (see the module
+    docstring).  z with |x - z^2| < POLE_TOL |x| is refused, a guard scaled to the
+    denominator it protects.
     """
-    f = system.source
-    roots = [cmath.sqrt(x) for x in xs] if sqrt_xs is None else sqrt_xs
-    points, prefacs = _points(xs, zs, roots), []
-    for i, (x, z, s) in enumerate(points):
-        if sqrt_xs is not None and (err := abs(s * s - x)) > 1e-12 * abs(x):
-            raise InvalidParams(f"point {i}: sqrt_x^2 differs from x by {err:.3e}")
+    f, d = system.source, system.source.coeffs
+    points = [(complex(x), complex(z), math.sqrt(abs(x))) for x, z in _points(xs, zs)]
+    for i, (x, z, r) in enumerate(points):
         if x == 0 or not abs(x) <= RADIUS_MARGIN * f.radius:
             raise DomainViolation(f"point {i}: need 0 < |x| <= {RADIUS_MARGIN} * radius, "
                                   f"got |x| = {abs(x)}")
-        if not abs(z) < abs(s):
-            raise DomainViolation(f"point {i}: |z| = {abs(z)} must be < |sqrt x| = {abs(s)}")
-        if min(abs(s - z), abs(s + z)) < POLE_TOL * abs(s):
-            raise PoleProximity(f"point {i}: z too close to +-sqrt(x)")
-        prefacs.append(abs((s + 1) / (s - z)) + abs((s - 1) / (s + z)))
-    sz = [complex(s * z) for _, z, s in points]
-    values = kernels.eval_poly(f.coeffs, sz + [complex(-s * z) for _, z, s in points])
-    lhs = [((s + 1) / (s - z)) * plus + ((s - 1) / (s + z)) * minus
-           for (_, z, s), plus, minus in zip(points, values, values[len(points):])]
-    tails = f.tail_bound(np.array([abs(s * z) for z, s in zip(zs, roots)])).tolist()
-    # 2 R_n(x) z^n = f_n(x) w_n: the ladder's steps z/x (odd n) and z (even n) never overflow
-    steps = np.array([(2.0, z / x, z) for x, z in zip(xs, zs)], np.complex128).reshape(-1, 3)
+        if not abs(z) < r:
+            raise DomainViolation(f"point {i}: |z| = {abs(z)} must be < |sqrt x| = {r}")
+        if (gap := abs(x - z * z)) < POLE_TOL * abs(x):
+            raise PoleProximity(f"point {i}: |x - z^2| = {gap:.3e} < POLE_TOL |x|")
+    ws = [x * z * z for x, z, _ in points]
+    # F_e and F_o at w = x z^2, one Horner pass each; an order-0 source has no odd part
+    even, odd = (kernels.eval_poly(c, ws) if c.size else [0j] * len(ws) for c in (d[::2], d[1::2]))
+    lhs = [2 * (e + z * (1 + z) * (e + x * o) / (x - z * z))
+           for (x, z, _), e, o in zip(points, even, odd)]
+    tails = f.tail_bound(np.array([r * abs(z) for _, z, r in points])).tolist()
+    # 2 R_n(x) z^n = f_n(x) w_n with |w_n| <= 2 max(1, 1/r) (|z|/r)^n; the ladder's steps
+    # z/x (odd n) and z (even n) never overflow
+    steps = np.array([(2.0, z / x, z) for x, z, _ in points], np.complex128).reshape(-1, 3)
     return _truncated_check(system, xs, terms, lhs,
                             lambda n: np.cumprod(steps[:, np.where(n == 0, 0, 2 - n % 2)], axis=1),
-                            [(abs(z) / abs(s), 2.0 * max(1.0, 1.0 / abs(s)), p * tail)
-                             for z, s, p, tail in zip(zs, roots, prefacs, tails)])
+                            [(abs(z) / r, 2.0 * max(1.0, 1.0 / r),
+                              2 * max(abs(x + z), r * abs(1 + z)) / abs(x - z * z) * tail)
+                             for (x, z, r), tail in zip(points, tails)])
 
 
 @functools.lru_cache(maxsize=8)
 def _lhs_spectrum(coeffs: bytes, x: complex, radius: float, nodes: int) -> np.ndarray:
     """Read-only R_n spectrum on |z| = radius: g's spectrum with the even entries times s.
 
-    Unscaled, because r**-k can overflow; entry n < nodes is R_n(x) r^n.
+    Unscaled, because r**-k can overflow; entry n < nodes is R_n(x) r^n.  It keeps s:
+    the one kernel g rounds the R_n closer than the branch-free left side would.
     """
     d = np.frombuffer(coeffs, dtype=np.complex128)
     s = cmath.sqrt(x)

@@ -292,6 +292,24 @@ def test_genfun_check_refuses_an_infinite_tail_estimate(capsys):
     assert "TailNotNegligible" in err
 
 
+def test_genfun_check_passes_at_a_tiny_radius(capsys):
+    # sample 0 (z = 0, |x| = 4.5e-13) read a Laurent residual of 1.164e-10 against
+    # a bound of 3.0e-13 and the run exited 3: the two-kernel form's 1/sqrt(x)
+    # prefactors cancelled
+    family = json.dumps({"kind": "explicit", "coeffs": [2.0 ** -k for k in range(11)],
+                         "radius": 1e-12})
+    assert main(["genfun-check", "--family", family, "--terms", "8", "--samples", "3"]) == 0
+    row = strict_loads(capsys.readouterr().out)["samples"][1]
+    assert (row["kind"], row["z"], row["residual"]) == ("laurent", [0.0, 0.0], 0.0)
+
+
+def test_genfun_check_runs_on_an_order_0_source(capsys):
+    # d_0 alone: f's odd part F_o has no coefficients
+    assert main(["genfun-check", "--family", '{"kind": "explicit", "coeffs": [1]}',
+                 "--terms", "0", "--samples", "5"]) == 0
+    assert strict_loads(capsys.readouterr().out)["all_passed"] is True
+
+
 @pytest.mark.parametrize("family", [
     "geometric", "exponential",
     '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}',

@@ -35,7 +35,7 @@ def exp_sys():
 
 
 def floor_of(check):
-    return 1e-13 * (1 + abs(check.lhs))
+    return genfun.GENFUN_FLOOR * (1 + abs(check.lhs))
 
 
 # -- partial-sum identity -----------------------------------------------------
@@ -51,7 +51,7 @@ def test_partial_sum_identity_at_x_zero(exp_sys, t):
 def test_partial_sum_identity_geometric(geo_sys):
     chk, = check_partial_sum_genfun(geo_sys, [0.3], [0.4], 40)
     assert chk.residual <= 1e-10
-    assert chk.residual <= chk.tail_bound + floor_of(chk)
+    assert chk.passed
 
 
 def test_partial_sum_identity_exponential(exp_sys):
@@ -81,19 +81,44 @@ def test_laurent_identity_collapses_at_z_zero(exp_sys):
 def test_laurent_identity_geometric(geo_sys):
     chk, = check_laurent_genfun(geo_sys, [0.25], [0.2], 60)
     assert chk.residual <= 1e-9
-    assert chk.residual <= chk.tail_bound + floor_of(chk)
+    assert chk.passed
+
+
+def two_kernel_lhs(f, x, z, s):
+    """((s+1)/(s-z)) f(s z) + ((s-1)/(s+z)) f(-s z) for one root s of x."""
+    return ((s + 1) / (s - z)) * f(s * z) + ((s - 1) / (s + z)) * f(-s * z)
 
 
 def test_laurent_identity_other_branch(geo_sys):
-    chk, = check_laurent_genfun(geo_sys, [0.25], [0.2], 60, sqrt_xs=[-0.5])
-    assert chk.residual <= 1e-9
+    # the identity with its left side formed on the root s = -0.5 of x = 0.25:
+    # |lhs(-0.5) - rhs| <= |lhs(-0.5) - lhs| + |lhs - rhs|
+    chk, = check_laurent_genfun(geo_sys, [0.25], [0.2], 60)
+    other = two_kernel_lhs(geo_sys.source, 0.25, 0.2, -0.5)
+    assert abs(other - chk.lhs) + chk.residual <= 1e-9
 
 
 def test_branch_invariance_of_left_side(geo_sys):
-    a, = check_laurent_genfun(geo_sys, [0.25 + 0.1j], [0.15], 60)
-    s = complex(np.sqrt(complex(0.25 + 0.1j)))
-    b, = check_laurent_genfun(geo_sys, [0.25 + 0.1j], [0.15], 60, sqrt_xs=[-s])
-    assert abs(a.lhs - b.lhs) <= 1e-9 * (1 + abs(a.lhs))
+    x, z = 0.25 + 0.1j, 0.15
+    chk, = check_laurent_genfun(geo_sys, [x], [z], 60)
+    s = cmath.sqrt(x)
+    a, b = (two_kernel_lhs(geo_sys.source, x, z, r) for r in (s, -s))
+    assert abs(a - b) <= 1e-9 * (1 + abs(a))
+    assert abs(a - chk.lhs) <= 1e-9 * (1 + abs(chk.lhs))
+
+
+def test_left_side_is_the_two_kernel_form_on_both_branches(geo_sys, exp_sys):
+    # the check writes the left side in x alone; the paper's form, on either root
+    # of x, must give the same value
+    rng = np.random.default_rng(5)
+    for system in (geo_sys, exp_sys):
+        rho = min(system.source.radius, 3.0)
+        for _ in range(40):
+            x = complex(rho * rng.uniform(0.1, 0.9) * cli._phase(rng))
+            z = complex(abs(x) ** 0.5 * rng.uniform(0.0, 0.9) * cli._phase(rng))
+            chk, = check_laurent_genfun(system, [x], [z], 60)
+            for s in (cmath.sqrt(x), -cmath.sqrt(x)):
+                old = two_kernel_lhs(system.source, x, z, s)
+                assert abs(old - chk.lhs) <= 1e-13 * (1 + abs(chk.lhs)), (x, z, s)
 
 
 def test_laurent_residual_shrinks_with_doubling(geo_sys):
@@ -115,9 +140,9 @@ def test_residuals_sit_under_tail_estimate(geo_sys, exp_sys, seed):
         t = rng.uniform(0.25, 0.7) * np.exp(2j * np.pi * rng.uniform())
         z = abs(np.sqrt(x)) * rng.uniform(0.25, 0.6) * np.exp(2j * np.pi * rng.uniform())
         ps, = check_partial_sum_genfun(sysK, [complex(x)], [complex(t)], 80)
-        assert ps.residual <= ps.tail_bound + floor_of(ps)
+        assert ps.passed
         la, = check_laurent_genfun(sysK, [complex(x)], [complex(z)], 80)
-        assert la.residual <= la.tail_bound + floor_of(la)
+        assert la.passed
 
 
 def test_dropped_partial_sums_sit_under_the_series_majorant(capsys):
@@ -132,7 +157,7 @@ def test_dropped_partial_sums_sit_under_the_series_majorant(capsys):
         key = "t" if row["kind"] == "partial_sum" else "z"
         check = check_partial_sum_genfun if key == "t" else check_laurent_genfun
         chk, = check(system, [complex(*row["x"])], [complex(*row[key])], 0)
-        assert chk.residual < chk.tail_bound + floor_of(chk), row
+        assert chk.residual < chk.bound, row
 
 
 COMPLEX_EXPLICIT = FamilySpec("explicit", radius=1.25, coeffs=[1.0] + [
@@ -154,15 +179,11 @@ def test_a_batch_is_its_one_point_checks_bitwise(family, terms):
     xs = [min(family.radius, 3.0) * rng.uniform(0.2, 0.6) * cli._phase(rng) for _ in range(20)]
     ts = [rng.uniform(0.2, 0.7) * cli._phase(rng) for _ in xs]
     zs = [0j] + [x ** 0.5 * rng.uniform(0.2, 0.6) * cli._phase(rng) for x in xs[1:]]
-    roots = [-(x ** 0.5) for x in xs]
-    for check, points, kwargs in ((check_partial_sum_genfun, ts, {}),
-                                  (check_laurent_genfun, zs, {}),
-                                  (check_laurent_genfun, zs, {"sqrt_xs": roots})):
-        batch = check(system, xs, points, terms, **kwargs)
+    for check, points in ((check_partial_sum_genfun, ts), (check_laurent_genfun, zs)):
+        batch = check(system, xs, points, terms)
         assert len(batch) == len(xs)
         for i, got in enumerate(batch):
-            one = {k: [v[i]] for k, v in kwargs.items()}
-            assert bits(got) == bits(check(system, [xs[i]], [points[i]], terms, **one)[0]), i
+            assert bits(got) == bits(check(system, [xs[i]], [points[i]], terms)[0]), i
 
 
 def hexes(values):
@@ -172,7 +193,8 @@ def hexes(values):
 @pytest.mark.parametrize("family", BATCH_FAMILIES, ids=["geometric", "exponential",
                                                          "exp-binomial", "complex-explicit"])
 def test_each_left_side_is_formed_from_scalar_f_calls_bitwise(family):
-    # a check evaluates f at all of its points in one call; one scalar call per point is the reference
+    # a check evaluates f (F_e and F_o for the Laurent identity) at all of its points
+    # in one call; one scalar call per point (and parity) is the reference
     system = build_system(realize(family, cli._series_order(family, 80)), 80)
     f, rng = system.source, np.random.default_rng(7)
     xs = [min(family.radius, 3.0) * rng.uniform(0.2, 0.6) * cli._phase(rng) for _ in range(20)]
@@ -180,11 +202,12 @@ def test_each_left_side_is_formed_from_scalar_f_calls_bitwise(family):
     zs = [0j] + [x ** 0.5 * rng.uniform(0.2, 0.6) * cli._phase(rng) for x in xs[1:]]
     got = check_partial_sum_genfun(system, xs, ts, 80)
     assert hexes(c.lhs for c in got) == hexes(f(x * t) / (1 - t) for x, t in zip(xs, ts))
-    for roots in (None, [-(x ** 0.5) for x in xs]):
-        got = check_laurent_genfun(system, xs, zs, 80, sqrt_xs=roots)
-        expect = [((s + 1) / (s - z)) * f(s * z) + ((s - 1) / (s + z)) * f(-s * z)
-                  for z, s in zip(zs, roots or [cmath.sqrt(x) for x in xs])]
-        assert hexes(c.lhs for c in got) == hexes(expect)
+    got = check_laurent_genfun(system, xs, zs, 80)
+    expect = []
+    for x, z in zip(xs, zs):
+        even, odd = (kernels.eval_poly(c, x * z * z) for c in (f.coeffs[::2], f.coeffs[1::2]))
+        expect.append(2 * (even + z * (1 + z) * (even + x * odd) / (x - z * z)))
+    assert hexes(c.lhs for c in got) == hexes(expect)
 
 
 @pytest.mark.parametrize("terms", [0, 8, 80])
@@ -200,8 +223,9 @@ def test_each_report_row_is_its_one_point_check_bitwise(capsys, flag, terms):
         key = "t" if row["kind"] == "partial_sum" else "z"
         check = check_partial_sum_genfun if key == "t" else check_laurent_genfun
         chk, = check(system, [complex(*row["x"])], [complex(*row[key])], terms)
-        bound = chk.tail_bound + cli.GENFUN_FLOOR * (1 + abs(chk.lhs))
-        assert (row["residual"].hex(), row["bound"].hex()) == (chk.residual.hex(), bound.hex()), row
+        assert (row["residual"].hex(), row["bound"].hex()) == (chk.residual.hex(),
+                                                               chk.bound.hex()), row
+        assert row["passed"] is chk.passed, row
 
 
 # -- domain and parameter guards ----------------------------------------------
@@ -212,12 +236,6 @@ def test_sample_validation(geo_sys):
         check_partial_sum_genfun(geo_sys, [0.3], [0.4], -1)
     with pytest.raises(InvalidParams, match="terms must be >= 0"):
         check_laurent_genfun(geo_sys, [0.3], [0.2], -1)
-    with pytest.raises(InvalidParams, match="sqrt_x"):
-        check_laurent_genfun(geo_sys, [0.3], [0.2], 10, sqrt_xs=[0.9])  # 0.81 != 0.3
-    # the root guard is scaled to |x|: 1e-7 squares to 1e-14, not 1e-13, and
-    # against max(1, |x|) it passed, to a residual 1.23e7 against a bound 1.95e4
-    with pytest.raises(InvalidParams, match="point 0: sqrt_x"):
-        check_laurent_genfun(geo_sys, [1e-13], [5e-8], 10, sqrt_xs=[1e-7])
     with pytest.raises(InvalidParams, match=r"differ in length: \[2, 1\]"):
         check_partial_sum_genfun(geo_sys, [0.3, 0.2], [0.4], 10)
 
@@ -245,9 +263,6 @@ def test_a_batch_guard_names_its_first_offending_point(geo_sys):
         check_laurent_genfun(geo_sys, xs, zs[:3] + [0.6, 0.1, 0.6], 10)
     with pytest.raises(PoleProximity, match="point 3: "):
         check_laurent_genfun(geo_sys, [0.25] * 6, zs[:3] + [0.5 - 1e-8, 0.1, 0.5 - 1e-8], 10)
-    roots = [x ** 0.5 for x in xs]
-    with pytest.raises(InvalidParams, match="point 3: sqrt_x"):
-        check_laurent_genfun(geo_sys, xs, zs, 10, sqrt_xs=roots[:3] + [0.9, 0.1, 0.9])
 
 
 def test_laurent_guards(geo_sys):
@@ -256,9 +271,36 @@ def test_laurent_guards(geo_sys):
     with pytest.raises(DomainViolation):
         check_laurent_genfun(geo_sys, [0.25], [0.6], 10)
     with pytest.raises(PoleProximity):
-        check_laurent_genfun(geo_sys, [0.25], [0.5 - 1e-8], 10)  # 1e-8 < POLE_TOL |sqrt x|
-    # the pole guard is scaled to |sqrt x|: z = 0 stays clear of +-sqrt(x) at any x
+        check_laurent_genfun(geo_sys, [0.25], [0.5 - 1e-8], 10)  # |x - z^2| ~ 1e-8 < POLE_TOL |x|
+    # the pole guard is scaled to |x|: z = 0 stays clear of +-sqrt(x) at any x
     assert check_laurent_genfun(geo_sys, [1e-13], [0.0], 10)[0].lhs == pytest.approx(2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("x", [0.25, -0.3 + 0.4j, 2.0j])
+def test_pole_guard_is_pole_tol_times_x(geo_sys, exp_sys, x, sign):
+    # z just inside and just outside |x - z^2| = POLE_TOL |x|, next to +sqrt(x) or
+    # -sqrt(x); against |sqrt x| both sat within 0.5e-6 |sqrt x| of a pole and were refused
+    system = geo_sys if abs(x) < 1 else exp_sys
+    under, over = (sign * cmath.sqrt(x * (1 - q * genfun.POLE_TOL)) for q in (1 - 1e-6, 1 + 1e-6))
+    assert abs(x - under * under) < genfun.POLE_TOL * abs(x) < abs(x - over * over)
+    with pytest.raises(PoleProximity, match=r"point 0: \|x - z\^2\|"):
+        check_laurent_genfun(system, [x], [under], 10)
+    assert check_laurent_genfun(system, [x], [over], 10)[0].passed
+
+
+# the first sample of `genfun-check --family '{"kind": "explicit", "coeffs": [1, 0.5, ...,
+# 2**-10], "radius": 1e-12}' --terms 8 --samples 3`, |x| = 4.5e-13
+TINY_X = complex(-5.6394924043645443e-14, 4.512745429248222e-13)
+
+
+@pytest.mark.parametrize("x", [TINY_X, 3e-15, -3e-15j, 1e-300 + 1e-300j])
+def test_z_zero_gives_exactly_two_at_any_x(x):
+    # the two 1/s prefactors of the two-kernel form cancel at small |s| and
+    # left 1.164e-10 at TINY_X (3.7e-9 at 3e-15) against a bound of 3e-13
+    family = FamilySpec("explicit", coeffs=[2.0 ** -k for k in range(11)], radius=1e-12)
+    chk, = check_laurent_genfun(build_system(realize(family, 10), 8), [x], [0j], 8)
+    assert (chk.lhs, chk.residual) == (2, 0.0)
 
 
 # -- coefficient extraction -----------------------------------------------------

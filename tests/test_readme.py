@@ -21,6 +21,7 @@ from olaurent import (
     build_atomic_measure,
     build_Q,
     build_system,
+    check_laurent_genfun,
     contour_L,
     exact_moments,
     realize,
@@ -107,6 +108,27 @@ def test_criterion_6_geometric_figure(readme):
         worst = max(worst, *(abs(rn_by_contour(src, n, x, nodes=512) - system.R[n](x))
                              for n in range(21)))
     assert f"Criterion 6 extracts R_n(x) to {fig(worst)} (geometric) against 1e-8" in readme
+
+
+def test_criterion_5_laurent_residual_figures(readme):
+    # the acceptance gate's draws: x, t and z per sample, 20 samples per family
+    rng = np.random.default_rng(55)
+
+    def phase():
+        return cmath.exp(2j * cmath.pi * rng.uniform())
+
+    worst = []
+    for fam in STOCK:
+        src = realize(fam, 80)
+        system, rho, residual = build_system(src, 80), min(src.radius, 3.0), 0.0
+        for _ in range(20):
+            x = rho * rng.uniform(0.25, 0.6) * phase()
+            rng.uniform(0.25, 0.7) * phase()  # t, which the Laurent identity does not read
+            z = abs(cmath.sqrt(x)) * rng.uniform(0.25, 0.6) * phase()
+            residual = max(residual, check_laurent_genfun(system, [x], [z], 80)[0].residual)
+        worst.append(fig(residual))
+    assert (f"Acceptance criterion 5's worst Laurent residuals at terms 80 are "
+            f"{' / '.join(worst)} for geometric / exponential / exp-binomial") in readme
 
 
 def test_ortho_route_disagreement_figures(readme, capsys):
