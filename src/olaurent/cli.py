@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -118,19 +119,23 @@ def _system_text(coeffs) -> str:
 
     R_n is d_k x^(k - ceil(n/2)) for k = 0..n, as [exponent, re, im] rows,
     and every d_k of a system is nonzero, so these are exactly its nonzero
-    terms.  Each d_k is encoded once, as the ``re,im`` text of its
-    [re, im] pair (no float text holds a bracket), and written into the
-    K - k + 1 rows that hold it.  R_{2c} is R_{2c-1}, whose exponents
-    also start at -c, plus one row, so the two share one join.  The bytes
-    are those of :func:`_json` on the row form.
+    terms.  Two text tables make every row: one head ``[e,`` per exponent
+    e from -ceil(K/2) to floor(K/2), and one tail ``re,im]`` per d_k, cut
+    from the one encoding of the [re, im] pairs (no float text holds a
+    bracket).  R_{2c-1} is heads -c..c-1 joined to tails 0..2c-1, and
+    R_{2c} is R_{2c-1}, whose exponents also start at -c, plus one row,
+    so the two share one join.  The bytes are those of :func:`_json` on
+    the row form.
     """
-    d = _json(_pairs(coeffs))[2:-2].split("],[")
-    out = ['{"coeffs":[[0,' + d[0] + ']],"n":0}']
-    for c in range(1, len(d) // 2 + 1):
-        rows = ",".join(f"[{k - c},{t}]" for k, t in enumerate(d[:2 * c]))
+    tails = _json(_pairs(coeffs))[2:-1].split(",[")
+    m = len(tails) // 2     # ceil(K/2): R_n's exponents start at -ceil(n/2)
+    heads = [f"[{e}," for e in range(-m, len(tails) - m)]
+    out = ['{"coeffs":[' + heads[m] + tails[0] + '],"n":0}']
+    for c in range(1, m + 1):
+        rows = ",".join(map(operator.add, heads[m - c:m + c], tails[:2 * c]))
         out.append(f'{{"coeffs":[{rows}],"n":{2 * c - 1}}}')
-        if 2 * c < len(d):
-            out.append(f'{{"coeffs":[{rows},[{c},{d[2 * c]}]],"n":{2 * c}}}')
+        if 2 * c < len(tails):
+            out.append(f'{{"coeffs":[{rows},{heads[m + c]}{tails[2 * c]}],"n":{2 * c}}}')
     return "[" + ",".join(out) + "]"
 
 
@@ -141,7 +146,8 @@ def _gram_text(G) -> str:
     part is encoded; a zero entry is the literal ``[0.0,0.0]``.
     """
     flat, k = G.ravel(), G.shape[1]
-    nonzero = np.flatnonzero(flat.view(np.uint64).reshape(-1, 2).any(axis=1)).tolist()
+    bits = flat.view(np.uint64)
+    nonzero = np.flatnonzero(bits[0::2] | bits[1::2]).tolist()
     cells = ["[0.0,0.0]"] * flat.size
     for i, t in zip(nonzero, _json(_pairs(flat[nonzero]))[2:-2].split("],[")):
         cells[i] = f"[{t}]"

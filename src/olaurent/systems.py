@@ -46,6 +46,7 @@ was handed, and rounds the running exact product g_1 ... g_n once per n.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -212,16 +213,25 @@ def check_normalization(system: OLPSystem, rd: RecurrenceData) -> NormalizationR
     1 of Q_{k-1}.  The first k >= 2 with delta_k != 0 (exact on the
     doubles) is thus the first step that changes a carried coefficient;
     it raises :class:`InvalidParams`.  f^rec_1 is free: it multiplies Q_{-1} = 0.
+
+    Only g_k is split, once each.  delta_k != 0 is the test f^rec_k != -g_k
+    on the doubles: for finite values that is exact equality, and +0.0 and
+    -0.0 compare equal, as :func:`~olaurent.exact.split` maps both to 0.
+    A non-finite g_k or f^rec_k is refused before any step, at the first
+    one in the order g_1, f^rec_1, g_2, ..., by ``split``'s own message.
     """
     K = min(system.K, rd.K)
     new = np.ones(K + 1, dtype=np.complex128)
-    # split all first: a non-finite g_k or f^rec_k is refused before any step
-    steps = [(exact.split(a), exact.split(b)) for a, b in zip(rd.g[1:K + 1], rd.f_rec[1:K + 1])]
+    g, f_rec = rd.g[1:K + 1], rd.f_rec[1:K + 1]
+    if not all(map(cmath.isfinite, g + f_rec)):
+        for z in itertools.chain.from_iterable(zip(g, f_rec)):
+            exact.split(z)     # raises at the first non-finite one
     p, scale = 1, 0
-    for n, ((gn, sg), f) in enumerate(steps, start=1):
-        if n >= 2 and f != (-gn, sg):
+    for n, (gk, fk) in enumerate(zip(g, f_rec), start=1):
+        if n >= 2 and fk != -gk:
             raise InvalidParams(f"Q_{n} changes coefficient 1 of Q_{n - 1}; "
                                 "the recurrence data needs f^rec_k = -g_k for k >= 2")
+        gn, sg = exact.split(gk)
         p, scale = gn * p, scale + sg
         new[n] = exact.to_complex(p, 1 << scale)
     d = system.source.coeffs[:K + 1]

@@ -731,7 +731,8 @@ R_TEXT_FAMILIES = {
 
 
 @pytest.mark.parametrize("name, K", [*((name, K) for name in list(R_TEXT_FAMILIES)[:3]
-                                       for K in (*range(13), 80)), ("complex", 8)])
+                                       for K in (*range(13), 80)),
+                                     *(("complex", K) for K in (0, 1, 2, 7, 8))])
 def test_the_r_text_is_json_dumps_of_the_row_form(capsys, name, K):
     # build writes the R field from one encoding per d_k; the report must
     # still be json.dumps of R_n = d_k x^(k - ceil(n/2)) as [e, re, im] rows
@@ -996,11 +997,22 @@ def test_genfun_draws_x_within_min_radius_3(capsys, family, terms, rho):
 
 
 def _readme_examples():
-    """Each ``olaurent ...`` line of the sh block under README's ``## CLI``, continuations joined."""
+    """(line, exit code) of each ``olaurent ...`` line of the sh block under README's ``## CLI``.
+
+    Continuations are joined.  The exit code is the N of an ``exits N`` in
+    the comment lines above the command, else 0.
+    """
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, re.S | re.M).group(1)
-    return [line.strip() for line in block.replace("\\\n", " ").splitlines()
-            if line.strip().startswith("olaurent ")]
+    examples, comment = [], ""
+    for line in (line.strip() for line in block.replace("\\\n", " ").splitlines()):
+        if line.startswith("#"):
+            comment += line
+        elif line.startswith("olaurent "):
+            code = re.search(r"\bexits (\d)\b", comment)
+            examples.append((line, int(code.group(1)) if code else 0))
+            comment = ""
+    return examples
 
 
 def test_readme_settings_table_matches_the_settings():
@@ -1015,11 +1027,15 @@ def test_readme_settings_table_matches_the_settings():
 def test_readme_cli_examples_run_and_report_strict_json(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     examples = _readme_examples()
-    assert {shlex.split(line)[1] for line in examples} == {name for name, *_ in cli.COMMANDS}
-    for line in examples:
+    assert {shlex.split(line)[1] for line, _ in examples} == {name for name, *_ in cli.COMMANDS}
+    for line, code in examples:
         argv = shlex.split(line)[1:]
-        assert main(argv) == 0, line
-        out = capsys.readouterr().out
+        assert main(argv) == code, line
+        out, err = capsys.readouterr()
+        if code:
+            # a refusal README documents: no report, one error line
+            assert out == "" and err.startswith("error: "), line
+            continue
         if "--out" in argv:
             assert out == "", line
             out = Path(argv[argv.index("--out") + 1]).read_text()

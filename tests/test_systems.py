@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -280,6 +281,21 @@ def test_normalization_refuses_a_non_finite_value_before_any_step(field, k):
     data["f_rec"][2] += 1
     data[field][k] = math.nan
     with pytest.raises(InvalidParams, match=r"^non-finite value \(nan\+0j\)"):
+        check_normalization(build_system(src, 12),
+                            dataclasses.replace(rd, **{f: tuple(v) for f, v in data.items()}))
+
+
+@pytest.mark.parametrize("values, named", [
+    ({("f_rec", 2): math.inf, ("g", 3): math.nan}, "(inf+0j)"),
+    ({("g", 2): math.nan, ("f_rec", 3): math.inf}, "(nan+0j)")])
+def test_normalization_names_the_first_non_finite_value_in_reading_order(values, named):
+    # the recurrence reads g_1, f^rec_1, g_2, f^rec_2, ...: the first non-finite one is named
+    src = realize(_random_explicit(3, 12), 12)
+    rd = recurrence_data(src, 12)
+    data = {"g": list(rd.g), "f_rec": list(rd.f_rec)}
+    for (field, k), value in values.items():
+        data[field][k] = value
+    with pytest.raises(InvalidParams, match=rf"^non-finite value {re.escape(named)} has no exact form"):
         check_normalization(build_system(src, 12),
                             dataclasses.replace(rd, **{f: tuple(v) for f, v in data.items()}))
 
