@@ -37,6 +37,7 @@ import json
 import math
 import operator
 import sys
+from itertools import groupby
 
 import numpy as np
 
@@ -143,15 +144,23 @@ def _gram_text(G) -> str:
     """:func:`_json` of ``_pairs(G)`` for a complex128 `G`, encoding only its nonzero entries.
 
     An entry is zero when both its parts have the bits of +0.0, so a -0.0
-    part is encoded; a zero entry is the literal ``[0.0,0.0]``.
+    part is encoded; a zero entry is the literal ``[0.0,0.0]``.  Each row
+    is written as runs of that literal around its nonzero cells, so no
+    text is made per zero cell.
     """
     flat, k = G.ravel(), G.shape[1]
     bits = flat.view(np.uint64)
     nonzero = np.flatnonzero(bits[0::2] | bits[1::2]).tolist()
-    cells = ["[0.0,0.0]"] * flat.size
-    for i, t in zip(nonzero, _json(_pairs(flat[nonzero]))[2:-2].split("],[")):
-        cells[i] = f"[{t}]"
-    return "[[" + "],[".join(",".join(cells[i:i + k]) for i in range(0, flat.size, k)) + "]]"
+    zero = "[0.0,0.0],"
+    rows = [zero * k] * G.shape[0]
+    cells = zip(nonzero, _json(_pairs(flat[nonzero]))[2:-2].split("],["))
+    for r, row in groupby(cells, lambda cell: cell[0] // k):
+        parts, at = [], r * k   # `at`: the flat index of the next cell to write
+        for i, t in row:
+            parts += zero * (i - at), f"[{t}],"
+            at = i + 1
+        rows[r] = "".join(parts) + zero * (r * k + k - at)
+    return "[[" + "],[".join(row[:-1] for row in rows) + "]]"
 
 
 def _moment_rows(table) -> list:

@@ -280,10 +280,10 @@ def solve_moments(Q: tuple[LaurentPoly, ...], window: int) -> MomentTable:
         # the new extreme exponent: the bottom one at odd k, the top one at even k
         p, others = (0, slice(1, None)) if k % 2 == 1 else (len(q) - 1, slice(0, -1))
         new, exps, pivot, c = lo + p, range(lo, lo + len(q))[others], q[p], q[others]
-        norm = (pivot * pivot.conjugate()).real     # |pivot|^2, an int
+        norm = pivot.real * pivot.real + pivot.imag * pivot.imag    # |pivot|^2, an int
         lp = math.log2(norm) / 2
         # log2(1 + sum |c_e / pivot| 2**bound_e), summed without overflow
-        logs = [0.0] + [math.log2((a * a.conjugate()).real) / 2 - lp + bound[e]
+        logs = [0.0] + [math.log2(a.real * a.real + a.imag * a.imag) / 2 - lp + bound[e]
                         for e, a in zip(exps, c) if a]
         peak = max(logs)
         bound[new] = peak + math.log2(sum(2.0 ** (x - peak) for x in logs))

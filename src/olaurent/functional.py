@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, lshift, mul, sub
+from itertools import compress, count
+from operator import lshift, mul
 
 import numpy as np
 
@@ -136,9 +136,16 @@ def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
 
     The reciprocal coefficients e_m are computed exactly from the double
     coefficients d_k, each its mantissa over 2**s_k (:func:`~olaurent.exact.split`;
-    53 bits for a real d_k), e_m over its own denominator 2**T_m with
-    T_m = max_k (s_k + T_{m-k}), so no bits are spent on a common scale
-    until the table is assembled.
+    53 bits for a real d_k), and e_m over 2**(m R) for the one exponent
+    rate R = max_{k=1..window} ceil(s_k / k).  With ``d[k]`` the mantissa
+    of d_k and ``e[m]`` the numerator of e_m, e[m] = -sum_k d[k] e[m-k]
+    << (k R - s_k): each term's shift depends on k alone, and
+    k R - s_k >= 0 since R >= s_k / k.  The table is over 2**(window R).
+    For window >= 1 that denominator has fewer than window + max_k s_k
+    bits more than T_window, the least scale of the recursion (T_0 = 0,
+    T_m = max_k (s_k + T_{m-k})): with k* attaining R and
+    window = q k* + r, r < k*, T_window >= q s_k*, while
+    window R < window (s_k* / k* + 1) <= q s_k* + s_k* + window.
     """
     if window < 0:
         raise InvalidParams("window must be >= 0")
@@ -147,17 +154,15 @@ def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
     if source.coeffs[0] != 1:
         raise InvalidParams(f"source needs d_0 = 1, got {source.coeffs[0]}")
     d, s = zip(*(exact.split(c) for c in source.coeffs[:window + 1]))
-    e, T = [1], [0]
+    R = max((-(-sk // k) for k, sk in enumerate(s) if k), default=0)
+    sh = [k * R - sk for k, sk in enumerate(s)]
+    e = [1]
     for m in range(1, window + 1):
-        st = list(map(add, s[1:m + 1], T[m - 1::-1]))
-        tm = max(st)
-        e.append(-sum(map(lshift, map(mul, d[1:m + 1], e[m - 1::-1]), map(sub, repeat(tm), st))))
-        T.append(tm)
-    scale = T[window]
+        e.append(-sum(map(lshift, map(mul, d[1:m + 1], e[m - 1::-1]), sh[1:m + 1])))
     # ascending m: mu_{-window}..mu_{-1} = e_window..e_1, mu_0 = 1, then
     # the structural zeros
-    values = tuple(e[k] << (scale - T[k]) for k in range(window, -1, -1)) + (0,) * window
-    return MomentTable(window=window, values=values, denominator=1 << scale)
+    values = tuple(e[k] << (window - k) * R for k in range(window, -1, -1)) + (0,) * window
+    return MomentTable(window=window, values=values, denominator=1 << window * R)
 
 
 def apply_L(p: LaurentPoly, moments: MomentTable) -> complex:
@@ -243,10 +248,13 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
     t_m + ceil(n/2)], and W_n is W_{n-1} plus one end, so the windows
     nest.  Below the first n whose window holds a nonzero P_m[u], every
     entry is an empty exact sum, 0, which the zero-filled G already
-    holds bitwise; the loop over n starts there.  A dense (quadrature)
-    table starts at n = 0.  On an exact table, mu_q = 0 for q > 0 makes
-    P_m[u] = (d * e)_u = delta_{u0} for u <= m, so the loop starts at
-    n = m and sums and rounds only the diagonal.
+    holds bitwise; the loop over n starts there, found from the nearest
+    nonzero P_m[u] on each side of t_m by one ``compress`` per side.  A
+    dense (quadrature) table starts at n = 0.  On an exact table,
+    mu_q = 0 for q > 0 makes P_m[u] = (d * e)_u = delta_{u0} for u <= m,
+    so the loop starts at n = m and sums and rounds only the diagonal.
+    Each odd-n sum runs over its nonzero P_m[u] only (``compress``), so
+    on an exact table it is one product, not n + 1.
     """
     K = system.K
     need = 2 * math.ceil(K / 2)
@@ -270,15 +278,15 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
         mm, sm = mant[m], sh[m]
         for u in range(max(0, m + w - top), min(need, m + w - bot) + 1):
             P[u] += (mm * mu[m - u + w]) << sm
-        rev = P[::-1]
         tm = (m + 1) // 2
         g = 0   # the entry before the first window holding a nonzero: exactly 0
         for n in range(_first_nonzero_window(P, tm, m), m + 1):
-            lo = need - (n + 1) // 2 - tm   # reversed index of u = t_n + t_m
+            hi = (n + 1) // 2 + tm   # u = t_n + t_m
             if n % 2:
-                g = sum(map(mul, d, rev[lo:lo + n + 1]))
+                row = P[hi:hi - n - 1:-1]   # P[hi - i] for i = 0..n; hi - n >= 1
+                g = sum(map(mul, compress(d, row), compress(row, row)))
             else:
-                g += d[n] * rev[lo + n]
+                g += d[n] * P[hi - n]
             if g:
                 G[n, m] = G[m, n] = exact.to_complex(g, den)
     return G
@@ -288,10 +296,13 @@ def _first_nonzero_window(P: list, tm: int, m: int) -> int:
     """The least n <= m whose window W_n holds a nonzero P[u], else m + 1.
 
     W_0 = {tm}, and W_n adds to W_{n-1} the one index tm + (n+1)//2 for
-    odd n and tm - n//2 for even n.
+    odd n and tm - n//2 for even n.  So the nearest nonzero above tm, at
+    tm + j, first enters at n = 2j - 1, and the nearest at or below, at
+    tm - j, at n = 2j; each is found by one compress over its half window.
     """
-    return next((n for n in range(m + 1) if P[tm + (n + 1) // 2 if n % 2 else tm - n // 2]),
-                m + 1)
+    above = next(compress(count(1, 2), P[tm + 1:tm + (m + 1) // 2 + 1]), m + 1)
+    below = next(compress(count(0, 2), P[tm - m // 2:tm + 1][::-1]), m + 1)
+    return min(above, below)
 
 
 def difference_gram(system: OLPSystem, moments: MomentTable,

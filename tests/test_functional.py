@@ -30,7 +30,13 @@ from olaurent.errors import (
     UnsupportedFamily,
     WindowExceeded,
 )
-from olaurent.functional import MAX_NODES, MomentTable, contour_moments, difference_gram
+from olaurent.functional import (
+    MAX_NODES,
+    MomentTable,
+    _first_nonzero_window,
+    contour_moments,
+    difference_gram,
+)
 
 
 def test_moment_values_geometric(geometric):
@@ -323,14 +329,38 @@ def _exact_reciprocal(coeffs, order):
     return e
 
 
+def _max_plus_scale(s, window):
+    """T_window of T_0 = 0, T_m = max_{k=1..m} (s_k + T_{m-k}): the least scale of the recursion."""
+    T = [0]
+    for m in range(1, window + 1):
+        T.append(max(s[k] + T[m - k] for k in range(1, m + 1)))
+    return T[window]
+
+
+# d_1 = d_2 = 0; and 2**-k up to a subnormal d_30, whose s_30 / 30 = 1074 / 30 sets the rate
+SPARSE = TruncatedPowerSeries([1, 0, 0, 0.375, 0, -0.25, 0.5, 0, 0, 1.5, 0, -0.125, 0, 0,
+                               0.0625, 0.75, 0, 0, 0, -2.5, 0, 0.3], radius=1.0)
+LATE_RATE = TruncatedPowerSeries([1.0] + [2.0 ** -k for k in range(1, 30)] + [5e-324],
+                                 radius=1.0)
+
+
 def test_exact_moments_are_the_rounded_exact_reciprocal():
     rng = np.random.default_rng(3)
     sources = [TruncatedPowerSeries([1.0] + list(rng.normal(size=n) + 1j * rng.normal(size=n)),
                                     radius=1.0) for n in (12, 80)]
-    for src in sources + [realize(spec, 80) for spec in STOCK]:
+    for src in sources + [realize(spec, 80) for spec in STOCK] + [SPARSE, LATE_RATE]:
         window = src.order
         mom = exact_moments(src, window)
+        # the table is over 2**(window R), R = max_k ceil(s_k / k), with d_k over 2**s_k
+        s = [max(Fraction(x).denominator for x in (c.real, c.imag)).bit_length() - 1
+             for c in map(complex, src.coeffs)]
+        R = max(-(-s[k] // k) for k in range(1, window + 1))
+        assert mom.denominator == 1 << window * R
+        assert window * R < _max_plus_scale(s, window) + window + max(s)
         for m, (re, im) in enumerate(_exact_reciprocal(src.coeffs, window)):
+            v = mom.values[window - m]
+            assert (Fraction(v.real, mom.denominator), Fraction(v.imag, mom.denominator)) \
+                == (re, im), (window, m)
             assert mom[-m] == complex(float(re), float(im)), (window, m)
         assert all(mom[m] == 0j for m in range(1, window + 1))
 
@@ -412,6 +442,11 @@ def test_gram_is_bitwise_the_dense_loop_on_exact_tables():
         moments = exact_moments(src, 2 * math.ceil(K / 2))
         assert K == 0 or any(isinstance(v, exact.Gaussian) for v in moments.values)
         _assert_bitwise_dense(src, K, moments)
+    # a sparse source's table (mu_{-1} = mu_{-2} = 0 and more interior zeros)
+    # under other systems: P_m is no delta, so its rows mix zeros and nonzeros
+    for src in (realize(STOCK[1], 20), _complex_source(rng, 20)):
+        for K in range(21):
+            _assert_bitwise_dense(src, K, exact_moments(SPARSE, 2 * math.ceil(K / 2)))
 
 
 def test_gram_is_bitwise_the_dense_loop_on_contour_tables(geometric, exponential, exp_binomial):
@@ -430,6 +465,23 @@ def test_gram_is_bitwise_the_dense_loop_on_single_moment_tables(geometric, expon
                                 denominator=2)
             for K in (0, 1, 3, 4):
                 _assert_bitwise_dense(src, K, table)
+
+
+def test_first_nonzero_window_is_its_definition():
+    def first(P, tm, m):
+        return next((n for n in range(m + 1)
+                     if P[tm + (n + 1) // 2 if n % 2 else tm - n // 2]), m + 1)
+
+    rng = np.random.default_rng(21)
+    values = (0, 0, 0, 0, 1, -3, exact.Gaussian(0, 2), exact.Gaussian(0, 0))
+    for m in range(25):
+        tm = (m + 1) // 2
+        columns = [[values[i] for i in rng.integers(len(values), size=27)] for _ in range(20)]
+        columns.append([0] * 27)
+        for end in (tm - m // 2, tm + (m + 1) // 2):   # either end of W_m
+            columns.append([3 * (u == end) for u in range(27)])
+        for P in columns:
+            assert _first_nonzero_window(P, tm, m) == first(P, tm, m), (m, P)
 
 
 def _roundings(monkeypatch, thunk):

@@ -8,7 +8,10 @@ the first deck of each seed of every workload (``bench_jobs.WHY`` names
 them) and runs its jobs in deck order: a CLI job through ``cli.main`` on
 ``bench_jobs.cli_argv`` (exit code, stdout and stderr), an ``rn`` job
 through ``genfun.rn_by_contour`` as the benchmark runs it (the hex of each
-R_n(x)).  A job whose outputs differ is printed with what differs: the
+R_n(x)).  Then it runs the fixed CLI commands of :func:`extra_argvs`, which
+no deck runs: ``moments`` at windows 40 and 80 for each stock family,
+``ortho`` at K = 160 and on a complex explicit family.  A job whose
+outputs differ is printed with what differs: the
 exit code, stderr, the top-level report keys, for ``genfun-check`` the
 fields of the rows, and for ``rn`` the indices n.
 
@@ -22,13 +25,36 @@ import subprocess
 import sys
 
 
+def extra_argvs(families: dict) -> list[list[str]]:
+    """The CLI commands that no deck runs; `families` maps each stock family to its JSON."""
+    stock = [json.dumps(family) for family in families.values()]
+    # d_0 = 1 and complex d_k, each nonzero as a system needs
+    complex_family = {"kind": "explicit", "radius": 2.0,
+                      "coeffs": [1, [0.5, -0.25], [0.125, 0.375], [-0.3, 0.1], [0.0625, -0.2],
+                                 [0.05, 0.07], [-0.03125, 0.015625], [0.01, -0.02],
+                                 [0.004, 0.003]]}
+    return ([["moments", "--family", f, "--window", str(w)] for f in stock for w in (40, 80)]
+            + [["ortho", "--family", json.dumps(families["exp-binomial"]), "--order", "160"],
+               ["ortho", "--family", json.dumps(complex_family), "--order", "8"]])
+
+
 def run_tree(seeds: list[int]) -> None:
-    """Print, as one JSON list, the outputs of the first deck of each seed in the current tree."""
+    """Print, as one JSON list, the outputs of the first decks and the extra commands here."""
     import contextlib
     import io
 
     import bench_jobs
     from olaurent import cli, families, genfun
+
+    def run_cli(label: str, argv: list[str]) -> dict:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # a traceback is an output like any other
+                code = f"uncaught {type(exc).__name__}: {exc}"
+        return {"job": label + " ".join(argv), "code": code,
+                "stdout": out.getvalue(), "stderr": err.getvalue()}
 
     runs = []
     for seed in seeds:
@@ -43,15 +69,8 @@ def run_tree(seeds: list[int]) -> None:
                     runs.append({"job": label + f"rn {json.dumps(job['family'])} x = {x}",
                                  "rn": [[v.real.hex(), v.imag.hex()] for v in values]})
                     continue
-                argv = bench_jobs.cli_argv(job)
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = cli.main(argv)
-                    except Exception as exc:  # a traceback is an output like any other
-                        code = f"uncaught {type(exc).__name__}: {exc}"
-                runs.append({"job": label + " ".join(argv), "code": code,
-                             "stdout": out.getvalue(), "stderr": err.getvalue()})
+                runs.append(run_cli(label, bench_jobs.cli_argv(job)))
+    runs += [run_cli("extra: ", argv) for argv in extra_argvs(bench_jobs.FAMILIES)]
     json.dump(runs, sys.stdout)
 
 
