@@ -244,6 +244,23 @@ def _round_div(a, b: int):
     return exact.Gaussian(_round_div(a.real, b), _round_div(a.imag, b))
 
 
+def _ceil_abs(c) -> int:
+    """An int >= 2**64 |c| and at most 2**64 |c| (1 + 2**-48) + 1, for an int or a Gaussian c.
+
+    The 2**64 takes a small Gaussian past the granularity of the integers.
+    Both parts are scaled by one power of two to at most 2**52, the larger
+    to at least 2**51 unless c = 0, and rounded up, so they are exact in doubles;
+    ``math.hypot`` of them is within 1 ulp, so times 1 + 2**-50, rounded
+    up and scaled back, it bounds 2**64 |c|.
+    """
+    if type(c) is int:
+        return abs(c) << 64
+    re, im = abs(c.real), abs(c.imag)
+    t = max(re.bit_length(), im.bit_length()) - 52
+    a, b = (-(-re >> t), -(-im >> t)) if t > 0 else (re << -t, im << -t)
+    return math.ceil(math.hypot(a, b) * (1 + 2.0 ** -50)) << (64 + t)
+
+
 def solve_moments(Q: tuple[LaurentPoly, ...], window: int) -> MomentTable:
     """Triangular solve of L(Q_0) = 1, L(Q_k) = 0 for mu over [-window, window].
 
@@ -256,12 +273,29 @@ def solve_moments(Q: tuple[LaurentPoly, ...], window: int) -> MomentTable:
     fixed point over 2**P, the table's ``denominator``, on Python
     integers: every product and sum is exact, and each division by a
     pivot, as num * conj(pivot) over the integer |pivot|^2, rounds each
-    part once to the nearest multiple of 2**-P.  A division error
-    spreads to later moments by the factor sum |c_e| / |pivot| of each
-    row that uses it; P - SOLVE_GUARD_BITS is the log2 of the largest
-    propagated factor, rounded up, so every solved moment lies within
-    2**-SOLVE_GUARD_BITS of the exact solution, and each is then
-    rounded to a double once.
+    part once to the nearest multiple of 2**-P, so by under 2**-P.  A
+    moment's error is thus at most 2**-P times its propagated factor
+
+        f_0 = 0,   f_new = 1 + sum_e |c_e| f_e / |pivot|
+
+    over its row.  Pass 1 bounds each f_e in integers: with G = 32,
+
+        B_new = ceil((2**G floor|pivot| + sum_e ceil|c_e| B_e) / floor|pivot|),
+
+    and B_e >= 2**G f_e by induction, since the floor of |pivot| (>= 1)
+    and the ceilings of |c_e| only raise each term.  An int row takes
+    them exactly, as ``abs``; a row with a Gaussian takes them of 2**64
+    pivot and 2**64 c_e, a scale that cancels in the row, by ``isqrt``
+    and :func:`_ceil_abs`, so a small Gaussian loses nothing to integer
+    granularity.  P - SOLVE_GUARD_BITS = max(0, ceil(log2 max B) - G) is
+    then at least log2 of the largest f_e, so every solved moment lies
+    within 2**-SOLVE_GUARD_BITS of the exact solution, and each is then
+    rounded to a double once.  Each ceiling division adds under 1 to a
+    B_e >= 2**G, and a Gaussian row's ratios are within a relative
+    2**-47 of exact, so for 2 window <= MAX_ORDER the bound exceeds
+    2**G f_e by a relative 2**-30 at most: P - SOLVE_GUARD_BITS is
+    ceil(log2 max f_e) unless that factor lies so close under a power of
+    two, where it can be one higher.
     """
     if window < 0:
         raise InvalidParams("window must be >= 0")
@@ -269,9 +303,10 @@ def solve_moments(Q: tuple[LaurentPoly, ...], window: int) -> MomentTable:
         raise InsufficientOrder(f"need Q_0..Q_{2 * window}, given {len(Q)} polynomials")
     if Q[0] != LaurentPoly({0: 1}):
         raise InvalidParams("Q_0 must be 1")
-    # pass 1: exact rows and the log2 error bound of each moment in units
-    # of 2**-P (mu_0 = 1 carries none); the common scale of a row cancels
-    bound = {0: -math.inf}
+    # pass 1: exact rows, and B_e >= 2**G times the propagated error factor of
+    # mu_e in units of 2**-P (mu_0 = 1 carries none); B and mu are indexed e + window
+    G = 32
+    B = [0] * (2 * window + 1)
     rows = []
     for k in range(1, 2 * window + 1):
         lo, q = Q[k].lo, Q[k].numerators
@@ -279,22 +314,21 @@ def solve_moments(Q: tuple[LaurentPoly, ...], window: int) -> MomentTable:
             raise InvalidParams(f"Q_{k} must span exactly [{-((k + 1) // 2)}, {k // 2}]")
         # the new extreme exponent: the bottom one at odd k, the top one at even k
         p, others = (0, slice(1, None)) if k % 2 == 1 else (len(q) - 1, slice(0, -1))
-        new, exps, pivot, c = lo + p, range(lo, lo + len(q))[others], q[p], q[others]
-        norm = pivot.real * pivot.real + pivot.imag * pivot.imag    # |pivot|^2, an int
-        lp = math.log2(norm) / 2
-        # log2(1 + sum |c_e / pivot| 2**bound_e), summed without overflow
-        logs = [0.0] + [math.log2(a.real * a.real + a.imag * a.imag) / 2 - lp + bound[e]
-                        for e, a in zip(exps, c) if a]
-        peak = max(logs)
-        bound[new] = peak + math.log2(sum(2.0 ** (x - peak) for x in logs))
-        rows.append((new, exps, pivot, norm, c))
-    P = SOLVE_GUARD_BITS + math.ceil(max(0.0, *bound.values()))
-    mu = {0: 1 << P}
-    for new, exps, pivot, norm, c in rows:
+        new, first, pivot, c = lo + p + window, lo + k % 2 + window, q[p], q[others]
+        if {int}.issuperset(map(type, q)):
+            mag, norm, p_floor = abs, pivot * pivot, abs(pivot)
+        else:       # norm = |pivot|^2; p_floor and mag(c_e) bound 2**64 |pivot|, 2**64 |c_e|
+            mag, norm = _ceil_abs, pivot.real * pivot.real + pivot.imag * pivot.imag
+            p_floor = math.isqrt(norm << 128)
+        B[new] = -(-((p_floor << G) + sum(map(mul, map(mag, c), B[first:first + len(c)])))
+                   // p_floor)
+        rows.append((new, first, pivot, norm, c))
+    P = SOLVE_GUARD_BITS + max(0, (max(B) - 1).bit_length() - G)
+    mu = [0] * window + [1 << P] + [0] * window
+    for new, first, pivot, norm, c in rows:
         # mu_new = -sum_e c_e mu_e / pivot, with 1/pivot = conj(pivot) / |pivot|^2
-        mu[new] = _round_div(-sum(map(mul, c, [mu[e] for e in exps])) * pivot.conjugate(), norm)
-    return MomentTable(window=window, values=tuple(mu[m] for m in range(-window, window + 1)),
-                       denominator=1 << P)
+        mu[new] = _round_div(-sum(map(mul, c, mu[first:first + len(c)])) * pivot.conjugate(), norm)
+    return MomentTable(window=window, values=tuple(mu), denominator=1 << P)
 
 
 def _primitive_root(m: int, bits: int) -> exact.Gaussian:
@@ -432,19 +466,25 @@ def build_atomic_measure(s) -> AtomicMeasure:
     t = [0] + [v << (S - scale - e * k) for k, (v, scale) in enumerate(parts, 1)]
     t_re, t_im = [v.real for v in t], [v.imag for v in t]
     one = 1 << (S + F)
-    # row j holds R_{jk} for k = 0..N; jk = kj, so row k also serves moment k
-    cos_rows = [[cos[j * k % m] for k in range(n + 1)] for j in range(n + 1)]
-    sin_rows = [[sin[j * k % m] for k in range(n + 1)] for j in range(n + 1)]
+    # row j holds R_{jk} for k = 0..N: indices 0, j, .., jN of the roots repeated
+    # past N^2; jk = kj, so row k also serves moment k
+    def rows(table):
+        wide = table * (n * n // m + 1)
+        return [wide[:1] * (n + 1)] + [wide[0:j * n + 1:j] for j in range(1, n + 1)]
+
+    cos_rows = rows(cos)
     A = [sum(map(mul, t_re, row)) for row in cos_rows]
-    B = [sum(map(mul, t_im, row)) for row in sin_rows]
+    # a real s has every Im t_k = 0, so each B_j and Im M_k is a sum of zeros
+    real = not any(t_im)
+    sin_rows = [] if real else rows(sin)
+    B = [0] * (n + 1) if real else [sum(map(mul, t_im, row)) for row in sin_rows]
     weights = ([one + 2 * (a + b) for a, b in zip(A, B)]
                + [one + 2 * (a - b) for a, b in zip(A[:0:-1], B[:0:-1])])
     sums, diffs = [weights[0]] + [2 * one + 4 * a for a in A[1:]], [4 * b for b in B]
-    moments = []
-    for k in range(n + 1):
-        re = sum(map(mul, sums, cos_rows[k])) << e * k
-        im = sum(map(mul, diffs, sin_rows[k])) << e * k
-        moments.append(exact.Gaussian(re, im) if im else re)
+    moments = [sum(map(mul, sums, row)) << e * k for k, row in enumerate(cos_rows)]
+    for k, row in enumerate(sin_rows):
+        if im := sum(map(mul, diffs, row)) << e * k:
+            moments[k] = exact.Gaussian(moments[k], im)
     den = m << (S + F)
     atoms = tuple((exact.to_complex(exact.Gaussian(*root), 1 << (F - e)),
                    exact.to_complex(w, den).real)

@@ -334,18 +334,146 @@ def _rational_solve(Q, window):
     return mu
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_solve_is_within_guard_of_the_exact_rational_solution(seed):
+def _random_spec(n_cap, seed, complex_parts):
+    """g_k in [0.2, 1.2] and f_k in [-1.2, -0.2], with imaginary parts of the same ranges or 0."""
     rng = np.random.default_rng(seed)
-    g = tuple(complex(*rng.uniform(0.2, 1.2, 2)) for _ in range(12))
-    f = tuple(complex(*rng.uniform(-1.2, -0.2, 2)) for _ in range(12))
-    table = solve_moments(build_Q(FiniteSystemSpec(n_cap=3, g=g, f_rec=f)), 6)
-    exact = _rational_solve(_rational_Q(g, f), 6)
+
+    def draw(lo, hi):
+        return tuple(complex(*(rng.uniform(lo, hi, 2) if complex_parts else
+                               (rng.uniform(lo, hi), 0.0))) for _ in range(4 * n_cap))
+
+    return draw(0.2, 1.2), draw(-1.2, -0.2)
+
+
+# (n_cap, complex parts) by seed: complex n_cap 3 at seeds 0-2, then real and complex to n_cap 6
+SOLVE_CASES = [(3, True)] * 3 + [(n_cap, c) for n_cap in range(1, 7) for c in (False, True)]
+
+
+@pytest.mark.parametrize("seed", range(len(SOLVE_CASES)))
+def test_solve_is_within_guard_of_the_exact_rational_solution(seed):
+    n_cap, complex_parts = SOLVE_CASES[seed]
+    g, f = _random_spec(n_cap, seed, complex_parts)
+    window = 2 * n_cap
+    table = solve_moments(build_Q(FiniteSystemSpec(n_cap=n_cap, g=g, f_rec=f)), window)
+    exact = _rational_solve(_rational_Q(g, f), window)
     tol = Fraction(1, 2 ** SOLVE_GUARD_BITS)
-    for m in range(-6, 7):
+    for m in range(-window, window + 1):
         re, im = exact[m]
-        assert abs(Fraction(table.values[m + 6].real, table.denominator) - re) <= tol
-        assert abs(Fraction(table.values[m + 6].imag, table.denominator) - im) <= tol
+        assert abs(Fraction(table.values[m + window].real, table.denominator) - re) <= tol
+        assert abs(Fraction(table.values[m + window].imag, table.denominator) - im) <= tol
+
+
+def _solve_rows(Q, window):
+    """(new, pivot, c, first) per row k, as indices e + window; c multiplies mu[first:]."""
+    for k in range(1, 2 * window + 1):
+        q, lo = Q[k].numerators, Q[k].lo + window
+        if k % 2 == 1:
+            yield lo, q[0], q[1:], lo + 1
+        else:
+            yield lo + len(q) - 1, q[-1], q[:-1], lo
+
+
+def _exact_factor_bits(Q, window):
+    """ceil(log2 max f_e) of the exact propagated factors of an int-only solve, and max f_e."""
+    f = [Fraction(0)] * (2 * window + 1)
+    for new, pivot, c, first in _solve_rows(Q, window):
+        f[new] = 1 + sum(Fraction(abs(v)) * f[first + i] for i, v in enumerate(c)) / abs(pivot)
+    top = max(f)
+    bits = max(0, math.ceil(math.log2(top)) - 1)
+    while 2 ** bits < top:
+        bits += 1
+    return bits, top
+
+
+def _float_bound_bits(Q, window):
+    """P - SOLVE_GUARD_BITS from the float log-sum-exp pass that the integer bound replaced."""
+    bound = [-math.inf] * (2 * window + 1)
+    for new, pivot, c, first in _solve_rows(Q, window):
+        lp = math.log2(pivot.real * pivot.real + pivot.imag * pivot.imag) / 2
+        logs = [0.0] + [math.log2(a.real * a.real + a.imag * a.imag) / 2 - lp + bound[first + i]
+                        for i, a in enumerate(c) if a]
+        peak = max(logs)
+        bound[new] = peak + math.log2(sum(2.0 ** (x - peak) for x in logs))
+    return math.ceil(max(0.0, *bound))
+
+
+def _precision_bits(Q, window):
+    return solve_moments(Q, window).denominator.bit_length() - 1 - SOLVE_GUARD_BITS
+
+
+def test_the_solve_precision_is_the_exact_factor_rounded_up():
+    cases = [(build_system(realize(family, 4 * n_cap), 4 * n_cap).R, 2 * n_cap)
+             for family in (FamilySpec("geometric"), FamilySpec("exponential"),
+                            FamilySpec("exp-binomial", b=1.0, a=[0.5], family_lambda=[1.0]))
+             for n_cap in range(1, 9)]
+    for n_cap in range(1, 7):
+        for seed in range(4):
+            g, f = _random_spec(n_cap, 500 + seed, False)
+            cases.append((build_Q(FiniteSystemSpec(n_cap=n_cap, g=g, f_rec=f)), 2 * n_cap))
+    for Q, window in cases:
+        assert all(type(v) is int for q in Q[:2 * window + 1] for v in q.numerators)
+        bits, top = _exact_factor_bits(Q, window)
+        got = _precision_bits(Q, window)
+        # one bit more only where the factor is within 2**-20 under a power of two
+        assert got == bits or got == bits + 1 and top > 2 ** bits * (1 - Fraction(1, 2 ** 20))
+
+
+def _wide_factor(Q, window):
+    """max f_e of a solve with Gaussian coefficients, in 256-bit mpmath floats."""
+    with mpmath.workprec(256):
+        f = [mpmath.mpf(0)] * (2 * window + 1)
+        for new, pivot, c, first in _solve_rows(Q, window):
+            total = mpmath.fsum(mpmath.hypot(v.real, v.imag) * f[first + i]
+                                for i, v in enumerate(c))
+            f[new] = 1 + total / mpmath.hypot(pivot.real, pivot.imag)
+        return max(f)
+
+
+@pytest.mark.parametrize("n_cap", range(1, 9))
+def test_the_solve_precision_of_a_complex_spec_is_the_float_bound_within_a_bit(n_cap):
+    rng = np.random.default_rng(n_cap)
+    # small Gaussian integers too, where integer floors and ceilings of |pivot| and |c|
+    # would be far from exact
+    small = [tuple(complex(*rng.integers(-3, 4, 2)) or 1 for _ in range(4 * n_cap))
+             for _ in range(12)]
+    specs = [_random_spec(n_cap, 600 + seed, True) for seed in range(3)]
+    specs += zip(small, small[1:])
+    # every pivot 1 + i or 2i from g_1 = 1 + i, the rest padded with g_k = 1, f_k = -1
+    specs += [((1 + 1j,), ()), ((1 + 1j, 1, 1 + 1j), (-1j,))]
+    for g, f in specs:
+        Q = build_Q(FiniteSystemSpec(n_cap=n_cap, g=g, f_rec=f))
+        got = _precision_bits(Q, 2 * n_cap)
+        assert abs(got - _float_bound_bits(Q, 2 * n_cap)) <= 1
+        with mpmath.workprec(256):
+            assert mpmath.ldexp(1, got) >= _wide_factor(Q, 2 * n_cap)
+
+
+def _gaussian_cases():
+    rng = np.random.default_rng(7)
+    parts = [0, 1, 2, 3, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 1, 2 ** 53 + 1]
+    parts += [int(rng.integers(1, 2 ** 62)) >> int(rng.integers(0, 62)) << int(bits)
+              for bits in rng.integers(0, 1940, 60)]
+    parts += [(1 << bits) - 1 for bits in (100, 700, 2000)]
+    for re in parts:
+        other = parts[int(rng.integers(len(parts)))]
+        for im in (0, 1, 2 ** 52 - 1, 2 ** 52 + 1, re, re // 3 + 1, other):
+            for a, b in ((re, im), (-im, re), (-re, -im)):
+                yield exact.Gaussian(a, b)
+    # 52-bit parts with zero low bits: no slack from rounding the parts up
+    for a, b, shift in zip(rng.integers(2 ** 50, 2 ** 52, 400), rng.integers(0, 2 ** 52, 400),
+                           rng.integers(0, 200, 400)):
+        yield exact.Gaussian(int(a) << int(shift), int(b) << int(shift))
+
+
+def test_the_magnitude_bound_is_an_upper_bound_within_2_40():
+    for c in _gaussian_cases():
+        mag, norm = finite._ceil_abs(c), c.real * c.real + c.imag * c.imag
+        assert type(mag) is int
+        assert mag * mag >= norm << 128, (c.real, c.imag)
+        # mag <= 2**64 |c| (1 + 2**-40) + 1, squared in integers
+        assert max(mag - 1, 0) ** 2 << 80 <= norm * (2 ** 40 + 1) ** 2 << 128, (c.real, c.imag)
+    for v in (0, 5, -5, 2 ** 2000 + 1, -(2 ** 60)):
+        assert finite._ceil_abs(v) == abs(v) << 64
 
 
 def test_build_q_rounds_the_exact_recurrence_once():
@@ -453,13 +581,21 @@ def _direct_sums(s, measure):
 @pytest.mark.parametrize("n", range(10))
 def test_the_paired_atoms_give_the_direct_sums_exactly(n):
     rng = np.random.default_rng(200 + n)
-    for s in ([1.0] + [complex(*rng.uniform(-2, 2, 2)) for _ in range(n)],
-              [1.0] + rng.uniform(-2, 2, n).tolist()):
+    complex_s = [1.0] + [complex(*rng.uniform(-2, 2, 2)) for _ in range(n)]
+    real = rng.uniform(-2, 2, n).tolist()
+    cases = [(complex_s, n == 0), ([1.0] + real, True),
+             # complex-typed, every imaginary part 0 or -0.0: the real path
+             ([1 + 0j] + [complex(v, math.copysign(0.0, -v)) for v in real], True)]
+    if n:
+        # one nonzero imaginary part, at the last index only
+        cases.append(([1.0] + real[:-1] + [complex(real[-1], 0.25)], False))
+    for s, real_path in cases:
         measure = build_atomic_measure(s)
         weights, moments, den = _direct_sums(s, measure)
         assert list(measure.wide_weights) == weights
         assert [(v.real, v.imag) for v in measure.wide_moments] == moments
         assert measure.denominator == den
+        assert all(type(v) is int for v in measure.wide_moments) == real_path
 
 
 def _complex_fraction(v, den=1):

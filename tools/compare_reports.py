@@ -10,7 +10,9 @@ them) and runs its jobs in deck order: a CLI job through ``cli.main`` on
 through ``genfun.rn_by_contour`` as the benchmark runs it (the hex of each
 R_n(x)).  Then it runs the fixed CLI commands of :func:`extra_argvs`, which
 no deck runs: ``moments`` at windows 40 and 80 for each stock family,
-``ortho`` at K = 160 and on a complex explicit family.  A job whose
+``ortho`` at K = 160 and on a complex explicit family, and ``finite
+--spec`` on a real and a complex spec at n_cap 4 and 8, once at
+``--level 1``, and on a spec that exits 3.  A job whose
 outputs differ is printed with what differs: the
 exit code, stderr, the top-level report keys, for ``genfun-check`` the
 fields of the rows, and for ``rn`` the indices n.
@@ -33,9 +35,18 @@ def extra_argvs(families: dict) -> list[list[str]]:
                       "coeffs": [1, [0.5, -0.25], [0.125, 0.375], [-0.3, 0.1], [0.0625, -0.2],
                                  [0.05, 0.07], [-0.03125, 0.015625], [0.01, -0.02],
                                  [0.004, 0.003]]}
+    # finite --spec: generic real and complex doubles, padded to 4 n_cap
+    real = {"g": [0.3, 1.7, 0.9, 1.1], "f_rec": [-0.6, -0.2, -1.3, -0.7]}
+    gaussian = {"g": [[0.3, 0.4], [1.7, -0.5], [0.9, 0.1], [1.1, 1]],
+                "f_rec": [[-0.6, 0.5], [-0.2, -1], [-1.3, 0], [-0.7, 0.3]]}
+    specs = [["finite", "--spec", json.dumps({"n_cap": n, **spec})]
+             for n in (4, 8) for spec in (real, gaussian)]
     return ([["moments", "--family", f, "--window", str(w)] for f in stock for w in (40, 80)]
             + [["ortho", "--family", json.dumps(families["exp-binomial"]), "--order", "160"],
-               ["ortho", "--family", json.dumps(complex_family), "--order", "8"]])
+               ["ortho", "--family", json.dumps(complex_family), "--order", "8"]]
+            + specs + [specs[-1] + ["--level", "1"],
+                       # overflows a double in its representation residual: exit 3
+                       ["finite", "--spec", '{"n_cap":1,"g":[[1e300,0],[1e300,0]]}']])
 
 
 def run_tree(seeds: list[int]) -> None:
