@@ -247,9 +247,10 @@ def _round_div(a, b: int):
 def _ceil_abs(c) -> int:
     """An int >= 2**64 |c| and at most 2**64 |c| (1 + 2**-48) + 1, for an int or a Gaussian c.
 
-    The 2**64 takes a small Gaussian past the granularity of the integers.
-    Both parts are scaled by one power of two to at most 2**52, the larger
-    to at least 2**51 unless c = 0, and rounded up, so they are exact in doubles;
+    An int's is exact.  The 2**64 takes a small Gaussian past the
+    granularity of the integers.  Both parts are scaled by one power of
+    two to at most 2**52, the larger to at least 2**51 unless c = 0, and
+    rounded up, so they are exact in doubles;
     ``math.hypot`` of them is within 1 ulp, so times 1 + 2**-50, rounded
     up and scaled back, it bounds 2**64 |c|.
     """
@@ -283,12 +284,12 @@ def solve_moments(Q: tuple[LaurentPoly, ...], window: int) -> MomentTable:
         B_new = ceil((2**G floor|pivot| + sum_e ceil|c_e| B_e) / floor|pivot|),
 
     and B_e >= 2**G f_e by induction, since the floor of |pivot| (>= 1)
-    and the ceilings of |c_e| only raise each term.  An int row takes
-    them exactly, as ``abs``; a row with a Gaussian takes them of 2**64
-    pivot and 2**64 c_e, a scale that cancels in the row, by ``isqrt``
-    and :func:`_ceil_abs`, so a small Gaussian loses nothing to integer
-    granularity.  P - SOLVE_GUARD_BITS = max(0, ceil(log2 max B) - G) is
-    then at least log2 of the largest f_e, so every solved moment lies
+    and the ceilings of |c_e| only raise each term.  A row takes them of
+    2**64 pivot and 2**64 c_e, a scale that cancels in the row, by
+    ``isqrt`` and :func:`_ceil_abs`: exactly for an int, and for a small
+    Gaussian with nothing lost to integer granularity.
+    P - SOLVE_GUARD_BITS = max(0, ceil(log2 max B) - G) is then at least
+    log2 of the largest f_e, so every solved moment lies
     within 2**-SOLVE_GUARD_BITS of the exact solution, and each is then
     rounded to a double once.  Each ceiling division adds under 1 to a
     B_e >= 2**G, and a Gaussian row's ratios are within a relative
@@ -315,12 +316,10 @@ def solve_moments(Q: tuple[LaurentPoly, ...], window: int) -> MomentTable:
         # the new extreme exponent: the bottom one at odd k, the top one at even k
         p, others = (0, slice(1, None)) if k % 2 == 1 else (len(q) - 1, slice(0, -1))
         new, first, pivot, c = lo + p + window, lo + k % 2 + window, q[p], q[others]
-        if {int}.issuperset(map(type, q)):
-            mag, norm, p_floor = abs, pivot * pivot, abs(pivot)
-        else:       # norm = |pivot|^2; p_floor and mag(c_e) bound 2**64 |pivot|, 2**64 |c_e|
-            mag, norm = _ceil_abs, pivot.real * pivot.real + pivot.imag * pivot.imag
-            p_floor = math.isqrt(norm << 128)
-        B[new] = -(-((p_floor << G) + sum(map(mul, map(mag, c), B[first:first + len(c)])))
+        # norm = |pivot|^2; p_floor and _ceil_abs(c_e) bound 2**64 |pivot|, 2**64 |c_e|
+        norm = pivot.real * pivot.real + pivot.imag * pivot.imag
+        p_floor = math.isqrt(norm << 128)
+        B[new] = -(-((p_floor << G) + sum(map(mul, map(_ceil_abs, c), B[first:first + len(c)])))
                    // p_floor)
         rows.append((new, first, pivot, norm, c))
     P = SOLVE_GUARD_BITS + max(0, (max(B) - 1).bit_length() - G)
