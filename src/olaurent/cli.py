@@ -88,6 +88,8 @@ SETTINGS = (
     ("ncap", int, 2, "finite", "system size n"),
     ("level", int, None, "finite", "representation level (default: n)"),
 )
+# the size flags, each refused outside [least value, MAX_ORDER] before anything is realized
+SIZES = {"order": 0, "window": 0, "terms": 0, "samples": 1}
 
 
 def _pairs(values) -> list:
@@ -191,6 +193,8 @@ def _family_flag(value: str) -> FamilySpec:
 def _resolve(args) -> None:
     """Set each setting on `args` to its flag's value, else to its default; read ``--family``.
 
+    A size flag (:data:`SIZES`) outside its range is refused here, naming the flag and its value.
+
     ``args.given`` names the settings given as flags: argparse leaves None for the others.
     """
     args.given = {dest for dest, *_ in SETTINGS if getattr(args, dest, None) is not None}
@@ -200,6 +204,8 @@ def _resolve(args) -> None:
             value = default
         elif kind is FamilySpec:
             value = _family_flag(value)
+        elif dest in SIZES and not SIZES[dest] <= value <= MAX_ORDER:
+            raise InvalidParams(f"--{dest} must be in [{SIZES[dest]}, MAX_ORDER = {MAX_ORDER}], got {value}")
         setattr(args, dest, value)
 
 
@@ -319,8 +325,6 @@ def _phase(rng: np.random.Generator) -> complex:
 
 def cmd_genfun(args) -> int:
     family, samples, terms, seed = args.family, args.samples, args.terms, args.seed
-    if not 1 <= samples <= MAX_ORDER:
-        raise InvalidParams(f"samples must be in [1, MAX_ORDER = {MAX_ORDER}], got {samples}")
     if seed < 0:
         raise InvalidParams(f"seed must be >= 0, got {seed}")
 

@@ -5,10 +5,14 @@ rounded to a double once, at the end, by :func:`to_complex`.  A finite
 double is n / 2**s, so sums and products of complex doubles are Gaussian
 dyadic rationals: :func:`split` and :func:`scaled` give the numerators
 and the exponent s that the dyadic kernels shift by, and their results
-are over 2**s.  A real numerator is a plain ``int`` and a complex one a
-:class:`Gaussian`, which mixes with ``int`` the way ``complex`` mixes
-with ``float``; both have ``.real``, ``.imag`` and ``.conjugate()``, so
-each exact algorithm is written once and real inputs never leave ``int``.
+are over 2**s; :func:`common_scale` puts split pairs over their largest
+2**s.  A source's coefficients are split once, by the series' own view
+:attr:`~olaurent.series.TruncatedPowerSeries.exact_coeffs`, which the
+exact routes read instead of splitting them again.  A real numerator is
+a plain ``int`` and a complex one a :class:`Gaussian`, which mixes with
+``int`` the way ``complex`` mixes with ``float``; both have ``.real``,
+``.imag`` and ``.conjugate()``, so each exact algorithm is written once
+and real inputs never leave ``int``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 
 from .errors import InvalidParams, UnrepresentableValue
 
-__all__ = ["Gaussian", "split", "scaled", "to_complex", "as_int", "as_number",
+__all__ = ["Gaussian", "split", "scaled", "common_scale", "to_complex", "as_int", "as_number",
            "refuse_unknown_keys"]
 
 
@@ -91,7 +95,11 @@ def split(z: complex) -> tuple[int | Gaussian, int]:
 
 def scaled(values) -> tuple[list, int]:
     """Values over one common denominator 2**scale: (numerators, scale)."""
-    parts = [split(v) for v in values]
+    return common_scale([split(v) for v in values])
+
+
+def common_scale(parts) -> tuple[list, int]:
+    """(value, scale) pairs, as :func:`split` gives them, over their largest 2**scale."""
     scale = max((s for _, s in parts), default=0)
     return [v << (scale - s) for v, s in parts], scale
 

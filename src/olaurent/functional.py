@@ -135,8 +135,10 @@ def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
     """Moment table over [-window, window] from the reciprocal series.
 
     The reciprocal coefficients e_m are computed exactly from the double
-    coefficients d_k, each its mantissa over 2**s_k (:func:`~olaurent.exact.split`;
-    53 bits for a real d_k), and e_m over 2**(m R) for the one exponent
+    coefficients d_k, each its mantissa over its minimal 2**s_k, as the
+    source's exact view
+    :attr:`~olaurent.series.TruncatedPowerSeries.exact_coeffs` holds them
+    (53 bits for a real d_k), and e_m over 2**(m R) for the one exponent
     rate R = max_{k=1..window} ceil(s_k / k).  With ``d[k]`` the mantissa
     of d_k and ``e[m]`` the numerator of e_m, e[m] = -sum_k d[k] e[m-k]
     << (k R - s_k): each term's shift depends on k alone, and
@@ -153,7 +155,7 @@ def exact_moments(source: TruncatedPowerSeries, window: int) -> MomentTable:
         raise InsufficientOrder(f"source order {source.order} < window {window}")
     if source.coeffs[0] != 1:
         raise InvalidParams(f"source needs d_0 = 1, got {source.coeffs[0]}")
-    d, s = zip(*(exact.split(c) for c in source.coeffs[:window + 1]))
+    d, s = zip(*source.exact_coeffs[:window + 1])
     R = max((-(-sk // k) for k, sk in enumerate(s) if k), default=0)
     sh = [k * R - sk for k, sk in enumerate(s)]
     e = [1]
@@ -242,7 +244,9 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
     over the double coefficients d_k and the table's integer moments;
     each nonzero entry is rounded to a double once.  The P_m update skips
     the table's zero moments and forms d_k mu as (mantissa * mu) << (ds - s_k),
-    with d_k = mantissa / 2**s_k (:func:`~olaurent.exact.split`; 53 bits when real).
+    with d_k = mantissa / 2**s_k (53 bits when real) and ds the largest s_k,
+    all read from the source's exact view
+    :attr:`~olaurent.series.TruncatedPowerSeries.exact_coeffs`.
 
     Entry (n, m) reads P_m[u] on the window W_n = [t_m - floor(n/2),
     t_m + ceil(n/2)], and W_n is W_{n-1} plus one end, so the windows
@@ -261,11 +265,10 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
     if moments.window < need:
         raise WindowExceeded(f"Gram for K = {K} needs moment window >= {need}, "
                              f"have {moments.window}")
-    # d_k = mant[k] / 2**s_k, and d[k] is its numerator over the common 2**ds
-    mant, s = zip(*(exact.split(c) for c in system.source.coeffs[:K + 1]))
-    ds = max(s)
-    sh = [ds - sk for sk in s]
-    d = list(map(lshift, mant, sh))
+    # d_k = parts[k][0] / 2**s_k, and d[k] is its numerator over the common 2**ds
+    parts = system.source.exact_coeffs[:K + 1]
+    d, ds = exact.common_scale(parts)
+    sh = [ds - sk for _, sk in parts]
     w, mu = moments.window, moments.values
     den = moments.denominator << 2 * ds
     # mu[i] = 0 outside bot <= i <= top: P_m[u] changes only at u = m + w - top..m + w - bot
@@ -275,7 +278,7 @@ def gram_matrix(system: OLPSystem, moments: MomentTable) -> np.ndarray:
     P = [0] * (need + 1)
     G = np.zeros((K + 1, K + 1), dtype=np.complex128)
     for m in range(K + 1):
-        mm, sm = mant[m], sh[m]
+        mm, sm = parts[m][0], sh[m]
         for u in range(max(0, m + w - top), min(need, m + w - bot) + 1):
             P[u] += (mm * mu[m - u + w]) << sm
         tm = (m + 1) // 2

@@ -5,7 +5,10 @@ together with radius-of-convergence metadata, and checks only their shape
 and the radius: what a construction needs of them (d_0 = 1, nonzero
 d_0..d_K) is checked where it reads them, by
 :func:`~olaurent.systems.build_system` and
-:func:`~olaurent.functional.exact_moments`.  Products truncate to the
+:func:`~olaurent.functional.exact_moments`.  Its ``coeffs`` are the
+doubles that the float routes read; :attr:`~TruncatedPowerSeries.exact_coeffs`
+is the one exact view of them, each d_k split once into an integer over
+its own power of two, that the exact routes read.  Products truncate to the
 smaller operand order; reciprocals use the standard triangular recurrence
 and refuse d_0 = 0 (:class:`~olaurent.errors.ZeroCoefficient`).
 
@@ -39,9 +42,13 @@ class TruncatedPowerSeries:
         coeffs: complex coefficients, ascending powers, at least one entry.
         radius: radius of convergence of the underlying function; may be
             ``math.inf``.  Must be strictly positive.
+
+    ``coeffs`` is a read-only complex128 array and :attr:`exact_coeffs`
+    the exact view of it.  Neither can be assigned, and only ``coeffs``
+    and the radius take part in equality.
     """
 
-    __slots__ = ("coeffs", "radius")
+    __slots__ = ("coeffs", "radius", "_exact")
 
     def __init__(self, coeffs, radius: float = math.inf):
         arr = np.asarray(coeffs, dtype=np.complex128)
@@ -56,6 +63,29 @@ class TruncatedPowerSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedPowerSeries is immutable")
+
+    @property
+    def exact_coeffs(self) -> tuple[tuple[int | exact.Gaussian, int], ...]:
+        """d_0..d_T exactly, as (numerator, scale) pairs with d_k = numerator / 2**scale.
+
+        Each pair is :func:`~olaurent.exact.split` of d_k: an ``int``
+        numerator when d_k is real, else a :class:`~olaurent.exact.Gaussian`,
+        over its own minimal scale, and ``coeffs[k]`` is the pair rounded
+        once.  The view is formed on its first read, kept, and read-only;
+        a non-finite d_k has no exact form and is refused then.  It is
+        the one place a source coefficient is split:
+        :attr:`~olaurent.systems.OLPSystem.R`,
+        :func:`~olaurent.functional.exact_moments` and
+        :func:`~olaurent.functional.gram_matrix` all read it.
+
+        The view is dyadic, one scale per coefficient.  A rational family
+        would enter by giving it a denominator that is not a power of
+        two; ``exact_moments``' exponent rate R and ``gram_matrix``'s
+        ``<<`` shifts are then the code to generalise.
+        """
+        if not hasattr(self, "_exact"):
+            object.__setattr__(self, "_exact", tuple(map(exact.split, self.coeffs.tolist())))
+        return self._exact
 
     @property
     def order(self) -> int:

@@ -86,7 +86,13 @@ class OLPSystem:
 
     @cached_property
     def R(self) -> tuple[LaurentPoly, ...]:
-        d, scale = exact.scaled(self.source.coeffs[:self.K + 1])
+        """R_0..R_K exactly, each over the common scale 2**s of d_0..d_K.
+
+        The d_k are the source's exact view,
+        :attr:`~olaurent.series.TruncatedPowerSeries.exact_coeffs`, each
+        shifted from its own scale to the largest one, s.
+        """
+        d, scale = exact.common_scale(self.source.exact_coeffs[:self.K + 1])
         return tuple(LaurentPoly.from_exact(-math.ceil(n / 2), d[:n + 1], 1 << scale)
                      for n in range(self.K + 1))
 

@@ -644,6 +644,18 @@ def test_size_flags_above_the_cap_are_config_errors(capsys, argv):
     assert f"MAX_ORDER = {MAX_ORDER}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", str(MAX_ORDER + 1)])
+@pytest.mark.parametrize("command, flag", [
+    ("build", "--order"), ("ortho", "--order"), ("moments", "--window"),
+    ("genfun-check", "--terms"),
+])
+def test_a_size_flag_out_of_range_is_refused_by_its_name_and_value(capsys, command, flag, value):
+    # ortho used to name its window 2 ceil(K/2), the others "order" or "K"
+    assert main([command, flag, value]) == 2
+    assert capsys.readouterr().err == (f"error: InvalidParams: {flag} must be in "
+                                       f"[0, MAX_ORDER = {MAX_ORDER}], got {value}\n")
+
+
 SHORT_EXPLICIT = '{"kind": "explicit", "coeffs": [1, 2, 3]}'
 FUZZ_FAMILIES = ["geometric", "exponential",
                  '{"kind": "exp-binomial", "b": 1.0, "a": [0.5], "family_lambda": [1.0]}',

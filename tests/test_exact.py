@@ -107,6 +107,8 @@ def test_split_is_exact_and_real_values_stay_int(z):
     assert (type(v) is int) == (complex(z).imag == 0)
     assert pair(v) == (Fraction(complex(z).real) * 2 ** s, Fraction(complex(z).imag) * 2 ** s)
     assert to_complex(v, 1 << s) == z
+    # minimal: exact_moments' exponent rate R is set by these scales
+    assert s == 0 or v.real % 2 or v.imag % 2
     values, scale = scaled([z, 0.75, 1e-30])
     assert [to_complex(w, 1 << scale) for w in values] == [z, 0.75, 1e-30]
 

@@ -342,13 +342,18 @@ SPARSE = TruncatedPowerSeries([1, 0, 0, 0.375, 0, -0.25, 0.5, 0, 0, 1.5, 0, -0.1
                                0.0625, 0.75, 0, 0, 0, -2.5, 0, 0.3], radius=1.0)
 LATE_RATE = TruncatedPowerSeries([1.0] + [2.0 ** -k for k in range(1, 30)] + [5e-324],
                                  radius=1.0)
+# subnormal d_k, a complex one among them: s_1 = 1074 sets R, so the table is
+# over 2**(1074 window) and the Gram over 2**(1074 window + 2148)
+SUBNORMAL = realize(FamilySpec("explicit", coeffs=[1, 5e-324, 1e-310, 0.5, 2.5e-320, 1,
+                                                   complex(-3e-321, 7e-315), 4.9e-322, -0.75],
+                               radius=1.0), 8)
 
 
 def test_exact_moments_are_the_rounded_exact_reciprocal():
     rng = np.random.default_rng(3)
     sources = [TruncatedPowerSeries([1.0] + list(rng.normal(size=n) + 1j * rng.normal(size=n)),
                                     radius=1.0) for n in (12, 80)]
-    for src in sources + [realize(spec, 80) for spec in STOCK] + [SPARSE, LATE_RATE]:
+    for src in sources + [realize(spec, 80) for spec in STOCK] + [SPARSE, LATE_RATE, SUBNORMAL]:
         window = src.order
         mom = exact_moments(src, window)
         # the table is over 2**(window R), R = max_k ceil(s_k / k), with d_k over 2**s_k
@@ -442,11 +447,44 @@ def test_gram_is_bitwise_the_dense_loop_on_exact_tables():
         moments = exact_moments(src, 2 * math.ceil(K / 2))
         assert K == 0 or any(isinstance(v, exact.Gaussian) for v in moments.values)
         _assert_bitwise_dense(src, K, moments)
+    for K in range(SUBNORMAL.order + 1):
+        _assert_bitwise_dense(SUBNORMAL, K, exact_moments(SUBNORMAL, 2 * math.ceil(K / 2)))
     # a sparse source's table (mu_{-1} = mu_{-2} = 0 and more interior zeros)
     # under other systems: P_m is no delta, so its rows mix zeros and nonzeros
     for src in (realize(STOCK[1], 20), _complex_source(rng, 20)):
         for K in range(21):
             _assert_bitwise_dense(src, K, exact_moments(SPARSE, 2 * math.ceil(K / 2)))
+
+
+def test_the_exact_routes_split_each_coefficient_once(monkeypatch):
+    coeffs = [1, 0.5, -0.25j, 0.125 + 1j, 3.0, 5e-324, -7.5]
+    calls, split = [], exact.split
+
+    def counted(z):
+        calls.append(z)
+        return split(z)
+
+    monkeypatch.setattr(exact, "split", counted)
+    src, twin = (TruncatedPowerSeries(coeffs, radius=2.0) for _ in range(2))
+    assert src == twin
+    moments = exact_moments(src, 6)
+    gram_matrix(build_system(src, 6), moments)
+    build_system(src, 6).R
+    # each stored d_k is split once, by the view, which is kept
+    assert calls == src.coeffs.tolist()
+    assert src.exact_coeffs is src.exact_coeffs
+    assert [exact.to_complex(v, 1 << s) for v, s in src.exact_coeffs] == src.coeffs.tolist()
+    # equality ignores the view: formed on one side, on both, or on neither
+    assert src == twin and twin == src
+    assert TruncatedPowerSeries(coeffs, radius=2.0) == TruncatedPowerSeries(coeffs, radius=2.0)
+    twin.exact_coeffs
+    assert src == twin and src != TruncatedPowerSeries(coeffs[:-1] + [7.5], radius=2.0)
+    for s in (src, twin):
+        with pytest.raises(TypeError):
+            hash(s)
+        with pytest.raises(AttributeError):
+            s.exact_coeffs = ()
+    assert len(calls) == 14
 
 
 def test_gram_is_bitwise_the_dense_loop_on_contour_tables(geometric, exponential, exp_binomial):

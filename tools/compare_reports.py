@@ -10,9 +10,11 @@ them) and runs its jobs in deck order: a CLI job through ``cli.main`` on
 through ``genfun.rn_by_contour`` as the benchmark runs it (the hex of each
 R_n(x)).  Then it runs the fixed CLI commands of :func:`extra_argvs`, which
 no deck runs: ``moments`` at windows 40 and 80 for each stock family,
-``ortho`` at K = 160 and on a complex explicit family, and ``finite
---spec`` on a real and a complex spec at n_cap 4 and 8, once at
-``--level 1``, and on a spec that exits 3.  A job whose
+``ortho`` at K = 160 and on a complex explicit family, ``finite
+--family`` on that family, ``ortho`` and ``moments`` on a family of
+subnormal coefficients and at size 0, and ``finite --spec`` on a real
+and a complex spec at n_cap 4 and 8, once at ``--level 1``, and on a
+spec that exits 3.  A job whose
 outputs differ is printed with what differs: the
 exit code, stderr, the top-level report keys, for ``genfun-check`` the
 fields of the rows, and for ``rn`` the indices n.
@@ -41,9 +43,16 @@ def extra_argvs(families: dict) -> list[list[str]]:
                 "f_rec": [[-0.6, 0.5], [-0.2, -1], [-1.3, 0], [-0.7, 0.3]]}
     specs = [["finite", "--spec", json.dumps({"n_cap": n, **spec})]
              for n in (4, 8) for spec in (real, gaussian)]
+    # d_1 = 2**-1074 sets the moments' exponent rate; the Gram's scales pass 1074 bits
+    subnormal = '{"kind":"explicit","coeffs":[1,5e-324,1e-310,0.5,2.5e-320,1]}'
     return ([["moments", "--family", f, "--window", str(w)] for f in stock for w in (40, 80)]
             + [["ortho", "--family", json.dumps(families["exp-binomial"]), "--order", "160"],
-               ["ortho", "--family", json.dumps(complex_family), "--order", "8"]]
+               ["ortho", "--family", json.dumps(complex_family), "--order", "8"],
+               # Gaussian R rows, read from the exact view
+               ["finite", "--family", json.dumps(complex_family), "--ncap", "2"],
+               ["ortho", "--family", subnormal, "--order", "4"],
+               ["moments", "--family", subnormal, "--window", "5"],
+               ["ortho", "--order", "0"], ["moments", "--window", "0"]]
             + specs + [specs[-1] + ["--level", "1"],
                        # overflows a double in its representation residual: exit 3
                        ["finite", "--spec", '{"n_cap":1,"g":[[1e300,0],[1e300,0]]}']])
